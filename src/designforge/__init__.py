@@ -6,6 +6,7 @@ decides affine invariance, and brute-force-verifies the 2-designs (and the
 m=4 3-designs) held by each weight class.
 """
 
+from .checks import CheckFailed
 from .codebuild import (
     CodeSpec,
     CoefficientNotInSubfield,

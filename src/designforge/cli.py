@@ -2,9 +2,9 @@
 
 Every verification is a scriptable subcommand with machine-readable output
 on stdout (JSON by default, CSV via --format csv) and diagnostics on
-stderr.  Exit codes: 0 success / all verified, 1 verification mismatch,
-2 invalid parameters.  Identical inputs give byte-identical JSON no matter
-how many worker threads run the enumeration.
+stderr.  Exit codes: 0 success / all verified, 1 verification mismatch or
+failed internal check, 2 invalid parameters.  Identical inputs give
+byte-identical JSON no matter how many worker threads run the enumeration.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import golden
+from .checks import CheckFailed
 from .codebuild import CodeSpec, TooLarge
 from .designs import blocks_of_weight, full_design_report
 from .gf2m import Field, NonPrimitivePolynomial, UnsupportedM
@@ -36,10 +37,12 @@ EXIT_BAD_PARAMS = 2
 
 
 def _default_threads() -> int:
+    """DESIGN_FORGE_THREADS if it is an integer, else the CPU count; main()
+    rejects a value below 1."""
     env = os.environ.get("DESIGN_FORGE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             pass
     return os.cpu_count() or 1
@@ -216,6 +219,10 @@ def _run_pless(case, threads: int) -> dict:
 
 
 def cmd_reproduce(args) -> int:
+    if args.poly is not None:
+        raise InapplicableParameters(
+            "reproduce runs the built-in polynomial of each m it covers (4, 6, 8); drop --poly"
+        )
     targets = list(golden.EXAMPLES) + [c[0] for c in golden.PLESS_CASES]
     if args.example is not None:
         if args.example not in targets:
@@ -296,11 +303,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(f"ValueError: threads must be >= 1 (--threads or DESIGN_FORGE_THREADS), "
+              f"got {args.threads}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
     try:
         return args.func(args)
     except (UnsupportedM, NonPrimitivePolynomial, InapplicableParameters, TooLarge, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    except CheckFailed as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ additively, which keeps every result independent of worker count.
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -295,80 +297,138 @@ def enumerate_code(
 # -- vectorized weight sweep --------------------------------------------------
 
 
+def _pack_row(word: int, n_words: int) -> np.ndarray:
+    return np.frombuffer(word.to_bytes(8 * n_words, "little"), dtype=np.uint64)
+
+
 def _low_table(basis_low: list[int], n_words: int) -> np.ndarray:
-    """All 2^kl span words of the low basis slice, packed, in index order."""
-    kl = len(basis_low)
-    buf = bytearray((1 << kl) * 8 * n_words)
-    step = 8 * n_words
-    prefix = []
-    acc = 0
-    for row in basis_low:
-        acc ^= row
-        prefix.append(acc)
-    w = 0
-    for i in range(1 << kl):
-        if i:
-            w ^= prefix[((i ^ (i - 1)).bit_length()) - 1]
-        buf[i * step : (i + 1) * step] = w.to_bytes(step, "little")
-    return np.frombuffer(bytes(buf), dtype=np.uint64).reshape(1 << kl, n_words)
+    """All 2^kl span words of the low basis slice, packed, in index order.
+
+    Built by doubling: the words whose index has top bit j are the words
+    below 2^j XORed with basis row j.
+    """
+    table = np.zeros((1 << len(basis_low), n_words), dtype=np.uint64)
+    for j, row in enumerate(basis_low):
+        half = 1 << j
+        np.bitwise_xor(table[:half], _pack_row(row, n_words), out=table[half : 2 * half])
+    return table
 
 
 def _sweep_ranges(n_high: int, threads: int) -> list[tuple[int, int]]:
-    threads = max(1, min(threads, n_high))
+    """Contiguous slices of the high index space, at most one per core."""
+    threads = max(1, min(threads, os.cpu_count() or 1, n_high))
     bounds = [n_high * i // threads for i in range(threads + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(threads)]
 
 
-def weight_histogram(basis: list[int], length: int, threads: int = 1) -> dict[int, int]:
+class _ChunkStep:
+    """One worker's reusable buffers for XOR, popcount and row weights.
+
+    Allocated in the thread that creates it, so the large buffers never
+    come from a worker thread's own malloc arena.
+    """
+
+    def __init__(self, low: np.ndarray):
+        self.low = low
+        self.rows = np.empty_like(low)
+        self.pop = np.empty(low.shape, dtype=np.uint8)
+        self.weights = np.empty(len(low), dtype=np.int64)
+
+    def __call__(self, high_word: int) -> tuple[np.ndarray, np.ndarray]:
+        """Packed rows and weights of the 2^kl span words over one high word.
+
+        Both arrays are overwritten by the next call.
+        """
+        np.bitwise_xor(self.low, _pack_row(high_word, self.low.shape[1]), out=self.rows)
+        np.bitwise_count(self.rows, out=self.pop)
+        np.sum(self.pop, axis=1, dtype=np.int64, out=self.weights)
+        return self.rows, self.weights
+
+
+def _split_basis(basis: list[int], length: int) -> tuple[np.ndarray, list[int]]:
+    """Tabulated low half and streamed high half of a reduced basis."""
+    if len(basis) > MAX_ENUM_DIM:
+        raise TooLarge(f"dimension {len(basis)} exceeds the enumeration cap {MAX_ENUM_DIM}")
+    kl = min(len(basis), _LOW_BITS)
+    return _low_table(basis[:kl], (length + 63) // 64), basis[kl:]
+
+
+def weight_histogram(
+    basis: list[int], length: int, threads: int = 1, keep: dict[int, int] | None = None
+) -> dict[int, int] | tuple[dict[int, int], dict[int, np.ndarray]]:
     """Exact weight -> count map over the full span of a reduced basis.
 
     The sweep splits the basis into a tabulated low half and a streamed
     high half; each high word XORs against the low table and the weights
     are popcounted in bulk.  Results are identical for any thread count.
+
+    keep maps a weight to a row cap.  The packed rows of each such weight
+    are collected during the same sweep, in coefficient-index order, and
+    a class is dropped as soon as its count passes its cap, so at most cap
+    rows of it are ever held.  With keep the result is (hist, kept), where
+    kept maps every weight that occurs and stayed within its cap to a
+    (count, n_words) uint64 array of its words.
     """
-    k = len(basis)
-    if k > MAX_ENUM_DIM:
-        raise TooLarge(f"dimension {k} exceeds the enumeration cap {MAX_ENUM_DIM}")
-    n_words = (length + 63) // 64
-    kl = min(k, _LOW_BITS)
-    low = _low_table(basis[:kl], n_words)
-    high_basis = basis[kl:]
-    n_high = 1 << len(high_basis)
+    low, high_basis = _split_basis(basis, length)
+    ranges = _sweep_ranges(1 << len(high_basis), threads)
+    steps = [_ChunkStep(low) for _ in ranges]
+    caps = keep or {}
+    lock = threading.Lock()
+    running: dict[int, int] = {}
+    dropped: set[int] = set()
 
-    def run(rng: tuple[int, int]) -> np.ndarray:
-        lo, hi = rng
+    def run(i: int) -> tuple[np.ndarray, dict[int, list[np.ndarray]]]:
         counts = np.zeros(length + 1, dtype=np.int64)
-        for w_int in enumerate_span(high_basis, lo, hi):
-            hw = np.frombuffer(w_int.to_bytes(8 * n_words, "little"), dtype=np.uint64)
-            weights = np.bitwise_count(low ^ hw).sum(axis=1, dtype=np.int64)
-            counts += np.bincount(weights, minlength=length + 1)
-        return counts
+        parts: dict[int, list[np.ndarray]] = {}
+        step = steps[i]
+        for high_word in enumerate_span(high_basis, *ranges[i]):
+            rows, weights = step(high_word)
+            chunk_counts = np.bincount(weights, minlength=length + 1)
+            counts += chunk_counts
+            for w in np.flatnonzero(chunk_counts).tolist():
+                if w not in caps:
+                    continue
+                with lock:
+                    running[w] = running.get(w, 0) + int(chunk_counts[w])
+                    if running[w] > caps[w]:
+                        dropped.add(w)
+                    live = w not in dropped
+                if live:
+                    parts.setdefault(w, []).append(rows[weights == w])
+                else:
+                    parts.pop(w, None)
+        return counts, parts
 
-    ranges = _sweep_ranges(n_high, threads)
     if len(ranges) == 1:
-        total = run(ranges[0])
+        results = [run(0)]
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(run, ranges))
-        total = np.sum(parts, axis=0)
-    return {int(w): int(c) for w, c in enumerate(total) if c}
+            results = list(pool.map(run, range(len(ranges))))
+    total = np.sum([counts for counts, _ in results], axis=0)
+    hist = {int(w): int(c) for w, c in enumerate(total) if c}
+    if keep is None:
+        return hist
+    kept = {}
+    for w in sorted(set(running) - dropped):
+        kept[w] = np.concatenate([rows for _, parts in results for rows in parts.pop(w, [])])
+    return hist, kept
 
 
 def stream_weight_class(basis: list[int], length: int, weight: int) -> Iterator[np.ndarray]:
     """Stream all span words of one weight as packed-uint64 row chunks."""
-    k = len(basis)
-    if k > MAX_ENUM_DIM:
-        raise TooLarge(f"dimension {k} exceeds the enumeration cap {MAX_ENUM_DIM}")
-    n_words = (length + 63) // 64
-    kl = min(k, _LOW_BITS)
-    low = _low_table(basis[:kl], n_words)
-    for w_int in enumerate_span(basis[kl:]):
-        hw = np.frombuffer(w_int.to_bytes(8 * n_words, "little"), dtype=np.uint64)
-        rows = low ^ hw
-        mask = np.bitwise_count(rows).sum(axis=1, dtype=np.int64) == weight
+    low, high_basis = _split_basis(basis, length)
+    step = _ChunkStep(low)
+    for high_word in enumerate_span(high_basis):
+        rows, weights = step(high_word)
+        mask = weights == weight
         if mask.any():
             yield rows[mask]
 
 
-def packed_row_to_int(row: np.ndarray) -> int:
-    return int.from_bytes(row.tobytes(), "little")
+def packed_rows_to_ints(rows: np.ndarray) -> list[int]:
+    """Packed uint64 rows as int bitmasks (bit i = coordinate i)."""
+    if rows.shape[1] == 1:
+        return rows[:, 0].tolist()
+    raw = memoryview(rows.tobytes())
+    step = 8 * rows.shape[1]
+    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]

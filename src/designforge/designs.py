@@ -3,8 +3,9 @@
 Blocks are codeword supports.  Verification counts, for every t-subset of
 the 2^m points, how many blocks contain it; the weight class is a design
 exactly when that count is one constant lambda.  Pair counting (t = 2) is
-an accumulated Gram matrix over 0/1 block-incidence chunks; triple
-counting (t = 3) uses a flat array indexed by colex rank.
+a Gram matrix over 0/1 block-incidence chunks; triple counting (t = 3) is
+one Gram matrix per point p over the blocks that contain p, whose upper
+triangle beyond p holds the counts of the triples {p, i, j}.
 
 Enumerated lambdas are the ground truth; the closed-form lambdas derived
 from the distribution tables are cross-checked against them and mismatches
@@ -14,25 +15,33 @@ are flagged, never reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .codebuild import CodeSpec, generator_basis, packed_row_to_int, stream_weight_class
+from .checks import CheckFailed, require
+from .codebuild import (
+    CodeSpec,
+    generator_basis,
+    packed_rows_to_ints,
+    stream_weight_class,
+    weight_histogram,
+)
 from .gf2m import Field
 from .spectrum import (
     InapplicableParameters,
+    WeightDistribution,
     closed_form_c1,
     closed_form_c2_extended,
-    weight_distribution,
 )
 
 # A weight class is skipped (unless exhaustive is set) above this many
 # t-subset increments: blocks * C(k, t).
 COST_GATE = 10**9
 
+# Blocks per counting chunk.  Every per-chunk count is at most _CHUNK < 2^24,
+# so the float32 Gram products below are exact integers.
 _CHUNK = 8192
 
 
@@ -95,45 +104,77 @@ def lambda_from_identity(b: int, k: int, v: int, t: int) -> int:
 
 
 def blocks_of_weight(
-    spec: CodeSpec, field: Field, weight: int, expected_count: int | None = None
+    spec: CodeSpec,
+    field: Field,
+    weight: int,
+    expected_count: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> Iterator[int]:
     """Stream the supports of all weight-i codewords as bitmask ints.
 
-    Distinct codewords of a binary code have distinct supports, and span
-    enumeration never repeats a codeword, so the stream needs no dedup.
+    rows, when given, holds the class's packed words already collected by
+    the sweep (weight_histogram's keep); otherwise the class is streamed
+    from a fresh basis.  Distinct codewords of a binary code have distinct
+    supports, and span enumeration never repeats a codeword, so the stream
+    needs no dedup.
     """
-    basis = generator_basis(spec, field)
+    if rows is None:
+        chunks: Iterable[np.ndarray] = stream_weight_class(
+            generator_basis(spec, field), spec.length, weight
+        )
+    else:
+        chunks = (rows[i : i + _CHUNK] for i in range(0, len(rows), _CHUNK))
     count = 0
-    for rows in stream_weight_class(basis, spec.length, weight):
-        for row in rows:
-            yield packed_row_to_int(row)
-        count += len(rows)
+    for chunk in chunks:
+        yield from packed_rows_to_ints(chunk)
+        count += len(chunk)
     if count == 0:
         raise EmptyWeightClass(f"no codeword of weight {weight} in {spec.label()}")
     if expected_count is not None and count != expected_count:
-        raise AssertionError(f"weight {weight}: streamed {count} blocks, expected {expected_count}")
+        raise CheckFailed(f"weight {weight}: streamed {count} blocks, expected {expected_count}")
 
 
 def _blocks_to_bits(chunk: list[int], v: int) -> np.ndarray:
-    nbytes = (v + 7) // 8
-    buf = b"".join(x.to_bytes(nbytes, "little") for x in chunk)
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
+    if v <= 64:
+        raw = np.array(chunk, dtype="<u8").view(np.uint8).reshape(len(chunk), 8)
+    else:
+        nbytes = (v + 7) // 8
+        buf = b"".join(x.to_bytes(nbytes, "little") for x in chunk)
+        raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
     return np.unpackbits(raw, axis=1, bitorder="little")[:, :v]
 
 
-def _colex_rank3(a: int, b: int, c: int) -> int:
-    return comb(c, 3) + comb(b, 2) + a
+def _triple_offsets(v: int) -> np.ndarray:
+    """Start of each point p's run in the lex-ordered list of triples p < i < j."""
+    sizes = [comb(v - p - 1, 2) for p in range(v)]
+    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
 
 
-def _colex_unrank3(rank: int) -> tuple[int, int, int]:
-    c = 2
-    while comb(c + 1, 3) <= rank:
-        c += 1
-    rank -= comb(c, 3)
-    b = 1
-    while comb(b + 1, 2) <= rank:
-        b += 1
-    return rank - comb(b, 2), b, c
+def _count_pairs(bits: np.ndarray, gram: np.ndarray) -> None:
+    m = bits.astype(np.float32)
+    chunk_gram = (m.T @ m).astype(np.int64)
+    require(
+        np.array_equal(np.diagonal(chunk_gram), bits.sum(axis=0)),
+        "float32 Gram diagonal disagrees with the per-point block counts",
+    )
+    gram += chunk_gram
+
+
+def _count_triples(bits: np.ndarray, triple: np.ndarray, offsets: np.ndarray) -> None:
+    v = bits.shape[1]
+    m = bits.astype(np.float32)
+    for p in range(v - 2):
+        tail = m[bits[:, p] == 1, p + 1 :]
+        if len(tail):
+            g = (tail.T @ tail).astype(np.int64)
+            triple[offsets[p] : offsets[p + 1]] += g[np.triu_indices(v - p - 1, 1)]
+
+
+def _triple_at(index: int, offsets: np.ndarray, v: int) -> tuple[int, int, int]:
+    p = int(np.searchsorted(offsets, index, side="right")) - 1
+    iu = np.triu_indices(v - p - 1, 1)
+    r = index - int(offsets[p])
+    return p, p + 1 + int(iu[0][r]), p + 1 + int(iu[1][r])
 
 
 def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | None = None) -> DesignReport:
@@ -147,8 +188,11 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
         raise ValueError(f"t must be 2 or 3, got {t}")
     k = None
     b = 0
-    gram = np.zeros((v, v), dtype=np.float64) if t == 2 else None
-    triple = np.zeros(comb(v, 3), dtype=np.int64) if t == 3 else None
+    if t == 2:
+        gram = np.zeros((v, v), dtype=np.int64)
+    else:
+        offsets = _triple_offsets(v)
+        triple = np.zeros(comb(v, 3), dtype=np.int64)
 
     chunk: list[int] = []
 
@@ -164,18 +208,9 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
             raise ValueError("blocks of unequal size in one weight class")
         b += len(chunk)
         if t == 2:
-            m = bits.astype(np.float64)
-            gram[...] += m.T @ m
+            _count_pairs(bits, gram)
         else:
-            for mask in chunk:
-                support = []
-                x = mask
-                while x:
-                    low = x & -x
-                    support.append(low.bit_length() - 1)
-                    x ^= low
-                for i, j, kk in combinations(support, 3):
-                    triple[_colex_rank3(i, j, kk)] += 1
+            _count_triples(bits, triple, offsets)
         chunk.clear()
 
     for mask in blocks:
@@ -187,24 +222,22 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
     if b == 0:
         raise EmptyWeightClass("empty block stream")
     if expected_b is not None and b != expected_b:
-        raise AssertionError(f"streamed {b} blocks, expected {expected_b}")
+        raise CheckFailed(f"streamed {b} blocks, expected {expected_b}")
     if k in (t, v):
         raise TrivialDesign(f"block size {k} with t={t}, v={v} is trivial")
 
     if t == 2:
-        counts = np.rint(gram).astype(np.int64)
-        assert np.array_equal(counts.astype(np.float64), gram), "pair counts exceeded exact range"
         iu = np.triu_indices(v, 1)
-        vals = counts[iu]
+        vals = gram[iu]
     else:
         vals = triple
 
     # conservation: every block contributes exactly C(k, t) subset hits
-    assert int(vals.sum()) == b * comb(k, t), "t-subset count conservation failed"
+    require(int(vals.sum()) == b * comb(k, t), "t-subset count conservation failed")
 
     lam = int(vals[0])
     if np.all(vals == lam):
-        assert b * comb(k, t) == lam * comb(v, t)
+        require(b * comb(k, t) == lam * comb(v, t), "design identity b*C(k,t) = lambda*C(v,t) failed")
         return DesignReport(t=t, v=v, k=k, b=b, lam=lam, verified=True)
 
     other = int(np.argmax(vals != lam))
@@ -212,8 +245,8 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
         w1 = (int(iu[0][0]), int(iu[1][0]), lam)
         w2 = (int(iu[0][other]), int(iu[1][other]), int(vals[other]))
     else:
-        w1 = (*_colex_unrank3(0), lam)
-        w2 = (*_colex_unrank3(other), int(vals[other]))
+        w1 = (*_triple_at(0, offsets, v), lam)
+        w2 = (*_triple_at(other, offsets, v), int(vals[other]))
     return DesignReport(t=t, v=v, k=k, b=b, lam=None, verified=False, witness=(w1, w2))
 
 
@@ -257,12 +290,20 @@ def full_design_report(
 ) -> list[DesignReport]:
     """Verify every nontrivial weight class, cross-checked against theorem lambdas.
 
-    Classes costing more than COST_GATE t-subset increments are skipped
-    unless exhaustive is set.  Weight 0 and the full-support class are
-    excluded as trivial.
+    One sweep of the code gives the distribution and, for every class
+    within COST_GATE t-subset increments, its blocks.  Classes above the
+    gate are skipped unless exhaustive is set, in which case each one is
+    streamed on its own.  Weight 0 and the full-support class are excluded
+    as trivial.
     """
-    dist = weight_distribution(spec, field, threads)
+    basis = generator_basis(spec, field)
     v = spec.length
+    candidates = range(1, v) if weights is None else [w for w in weights if 0 < w < v]
+    # a class with k < t has no t-subsets, so its cost is 0 and its cap never binds
+    caps = {w: COST_GATE // max(1, comb(w, t)) for w in candidates}
+    hist, kept = weight_histogram(basis, v, threads, keep=caps)
+    dist = WeightDistribution(hist, v, len(basis))
+    dist.validate()
     targets = [w for w in dist.weights() if w not in (0, v)]
     if weights is not None:
         missing = set(weights) - set(targets)
@@ -282,7 +323,8 @@ def full_design_report(
                 )
             )
             continue
-        report = verify_t_design(blocks_of_weight(spec, field, w, expected_count=b), v, t, expected_b=b)
+        blocks = blocks_of_weight(spec, field, w, expected_count=b, rows=kept.get(w))
+        report = verify_t_design(blocks, v, t, expected_b=b)
         report.theorem_lambda = theorem
         if theorem is not None and report.lam is not None:
             report.match = report.lam == theorem

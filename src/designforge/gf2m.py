@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import require
 # Default primitive polynomials, LSB = constant term.
 #   m=4:  x^4+x+1            m=6:  x^6+x+1       m=8: x^8+x^4+x^3+x^2+1
 #   m=10: x^10+x^3+1          m=12: x^12+x^6+x^4+x+1
@@ -99,7 +100,7 @@ class Field:
             for _ in range(m):
                 t ^= y
                 y = self.mul(y, y)
-            assert t in (0, 1)
+            require(t in (0, 1), "trace did not land in GF(2)")
             trace[v] = t
         self._trace = bytes(trace)
 
@@ -114,7 +115,7 @@ class Field:
                 for _ in range(self.s):
                     t ^= y
                     y = self.mul(y, y)
-                assert t in (0, 1)
+                require(t in (0, 1), "subfield trace did not land in GF(2)")
                 sub_trace[v] = t
         self._in_subfield = bytes(in_sub)
         self._sub_trace = bytes(sub_trace)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+from .checks import require
 from .gf2m import Field, IndexOutOfRange
 
 
@@ -76,7 +77,7 @@ def poly_lcm(ps: Iterable[int]) -> int:
     out = ps[0]
     for p in ps[1:]:
         q, r = poly_divmod(poly_mul(out, p), poly_gcd(out, p))
-        assert r == 0
+        require(r == 0, "lcm quotient left a remainder")
         out = q
     return out
 
@@ -137,7 +138,7 @@ def minimal_polynomial(i: int, field: Field) -> int:
             nxt[d + 1] ^= c
             nxt[d] ^= field.mul(root, c)
         coeffs = nxt
-    assert all(c in (0, 1) for c in coeffs), "minimal polynomial did not collapse to GF(2)"
+    require(all(c in (0, 1) for c in coeffs), "minimal polynomial did not collapse to GF(2)")
     out = 0
     for d, c in enumerate(coeffs):
         out |= c << d

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .checks import require
 from .codebuild import (
     CodeSpec,
     TooLarge,
@@ -55,9 +56,9 @@ class WeightDistribution:
         return sum(self.entries.values())
 
     def validate(self) -> None:
-        assert self.total() == 1 << self.dimension, "counts must sum to 2^dimension"
-        assert all(0 <= w <= self.length for w in self.entries), "weight out of range"
-        assert self.entries.get(0) == 1, "exactly one zero-weight word expected"
+        require(self.total() == 1 << self.dimension, "counts must sum to 2^dimension")
+        require(all(0 <= w <= self.length for w in self.entries), "weight out of range")
+        require(self.entries.get(0) == 1, "exactly one zero-weight word expected")
 
     def weights(self) -> list[int]:
         return sorted(self.entries)
@@ -330,7 +331,7 @@ def quadform_rank(field: Field, a: int, b: int) -> QuadFormProfile:
     v ^= field.scalar_mul_vec(b2, field.power_table(2))
     v ^= field.scalar_mul_vec(a, field.elements_in_order())
     kernel = int((v == 0).sum())
-    assert kernel & (kernel - 1) == 0, "linearized-polynomial kernel must be a power of 2"
+    require(kernel & (kernel - 1) == 0, "linearized-polynomial kernel must be a power of 2")
     return QuadFormProfile(a, b, field.m - kernel.bit_length() + 1, kernel)
 
 

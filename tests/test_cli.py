@@ -152,3 +152,28 @@ def test_thread_count_does_not_change_output(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_threads_must_be_positive(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "2", "--threads", "0")
+    assert code == 2 and out == "" and "threads" in err
+    monkeypatch.setenv("DESIGN_FORGE_THREADS", "-1")
+    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "2")
+    assert code == 2 and out == "" and "DESIGN_FORGE_THREADS" in err
+
+
+def test_reproduce_rejects_poly(capsys):
+    code, out, err = run_cli(capsys, "reproduce", "--example", "m4", "--poly", "0x19")
+    assert code == 2 and out == "" and "--poly" in err
+
+
+def test_failed_check_exits_1(capsys, monkeypatch):
+    import designforge.cli as cli
+    from designforge import CheckFailed
+
+    def broken(*_args, **_kwargs):
+        raise CheckFailed("t-subset count conservation failed")
+
+    monkeypatch.setattr(cli, "full_design_report", broken)
+    code, out, err = run_cli(capsys, "designs", "--family", "c1", "--s", "2")
+    assert code == 1 and out == "" and "CheckFailed" in err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from designforge import (
@@ -15,10 +17,13 @@ from designforge import (
     generator_basis,
     membership_test,
 )
+import designforge.codebuild as codebuild
 from designforge.codebuild import (
+    _low_table,
+    _sweep_ranges,
     cyclic_generator_basis,
     enumerate_span,
-    packed_row_to_int,
+    packed_rows_to_ints,
     reduce_rows,
     stream_weight_class,
     weight_histogram,
@@ -151,7 +156,7 @@ def test_membership(f4, f6):
     assert membership_test(0, basis, 64)
     assert membership_test((1 << 64) - 1, basis, 64)
     w16 = next(iter(stream_weight_class(basis, 64, 16)))
-    word = packed_row_to_int(w16[0])
+    word = packed_rows_to_ints(w16[:1])[0]
     assert membership_test(word, basis, 64)
     assert not membership_test(word ^ 1, basis, 64)  # one flipped bit leaves the code
     with pytest.raises(LengthMismatch):
@@ -228,9 +233,9 @@ def test_stream_weight_class_matches_filter(f4):
     spec = CodeSpec("c1", 2)
     basis = generator_basis(spec, f4)
     got = sorted(
-        packed_row_to_int(row)
+        word
         for chunk in stream_weight_class(basis, 16, 4)
-        for row in chunk
+        for word in packed_rows_to_ints(chunk)
     )
     expect = sorted(w for w in enumerate_span(basis) if w.bit_count() == 4)
     assert got == expect
@@ -239,3 +244,44 @@ def test_stream_weight_class_matches_filter(f4):
 def test_too_large_guard():
     with pytest.raises(TooLarge):
         weight_histogram([1 << i for i in range(27)], 64)
+
+
+def test_sweep_ranges_capped_by_cores(monkeypatch):
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 2)
+    ranges = _sweep_ranges(1024, 100000)
+    assert ranges == [(0, 512), (512, 1024)]
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 64)
+    assert len(_sweep_ranges(1024, 100000)) == 64
+    assert _sweep_ranges(4, 100000) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: None)
+    assert _sweep_ranges(1024, 8) == [(0, 1024)]
+
+
+def test_low_table_index_order(f8):
+    basis = generator_basis(CodeSpec("c1", 4), f8)[:9]
+    table = _low_table(basis, 4)
+    assert table.shape == (512, 4)
+    assert packed_rows_to_ints(table) == list(enumerate_span(basis))
+
+
+def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):
+    # more workers than cores, with frequent thread switches: a lost update
+    # of the shared running counts would keep the class that passes its cap
+    basis = generator_basis(CodeSpec("c1", 3), f6)
+    hist = weight_histogram(basis, 64)
+    by_weight: dict[int, list[int]] = {}
+    for w in enumerate_span(basis):
+        by_weight.setdefault(w.bit_count(), []).append(w)
+    caps = {16: 252, 24: 37631, 32: 10**6, 30: 5}
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 8):
+            got, kept = weight_histogram(basis, 64, threads, keep=caps)
+            assert got == hist
+            assert set(kept) == {16, 32}  # 24 passes its cap by one; 30 never occurs
+            for w, rows in kept.items():
+                assert packed_rows_to_ints(rows) == by_weight[w]
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import json
+from math import comb
+
 import pytest
 
+import designforge.codebuild as codebuild
+import designforge.designs as designs
 from designforge import (
+    CheckFailed,
     CodeSpec,
     EmptyWeightClass,
     InapplicableParameters,
@@ -195,3 +201,63 @@ def test_report_json(f6):
         "t": 2, "v": 64, "k": 16, "b": "252", "lambda": "15",
         "verified": True, "theorem_lambda": "15", "match": True,
     }
+
+
+@pytest.mark.parametrize(
+    "spec_args, t", [(("c1", 3, None), 2), (("c2", 3, 1), 2), (("c1", 2, None), 3)]
+)
+def test_full_report_thread_invariance(spec_args, t, f4, f6, monkeypatch):
+    spec = CodeSpec(*spec_args)
+    field = f4 if spec.m == 4 else f6
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)  # let 8 workers run
+    outs = {
+        json.dumps([r.to_json_obj() for r in full_design_report(spec, field, t=t, threads=n)])
+        for n in (1, 2, 8)
+    }
+    assert len(outs) == 1
+
+
+def test_cost_gate_skips_then_restreams(f6, monkeypatch):
+    spec = CodeSpec("c2", 3, 1)
+    ungated = {r.k: r for r in full_design_report(spec, f6, t=2)}
+    gate = 10**6
+    heavy = {k for k, r in ungated.items() if r.b * comb(k, 2) > gate}
+    assert heavy and heavy != set(ungated)
+    monkeypatch.setattr(designs, "COST_GATE", gate)
+    gated = full_design_report(spec, f6, t=2)
+    assert {r.k for r in gated if r.skipped} == heavy
+    assert all(r.lam == ungated[r.k].lam for r in gated if not r.skipped)
+
+    streamed = []
+    stream = designs.stream_weight_class
+
+    def spy(basis, length, weight):
+        streamed.append(weight)
+        return stream(basis, length, weight)
+
+    monkeypatch.setattr(designs, "stream_weight_class", spy)
+    exhaustive = full_design_report(spec, f6, t=2, exhaustive=True)
+    assert sorted(streamed) == sorted(heavy)  # only the classes over their cap
+    assert {r.k: r.lam for r in exhaustive} == {k: r.lam for k, r in ungated.items()}
+    assert all(r.verified and r.match and not r.skipped for r in exhaustive)
+
+
+def test_t3_witness_matches_naive_counter(f6):
+    # c2(3,1) weight 16 is no 3-design: b*C(16,3) is not a multiple of C(64,3)
+    blocks = list(blocks_of_weight(CodeSpec("c2", 3, 1), f6, 16))
+    rep = verify_t_design(iter(blocks), 64, 3)
+    assert not rep.verified and rep.lam is None
+    sets = [frozenset(i for i in range(64) if (b >> i) & 1) for b in blocks]
+    naive = naive_t_design_count(sets, 64, 3)
+    (*s1, c1), (*s2, c2) = rep.witness
+    assert c1 != c2
+    assert naive[tuple(s1)] == c1 and naive[tuple(s2)] == c2
+
+
+def test_block_count_mismatch_is_a_failed_check(f6):
+    assert not issubclass(CheckFailed, ValueError)  # the CLI maps ValueError to exit 2
+    spec = CodeSpec("c1", 3)
+    with pytest.raises(CheckFailed):
+        verify_t_design(blocks_of_weight(spec, f6, 16), 64, 2, expected_b=253)
+    with pytest.raises(CheckFailed):
+        list(blocks_of_weight(spec, f6, 16, expected_count=251))

@@ -214,3 +214,24 @@ def test_distribution_json_serialization(f4):
     obj = d.to_json_obj()
     assert obj["length"] == 16 and obj["dimension"] == 11
     assert obj["weights"][1] == {"w": 4, "count": "140"}
+
+
+def test_validate_survives_optimize_flag():
+    # the distribution guards are real checks, not asserts that -O strips
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "from designforge.checks import CheckFailed\n"
+        "from designforge.spectrum import WeightDistribution\n"
+        "try:\n"
+        "    WeightDistribution({0: 1, 3: 5}, 8, 3).validate()\n"
+        "except CheckFailed:\n"
+        "    raise SystemExit(7)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 7
