@@ -12,11 +12,7 @@ from .codebuild import (
     CoefficientNotInSubfield,
     LengthMismatch,
     TooLarge,
-    build_codeword_c1,
-    build_codeword_c2,
-    build_cyclic_codeword_c1,
-    build_cyclic_codeword_c2,
-    enumerate_code,
+    build_codeword,
     generator_basis,
     membership_test,
 )
@@ -28,8 +24,7 @@ from .designs import (
     blocks_of_weight,
     full_design_report,
     lambda_from_identity,
-    theorem_lambda_c1,
-    theorem_lambda_c2,
+    theorem_lambda,
     verify_t_design,
 )
 from .gf2m import (
@@ -38,9 +33,8 @@ from .gf2m import (
     NonPrimitivePolynomial,
     NotInSubfield,
     UnsupportedM,
-    make_field,
 )
-from .invariance import affine_orbit_check, closure_check, dual_invariance_note, preceq
+from .invariance import affine_orbit_check, closure_check, preceq
 from .polyops import (
     CyclotomicCoset,
     EmptyInput,
@@ -61,6 +55,7 @@ from .spectrum import (
     WeightCollision,
     WeightDistribution,
     ZeroForm,
+    closed_form,
     closed_form_c1,
     closed_form_c2_cyclic,
     closed_form_c2_extended,

@@ -24,8 +24,7 @@ from .polyops import defining_set_of_family, poly_str
 from .spectrum import (
     InapplicableParameters,
     WeightDistribution,
-    closed_form_c1,
-    closed_form_c2_extended,
+    closed_form,
     cyclic_weight_distribution,
     pless_verify,
     weight_distribution,
@@ -66,10 +65,6 @@ def _spec_from_args(args) -> CodeSpec:
     return CodeSpec(args.family, args.s, getattr(args, "l", None))
 
 
-def _field_for(spec: CodeSpec, poly: int | None) -> Field:
-    return Field(spec.m, poly)
-
-
 def _dist_rows(dist: WeightDistribution) -> list[list]:
     return [[w, dist.entries[w]] for w in dist.weights()]
 
@@ -95,7 +90,7 @@ def cmd_field(args) -> int:
 
 def cmd_weights(args) -> int:
     spec = _spec_from_args(args)
-    f = _field_for(spec, args.poly)
+    f = Field(spec.m, args.poly)
     if args.cyclic:
         dist = cyclic_weight_distribution(spec, f, threads=args.threads)
     else:
@@ -104,11 +99,7 @@ def cmd_weights(args) -> int:
     if args.closed_form:
         if args.cyclic:
             raise InapplicableParameters("--closed-form compares the extended code only")
-        if spec.family == "c1":
-            closed = closed_form_c1(spec.s)
-        else:
-            closed = closed_form_c2_extended(spec.s, spec.l)
-        match = closed == dist
+        match = closed_form(spec) == dist
     obj = {
         "family": spec.family,
         "s": spec.s,
@@ -129,7 +120,7 @@ def cmd_weights(args) -> int:
 
 def cmd_designs(args) -> int:
     spec = _spec_from_args(args)
-    f = _field_for(spec, args.poly)
+    f = Field(spec.m, args.poly)
     if args.export_blocks:
         if args.weight is None:
             raise InapplicableParameters("--export-blocks needs --weight")
@@ -173,7 +164,7 @@ def cmd_invariance(args) -> int:
     orbit_checked = False
     orbit_invariant = None
     if spec.m <= 6:
-        f = _field_for(spec, args.poly)
+        f = Field(spec.m, args.poly)
         orbit_invariant = affine_orbit_check(spec, f)
         orbit_checked = True
     else:
@@ -293,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="golden suite of published examples")
     add_common(p)
-    p.add_argument("--all", action="store_true", help="run every example (default)")
     p.add_argument("--example", default=None, help="run one example by id")
     p.set_defaults(func=cmd_reproduce)
 

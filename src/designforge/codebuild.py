@@ -10,6 +10,12 @@ Family c1 (extended):  value at x is tr(a*x^5 + b*x^3 + c*x) + h.
 Family c2 (extended):  value at x is tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) + h,
                        with a restricted to the subfield GF(2^s).
 
+build_codeword is the one evaluator of these forms.  Coordinate 0 is
+x = 0, where every trace term vanishes, so the cyclic relative is the
+h = 0 subcode punctured at coordinate 0: its word at (a, b, c) is
+build_codeword(spec, field, a, b, c) >> 1, and its reduced basis is the
+reduced basis of the h = 0 words shifted the same way.
+
 Enumeration of a full code walks the span of a row-reduced basis in
 lexicographic order of the coefficient index; the index space can be cut
 into disjoint ranges so independent workers each sweep a slice and merge
@@ -23,7 +29,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -111,49 +117,27 @@ def _pack_bits(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-# -- codeword builders -------------------------------------------------------
+# -- the trace-form evaluator -------------------------------------------------
 
 
-def build_codeword_c1(field: Field, a: int, b: int, c: int, h: int = 0) -> int:
-    """Extended-family word (tr(a*x^5 + b*x^3 + c*x) + h) over all x."""
-    v = field.scalar_mul_vec(a, field.power_table(5))
-    v ^= field.scalar_mul_vec(b, field.power_table(3))
+def build_codeword(spec: CodeSpec, field: Field, a: int, b: int, c: int, h: int = 0) -> int:
+    """Extended word of spec at coefficients (a, b, c, h), bit i at x = field.element(i).
+
+    c1: tr(a*x^5 + b*x^3 + c*x) + h
+    c2: tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) + h, with a in GF(2^s)
+    """
+    if field.m != spec.m:
+        raise LengthMismatch(f"field has m={field.m}, spec needs m={spec.m}")
+    if spec.family == "c1":
+        e_a, e_b, trace_a = 5, 3, field.trace_np
+    else:
+        if not field.in_subfield(a):
+            raise CoefficientNotInSubfield(f"a={a:#x} is not in GF(2^{field.s})")
+        e_a, e_b, trace_a = (1 << field.s) + 1, (1 << spec.l) + 1, field.sub_trace_np
+    v = field.scalar_mul_vec(b, field.power_table(e_b))
     v ^= field.scalar_mul_vec(c, field.elements_in_order())
-    return _pack_bits(field.trace_np[v] ^ (h & 1))
-
-
-def build_codeword_c2(field: Field, l: int, a: int, b: int, c: int, h: int = 0) -> int:
-    """Extended-family word tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) + h."""
-    if not field.in_subfield(a):
-        raise CoefficientNotInSubfield(f"a={a:#x} is not in GF(2^{field.s})")
-    xs = field.scalar_mul_vec(a, field.power_table((1 << field.s) + 1))
-    bits = field.sub_trace_np[xs].copy()
-    v = field.scalar_mul_vec(b, field.power_table((1 << l) + 1))
-    v ^= field.scalar_mul_vec(c, field.elements_in_order())
-    bits ^= field.trace_np[v]
+    bits = trace_a[field.scalar_mul_vec(a, field.power_table(e_a))] ^ field.trace_np[v]
     return _pack_bits(bits ^ (h & 1))
-
-
-def build_cyclic_codeword_c1(field: Field, a: int, b: int, c: int) -> int:
-    """Length-n cyclic word, coordinate i = tr(a*alpha^(5i) + b*alpha^(3i) + c*alpha^i)."""
-    i = np.arange(field.n, dtype=np.int64)
-    v = field.scalar_mul_vec(a, field.exp_np[(5 * i) % field.n])
-    v ^= field.scalar_mul_vec(b, field.exp_np[(3 * i) % field.n])
-    v ^= field.scalar_mul_vec(c, field.exp_np[i])
-    return _pack_bits(field.trace_np[v])
-
-
-def build_cyclic_codeword_c2(field: Field, l: int, a: int, b: int, c: int) -> int:
-    """Length-n cyclic relative of the c2 family."""
-    if not field.in_subfield(a):
-        raise CoefficientNotInSubfield(f"a={a:#x} is not in GF(2^{field.s})")
-    i = np.arange(field.n, dtype=np.int64)
-    xs = field.scalar_mul_vec(a, field.exp_np[(((1 << field.s) + 1) * i) % field.n])
-    bits = field.sub_trace_np[xs].copy()
-    v = field.scalar_mul_vec(b, field.exp_np[(((1 << l) + 1) * i) % field.n])
-    v ^= field.scalar_mul_vec(c, field.exp_np[i])
-    bits ^= field.trace_np[v]
-    return _pack_bits(bits)
 
 
 # -- GF(2) row space machinery ------------------------------------------------
@@ -187,54 +171,41 @@ def membership_test(word: int, basis: list[int], length: int) -> bool:
     return word == 0
 
 
+def _slot_words(spec: CodeSpec, field: Field) -> list[int]:
+    """h = 0 words of every basis element of each coefficient slot a, b, c.
+
+    Every such word has bit 0 clear: coordinate 0 is x = 0, where each
+    trace term vanishes.
+    """
+    full = [field.alpha_pow(j) for j in range(field.m)]
+    if spec.family == "c1":
+        a_slot = full
+    else:
+        sub_gen = field.alpha_pow((1 << field.s) + 1)  # primitive element of GF(2^s)
+        a_slot = [field.pow(sub_gen, j) for j in range(field.s)]
+    words = [build_codeword(spec, field, a, 0, 0) for a in a_slot]
+    words += [build_codeword(spec, field, 0, b, 0) for b in full]
+    words += [build_codeword(spec, field, 0, 0, c) for c in full]
+    return words
+
+
 def generator_basis(spec: CodeSpec, field: Field) -> list[int]:
     """Row-reduced basis of the extended code; its size is the dimension.
 
-    The spanning set is the image of the coefficient-space basis (one word
-    per basis element of each coefficient slot) plus the all-one word; the
+    The spanning set is the slot words plus the all-one word (h = 1); the
     rank is always computed, never assumed from a dimension formula.
     """
-    if field.m != spec.m:
-        raise LengthMismatch(f"field has m={field.m}, spec needs m={spec.m}")
-    gens = []
-    if spec.family == "c1":
-        for j in range(field.m):
-            beta = field.alpha_pow(j)
-            gens.append(build_codeword_c1(field, beta, 0, 0))
-            gens.append(build_codeword_c1(field, 0, beta, 0))
-            gens.append(build_codeword_c1(field, 0, 0, beta))
-    else:
-        sub_gen = field.alpha_pow((1 << field.s) + 1)  # primitive element of GF(2^s)
-        for j in range(field.s):
-            gens.append(build_codeword_c2(field, spec.l, field.pow(sub_gen, j), 0, 0))
-        for j in range(field.m):
-            beta = field.alpha_pow(j)
-            gens.append(build_codeword_c2(field, spec.l, 0, beta, 0))
-            gens.append(build_codeword_c2(field, spec.l, 0, 0, beta))
-    gens.append((1 << spec.length) - 1)  # h = 1
-    return reduce_rows(gens)
+    return reduce_rows(_slot_words(spec, field) + [(1 << spec.length) - 1])
 
 
 def cyclic_generator_basis(spec: CodeSpec, field: Field) -> list[int]:
-    """Row-reduced basis of the length-n cyclic relative."""
-    if field.m != spec.m:
-        raise LengthMismatch(f"field has m={field.m}, spec needs m={spec.m}")
-    gens = []
-    if spec.family == "c1":
-        for j in range(field.m):
-            beta = field.alpha_pow(j)
-            gens.append(build_cyclic_codeword_c1(field, beta, 0, 0))
-            gens.append(build_cyclic_codeword_c1(field, 0, beta, 0))
-            gens.append(build_cyclic_codeword_c1(field, 0, 0, beta))
-    else:
-        sub_gen = field.alpha_pow((1 << field.s) + 1)
-        for j in range(field.s):
-            gens.append(build_cyclic_codeword_c2(field, spec.l, field.pow(sub_gen, j), 0, 0))
-        for j in range(field.m):
-            beta = field.alpha_pow(j)
-            gens.append(build_cyclic_codeword_c2(field, spec.l, 0, beta, 0))
-            gens.append(build_cyclic_codeword_c2(field, spec.l, 0, 0, beta))
-    return reduce_rows(gens)
+    """Row-reduced basis of the length-n cyclic relative.
+
+    The cyclic code is the h = 0 subcode punctured at coordinate 0.  No
+    slot word has bit 0 set, so the shift keeps every pivot in order and
+    maps the reduced basis onto the reduced basis.
+    """
+    return [row >> 1 for row in reduce_rows(_slot_words(spec, field))]
 
 
 # -- span enumeration ---------------------------------------------------------
@@ -273,25 +244,6 @@ def enumerate_span(basis: list[int], start: int = 0, stop: int | None = None) ->
         if i > start:
             w ^= prefix[((i ^ (i - 1)).bit_length()) - 1]
         yield w
-
-
-def enumerate_code(
-    spec: CodeSpec,
-    field: Field,
-    visitor: Callable[[int], None],
-    start: int = 0,
-    stop: int | None = None,
-) -> None:
-    """Invoke visitor once per distinct codeword, in coefficient-index order.
-
-    start/stop select a slice of the coefficient index space, the unit of
-    deterministic partitioning for concurrent sweeps.
-    """
-    basis = generator_basis(spec, field)
-    if len(basis) > MAX_ENUM_DIM:
-        raise TooLarge(f"dimension {len(basis)} exceeds the enumeration cap {MAX_ENUM_DIM}")
-    for w in enumerate_span(basis, start, stop):
-        visitor(w)
 
 
 # -- vectorized weight sweep --------------------------------------------------

@@ -32,8 +32,7 @@ from .gf2m import Field
 from .spectrum import (
     InapplicableParameters,
     WeightDistribution,
-    closed_form_c1,
-    closed_form_c2_extended,
+    closed_form,
 )
 
 # A weight class is skipped (unless exhaustive is set) above this many
@@ -135,13 +134,20 @@ def blocks_of_weight(
 
 
 def _blocks_to_bits(chunk: list[int], v: int) -> np.ndarray:
-    if v <= 64:
-        raw = np.array(chunk, dtype="<u8").view(np.uint8).reshape(len(chunk), 8)
-    else:
-        nbytes = (v + 7) // 8
-        buf = b"".join(x.to_bytes(nbytes, "little") for x in chunk)
-        raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, :v]
+    """0/1 incidence rows of block bitmasks; ValueError on a point outside [0, v)."""
+    try:
+        if v <= 64:
+            raw = np.array(chunk, dtype="<u8").view(np.uint8).reshape(len(chunk), 8)
+        else:
+            nbytes = (v + 7) // 8
+            buf = b"".join(x.to_bytes(nbytes, "little") for x in chunk)
+            raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
+    except OverflowError:
+        raise ValueError(f"a block is negative or has a point >= v = {v}") from None
+    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    if bits[:, v:].any():
+        raise ValueError(f"a block has a point >= v = {v}")
+    return bits[:, :v]
 
 
 def _triple_offsets(v: int) -> np.ndarray:
@@ -250,22 +256,13 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
     return DesignReport(t=t, v=v, k=k, b=b, lam=None, verified=False, witness=(w1, w2))
 
 
-def theorem_lambda_c1(s: int, i: int) -> int:
-    """Closed-form lambda for family c1: the table count fed through the
-    design identity (the published per-weight formulas reduce to this)."""
-    dist = closed_form_c1(s)
+def theorem_lambda(spec: CodeSpec, i: int) -> int:
+    """Closed-form t = 2 lambda of weight class i: the table count fed through
+    the design identity (the published per-weight formulas reduce to this)."""
+    dist = closed_form(spec)
     v = dist.length
     if i not in dist.entries or i in (0, v):
-        raise InapplicableParameters(f"weight {i} is not a nontrivial class for c1(s={s})")
-    return lambda_from_identity(dist.entries[i], i, v, 2)
-
-
-def theorem_lambda_c2(s: int, l: int, i: int) -> int:
-    """Closed-form lambda for family c2, dispatching on d' internally."""
-    dist = closed_form_c2_extended(s, l)
-    v = dist.length
-    if i not in dist.entries or i in (0, v):
-        raise InapplicableParameters(f"weight {i} is not a nontrivial class for c2(s={s}, l={l})")
+        raise InapplicableParameters(f"weight {i} is not a nontrivial class for {spec.label()}")
     return lambda_from_identity(dist.entries[i], i, v, 2)
 
 
@@ -273,9 +270,7 @@ def _theorem_lambda(spec: CodeSpec, t: int, i: int) -> int | None:
     if t != 2:
         return None
     try:
-        if spec.family == "c1":
-            return theorem_lambda_c1(spec.s, i)
-        return theorem_lambda_c2(spec.s, spec.l, i)
+        return theorem_lambda(spec, i)
     except InapplicableParameters:
         return None
 

@@ -207,8 +207,3 @@ class Field:
 
     def __repr__(self):
         return f"Field(m={self.m}, poly={self.poly:#x})"
-
-
-def make_field(m: int, poly: int | None = None) -> Field:
-    """Build GF(2^m), verifying primitivity of the (default or given) polynomial."""
-    return Field(m, poly)

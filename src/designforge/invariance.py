@@ -13,7 +13,6 @@ import numpy as np
 
 from .codebuild import CodeSpec, TooLarge, generator_basis
 from .gf2m import Field
-from .polyops import defining_set_of_family
 
 
 def preceq(r: int, e: int) -> bool:
@@ -85,14 +84,3 @@ def orbit_invariant_basis(field: Field, basis: list[int]) -> bool:
 def affine_orbit_check(spec: CodeSpec, field: Field) -> bool:
     """Brute-force affine invariance of the extended code (m <= 6 only)."""
     return orbit_invariant_basis(field, generator_basis(spec, field))
-
-
-def dual_invariance_note(spec: CodeSpec) -> bool:
-    """Invariance flag for the enumerated code, inherited through its dual.
-
-    The enumerated code is the dual of an extended cyclic code whose
-    defining set is checked for closure; duals of affine-invariant codes
-    are affine-invariant, so a passing closure check carries over.
-    """
-    ok, _ = closure_check(set(defining_set_of_family(spec)), spec.m)
-    return ok

@@ -17,6 +17,7 @@ from .checks import require
 from .codebuild import (
     CodeSpec,
     TooLarge,
+    build_codeword,
     cyclic_generator_basis,
     generator_basis,
     weight_histogram,
@@ -148,6 +149,13 @@ def closed_form_c1(s: int) -> WeightDistribution:
     return _build(rows, 1 << (2 * s), 6 * s + 1)
 
 
+def closed_form(spec: CodeSpec) -> WeightDistribution:
+    """Closed-form distribution of the extended code of either family."""
+    if spec.family == "c1":
+        return closed_form_c1(spec.s)
+    return closed_form_c2_extended(spec.s, spec.l)
+
+
 def _c2_params(s: int, l: int) -> CodeSpec:
     return CodeSpec("c2", s, l)
 
@@ -269,11 +277,9 @@ def extend_distribution(dist: WeightDistribution) -> WeightDistribution:
 
 
 def exp_sum(field: Field, a: int, b: int, c: int) -> int:
-    """S(a,b,c) = sum over all x of (-1)^tr(a*x^5 + b*x^3 + c*x), exactly."""
-    v = field.scalar_mul_vec(a, field.power_table(5))
-    v ^= field.scalar_mul_vec(b, field.power_table(3))
-    v ^= field.scalar_mul_vec(c, field.elements_in_order())
-    return field.q - 2 * int(field.trace_np[v].sum())
+    """S(a,b,c) = sum over all x of (-1)^tr(a*x^5 + b*x^3 + c*x), exactly:
+    q minus twice the weight of the c1 word at (a, b, c)."""
+    return field.q - 2 * build_codeword(CodeSpec("c1", field.s), field, a, b, c).bit_count()
 
 
 def exp_sum_grid(field: Field) -> np.ndarray:

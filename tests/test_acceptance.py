@@ -16,6 +16,7 @@ from designforge import (
     CodeSpec,
     Field,
     WeightDistribution,
+    build_codeword,
     closed_form_c1,
     closed_form_c2_cyclic,
     closed_form_c2_extended,
@@ -167,9 +168,8 @@ def test_criterion_6_exp_sum_and_rank(fields):
         s_val = exp_sum(f8, a, b, c)
         mag = 1 << (8 - r // 2)
         assert s_val in (0, mag, -mag)
-        from designforge import build_cyclic_codeword_c1
-
-        assert build_cyclic_codeword_c1(f8, a, b, c).bit_count() == weight_from_sum(s_val, 4)
+        cyclic_word = build_codeword(CodeSpec("c1", 4), f8, a, b, c) >> 1
+        assert cyclic_word.bit_count() == weight_from_sum(s_val, 4)
         checked += 1
     print("ACCEPTANCE 6: PASS - value/rank laws exhaustive for m=4,6 and on 10^4 m=8 samples")
 

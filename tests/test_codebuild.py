@@ -1,21 +1,24 @@
 from __future__ import annotations
 
 import sys
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designforge import (
     CodeSpec,
     CoefficientNotInSubfield,
+    Field,
     LengthMismatch,
+    NonPrimitivePolynomial,
     TooLarge,
-    build_codeword_c1,
-    build_codeword_c2,
-    build_cyclic_codeword_c1,
-    build_cyclic_codeword_c2,
-    enumerate_code,
+    build_codeword,
+    cyclic_weight_distribution,
     generator_basis,
     membership_test,
+    weight_distribution,
 )
 import designforge.codebuild as codebuild
 from designforge.codebuild import (
@@ -60,17 +63,43 @@ def test_codespec_derived():
         _ = CodeSpec("c1", 3).d
 
 
+C1_M4 = CodeSpec("c1", 2)
+C2_M4 = CodeSpec("c2", 2, 1)
+
+
+def _definition_word(spec: CodeSpec, f: Field, a: int, b: int, c: int, points: list[int]) -> int:
+    """h = 0 word of spec at (a, b, c), bit i = the trace form at points[i],
+    evaluated one coordinate at a time with scalar field arithmetic."""
+    if spec.family == "c1":
+        e_a, e_b, trace_a = 5, 3, f.trace
+    else:
+        e_a, e_b, trace_a = (1 << f.s) + 1, (1 << spec.l) + 1, f.subfield_trace
+    word = 0
+    for i, x in enumerate(points):
+        v = trace_a(f.mul(a, f.pow(x, e_a))) ^ f.trace(f.mul(b, f.pow(x, e_b)) ^ f.mul(c, x))
+        word |= v << i
+    return word
+
+
+def _extended_points(f: Field) -> list[int]:
+    return [f.element(i) for i in range(f.q)]
+
+
+def _cyclic_points(f: Field) -> list[int]:
+    return [f.alpha_pow(i) for i in range(f.n)]
+
+
 def test_build_c1_trivial_words(f4):
-    assert build_codeword_c1(f4, 0, 0, 0, 0) == 0
-    assert build_codeword_c1(f4, 0, 0, 0, 1) == (1 << 16) - 1
+    assert build_codeword(C1_M4, f4, 0, 0, 0, 0) == 0
+    assert build_codeword(C1_M4, f4, 0, 0, 0, 1) == (1 << 16) - 1
     for c in range(1, 16):
-        assert build_codeword_c1(f4, 0, 0, c, 0).bit_count() == 8
+        assert build_codeword(C1_M4, f4, 0, 0, c, 0).bit_count() == 8
 
 
 def test_build_c1_against_definition(f4):
     # coordinate-by-coordinate from the trace form, scalar route
     for a, b, c, h in [(1, 0, 0, 0), (2, 7, 9, 1), (15, 3, 8, 0), (6, 6, 6, 1)]:
-        word = build_codeword_c1(f4, a, b, c, h)
+        word = build_codeword(C1_M4, f4, a, b, c, h)
         for i in range(16):
             x = f4.element(i)
             v = f4.trace(f4.mul(a, f4.pow(x, 5)) ^ f4.mul(b, f4.pow(x, 3)) ^ f4.mul(c, x)) ^ h
@@ -79,15 +108,15 @@ def test_build_c1_against_definition(f4):
 
 def test_build_c2_subfield_guard(f4):
     with pytest.raises(CoefficientNotInSubfield):
-        build_codeword_c2(f4, 1, f4.alpha_pow(1), 0, 0)
-    assert build_codeword_c2(f4, 1, 0, 0, 0, 1) == (1 << 16) - 1
+        build_codeword(C2_M4, f4, f4.alpha_pow(1), 0, 0)
+    assert build_codeword(C2_M4, f4, 0, 0, 0, 1) == (1 << 16) - 1
 
 
 def test_build_c2_against_definition(f4):
     omega = f4.alpha_pow(5)
     e_s, e_l = (1 << 2) + 1, (1 << 1) + 1
     for a, b, c, h in [(omega, 0, 0, 0), (1, 5, 9, 1), (omega, 15, 2, 0)]:
-        word = build_codeword_c2(f4, 1, a, b, c, h)
+        word = build_codeword(C2_M4, f4, a, b, c, h)
         for i in range(16):
             x = f4.element(i)
             v = f4.subfield_trace(f4.mul(a, f4.pow(x, e_s)))
@@ -103,16 +132,16 @@ def test_c2_weight4_count(f4):
 
 
 def test_cyclic_c1_words(f6):
-    assert build_cyclic_codeword_c1(f6, 0, 0, 0) == 0
-    assert build_cyclic_codeword_c1(f6, 0, 0, 1).bit_count() == 32
     spec = CodeSpec("c1", 3)
+    assert build_codeword(spec, f6, 0, 0, 0) >> 1 == 0
+    assert (build_codeword(spec, f6, 0, 0, 1) >> 1).bit_count() == 32
     hist = weight_histogram(cyclic_generator_basis(spec, f6), 63)
     assert min(w for w in hist if w) == 16
 
 
 def test_cyclic_c1_against_definition(f4):
     for a, b, c in [(3, 0, 1), (7, 7, 7), (0, 9, 4)]:
-        word = build_cyclic_codeword_c1(f4, a, b, c)
+        word = build_codeword(C1_M4, f4, a, b, c) >> 1
         for i in range(15):
             v = f4.trace(
                 f4.mul(a, f4.alpha_pow(5 * i))
@@ -125,11 +154,33 @@ def test_cyclic_c1_against_definition(f4):
 def test_cyclic_c2_against_definition(f4):
     omega = f4.alpha_pow(5)
     for a, b, c in [(omega, 1, 2), (1, 0, 9)]:
-        word = build_cyclic_codeword_c2(f4, 1, a, b, c)
+        word = build_codeword(C2_M4, f4, a, b, c) >> 1
         for i in range(15):
             v = f4.subfield_trace(f4.mul(a, f4.alpha_pow(5 * i)))
             v ^= f4.trace(f4.mul(b, f4.alpha_pow(3 * i)) ^ f4.mul(c, f4.alpha_pow(i)))
             assert (word >> i) & 1 == v
+
+
+@pytest.mark.parametrize("spec_args", [
+    ("c1", 2, None), ("c1", 3, None), ("c1", 4, None), ("c2", 2, 1), ("c2", 3, 1),
+    ("c2", 3, 2), ("c2", 4, 1), ("c2", 4, 3), ("c2", 5, 1),
+])
+def test_bases_match_definition_routes(spec_args):
+    # the reduced echelon form is unique, so both bases equal the reduction of
+    # the definition words: extended at every element plus the all-one word,
+    # cyclic at alpha^i
+    spec = CodeSpec(*spec_args)
+    f = Field(spec.m)
+    full = [f.alpha_pow(j) for j in range(f.m)]
+    if spec.family == "c1":
+        a_slot = full
+    else:
+        a_slot = [f.pow(f.alpha_pow((1 << f.s) + 1), j) for j in range(f.s)]
+    coeffs = [(a, 0, 0) for a in a_slot] + [(0, b, 0) for b in full] + [(0, 0, c) for c in full]
+    extended = [_definition_word(spec, f, *abc, _extended_points(f)) for abc in coeffs]
+    cyclic = [_definition_word(spec, f, *abc, _cyclic_points(f)) for abc in coeffs]
+    assert generator_basis(spec, f) == reduce_rows(extended + [(1 << f.q) - 1])
+    assert cyclic_generator_basis(spec, f) == reduce_rows(cyclic)
 
 
 def test_dimensions_by_rank(f4, f6, f8):
@@ -172,14 +223,6 @@ def test_reduce_rows_reduced_form():
         for j, p in enumerate(pivots):
             if i != j:
                 assert not (r >> p) & 1
-
-
-def test_enumerate_code_counts(f4):
-    seen = []
-    enumerate_code(CodeSpec("c1", 2), f4, seen.append)
-    assert len(seen) == 1 << 11
-    assert len(set(seen)) == 1 << 11
-    assert seen[0] == 0
 
 
 def test_enumerate_span_lexicographic_order():
@@ -285,3 +328,62 @@ def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):
                 assert packed_rows_to_ints(rows) == by_weight[w]
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- properties of the evaluator under random primitive polynomials ---------------
+
+PROPERTY_SPECS = [CodeSpec("c1", 2), CodeSpec("c2", 2, 1),
+                  CodeSpec("c1", 3), CodeSpec("c2", 3, 1), CodeSpec("c2", 3, 2)]
+
+
+@cache
+def _field(m: int, poly: int) -> Field:
+    return Field(m, poly)
+
+
+@cache
+def _primitive_polys(m: int) -> list[int]:
+    """Every odd degree-m polynomial that Field accepts as primitive."""
+    polys = []
+    for poly in range((1 << m) | 1, 1 << (m + 1), 2):
+        try:
+            _field(m, poly)
+        except NonPrimitivePolynomial:
+            continue
+        polys.append(poly)
+    return polys
+
+
+@st.composite
+def coefficients(draw):
+    spec = draw(st.sampled_from(PROPERTY_SPECS))
+    f = _field(spec.m, draw(st.sampled_from(_primitive_polys(spec.m))))
+    a_values = f.subfield_elements() if spec.family == "c2" else list(range(f.q))
+    a = draw(st.sampled_from(a_values))
+    b, c = draw(st.integers(0, f.q - 1)), draw(st.integers(0, f.q - 1))
+    return spec, f, a, b, c, draw(st.integers(0, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(coefficients())
+def test_build_codeword_matches_definition_property(case):
+    spec, f, a, b, c, h = case
+    word = build_codeword(spec, f, a, b, c, h)
+    assert word == _definition_word(spec, f, a, b, c, _extended_points(f)) ^ h * ((1 << f.q) - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coefficients())
+def test_punctured_word_matches_cyclic_definition_property(case):
+    spec, f, a, b, c, _ = case
+    word = build_codeword(spec, f, a, b, c) >> 1
+    assert word == _definition_word(spec, f, a, b, c, _cyclic_points(f))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(PROPERTY_SPECS), st.data())
+def test_distributions_independent_of_polynomial(spec, data):
+    f = _field(spec.m, data.draw(st.sampled_from(_primitive_polys(spec.m))))
+    default = Field(spec.m)
+    assert weight_distribution(spec, f) == weight_distribution(spec, default)
+    assert cyclic_weight_distribution(spec, f) == cyclic_weight_distribution(spec, default)

@@ -17,8 +17,7 @@ from designforge import (
     blocks_of_weight,
     full_design_report,
     lambda_from_identity,
-    theorem_lambda_c1,
-    theorem_lambda_c2,
+    theorem_lambda,
     verify_t_design,
     weight_distribution,
 )
@@ -106,23 +105,31 @@ def test_verify_rejects_mixed_sizes():
         verify_t_design([0b111, 0b11], 5, 2)
 
 
+def test_verify_rejects_points_outside_v():
+    # a point at or past v, or a negative mask, is bad input on both the
+    # 64-bit path (v <= 64) and the byte path (v > 64)
+    for v, bad in [(5, 1 << 9), (5, 1 << 70), (5, -1), (100, 1 << 101), (100, -1)]:
+        with pytest.raises(ValueError, match="point >= v"):
+            verify_t_design([0b00111, 0b01011 | bad], v, 2)
+
+
 def test_theorem_lambda_c1():
     for i, lam in C1_S3_LAMBDAS.items():
-        assert theorem_lambda_c1(3, i) == lam
+        assert theorem_lambda(CodeSpec("c1", 3), i) == lam
     with pytest.raises(InapplicableParameters):
-        theorem_lambda_c1(2, 4)
+        theorem_lambda(CodeSpec("c1", 2), 4)
     with pytest.raises(InapplicableParameters):
-        theorem_lambda_c1(3, 30)
+        theorem_lambda(CodeSpec("c1", 3), 30)
     with pytest.raises(InapplicableParameters):
-        theorem_lambda_c1(3, 64)  # trivial class
+        theorem_lambda(CodeSpec("c1", 3), 64)  # trivial class
 
 
 def test_theorem_lambda_c2():
-    assert theorem_lambda_c2(3, 2, 32) == 7471
-    assert theorem_lambda_c2(2, 1, 8) == 203
-    assert theorem_lambda_c2(3, 1, 16) == 5
+    assert theorem_lambda(CodeSpec("c2", 3, 2), 32) == 7471
+    assert theorem_lambda(CodeSpec("c2", 2, 1), 8) == 203
+    assert theorem_lambda(CodeSpec("c2", 3, 1), 16) == 5
     for i, lam in C2_31_LAMBDAS.items():
-        assert theorem_lambda_c2(3, 1, i) == lam
+        assert theorem_lambda(CodeSpec("c2", 3, 1), i) == lam
 
 
 def test_full_report_c1_s3(f6):
@@ -174,12 +181,12 @@ def test_theorem_lambdas_integral_across_sweep():
             dist = closed_form_c2_extended(s, l)
             for w in dist.weights():
                 if w not in (0, dist.length):
-                    assert theorem_lambda_c2(s, l, w) > 0
+                    assert theorem_lambda(CodeSpec("c2", s, l), w) > 0
     for s in (3, 4, 5, 6):
         dist = closed_form_c1(s)
         for w in dist.weights():
             if w not in (0, dist.length):
-                assert theorem_lambda_c1(s, w) > 0
+                assert theorem_lambda(CodeSpec("c1", s), w) > 0
 
 
 def test_full_report_m8_gates_heavy_classes(f8):

@@ -8,45 +8,44 @@ from designforge import (
     NonPrimitivePolynomial,
     NotInSubfield,
     UnsupportedM,
-    make_field,
 )
 from ref_gf2 import ref_mul, ref_trace
 
 
 def test_default_fields():
-    f = make_field(4)
+    f = Field(4)
     assert (f.poly, f.q, f.n, f.s) == (0x13, 16, 15, 2)
-    f = make_field(6)
+    f = Field(6)
     assert (f.q, f.n) == (64, 63)
 
 
 def test_unsupported_m():
     for m in (3, 5, 7, 2, 18):
         with pytest.raises(UnsupportedM):
-            make_field(m)
+            Field(m)
     # supported degree but no built-in polynomial
     with pytest.raises(UnsupportedM):
-        make_field(14)
+        Field(14)
 
 
 def test_non_primitive_polynomials():
     # x^4+x^3+x^2+x+1 is irreducible but its root has order 5
     with pytest.raises(NonPrimitivePolynomial):
-        make_field(4, 0x1F)
+        Field(4, 0x1F)
     # x^4+x^3+x+1 = (x+1)^2 (x^2+x+1) is reducible
     with pytest.raises(NonPrimitivePolynomial):
-        make_field(4, 0x1B)
+        Field(4, 0x1B)
     # degree mismatch
     with pytest.raises(NonPrimitivePolynomial):
-        make_field(4, 0x43)
+        Field(4, 0x43)
     # zero constant term
     with pytest.raises(NonPrimitivePolynomial):
-        make_field(4, 0x12)
+        Field(4, 0x12)
 
 
 def test_alternate_primitive_polynomial():
     # x^4+x^3+1 is the reciprocal of the default and also primitive
-    f = make_field(4, 0x19)
+    f = Field(4, 0x19)
     assert f.n == 15
     assert sorted(f.alpha_pow(i) for i in range(15)) == list(range(1, 16))
 

@@ -8,7 +8,6 @@ from designforge import (
     affine_orbit_check,
     closure_check,
     defining_set_of_family,
-    dual_invariance_note,
     generator_basis,
     membership_test,
     preceq,
@@ -130,8 +129,3 @@ def test_affine_maps_form_group(f6):
         for x in (0, 1, 17, 63):
             y = f6.mul(a2, f6.mul(a1, x) ^ b1) ^ b2
             assert y == f6.mul(a3, x) ^ b3
-
-
-@pytest.mark.parametrize("spec", [CodeSpec("c1", 2), CodeSpec("c1", 3), CodeSpec("c1", 4)])
-def test_dual_invariance_note(spec):
-    assert dual_invariance_note(spec)

@@ -12,7 +12,7 @@ from designforge import (
     WeightCollision,
     WeightDistribution,
     ZeroForm,
-    build_cyclic_codeword_c1,
+    build_codeword,
     closed_form_c1,
     closed_form_c2_cyclic,
     closed_form_c2_extended,
@@ -190,7 +190,7 @@ def test_weight_agreement_m4(f4):
     for a in range(16):
         for b in range(16):
             for c in range(16):
-                w = build_cyclic_codeword_c1(f4, a, b, c).bit_count()
+                w = (build_codeword(CodeSpec("c1", 2), f4, a, b, c) >> 1).bit_count()
                 assert w == weight_from_sum(int(grid[a, b, c]), 2)
 
 
