@@ -20,6 +20,15 @@ Enumeration of a full code walks the span of a row-reduced basis in
 lexicographic order of the coefficient index; the index space can be cut
 into disjoint ranges so independent workers each sweep a slice and merge
 additively, which keeps every result independent of worker count.
+
+The sweep tabulates the span of the low basis rows limb-major, as an
+(n_words, 2^kl) array of 64-bit limbs, so each high word is XORed in as
+one (n_words, 1) column and the weights are popcounts summed over axis 0.
+When the span holds the all-one word 1, the sweep covers only the span of
+basis[:-1]: a reduced basis spans 1 exactly when its rows XOR to 1 (every
+pivot coefficient is forced), and then the word at index 2^(k-1) + j is
+the complement of the word at index 2^(k-1) - 1 - j, so the count of
+weight w is the half-sweep count of w plus that of length - w.
 """
 
 from __future__ import annotations
@@ -28,7 +37,9 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import xor
 from typing import Iterator
 
 import numpy as np
@@ -254,15 +265,17 @@ def _pack_row(word: int, n_words: int) -> np.ndarray:
 
 
 def _low_table(basis_low: list[int], n_words: int) -> np.ndarray:
-    """All 2^kl span words of the low basis slice, packed, in index order.
+    """All 2^kl span words of the low basis slice, limb-major: column j is
+    the packed word of index j, so the table has shape (n_words, 2^kl).
 
     Built by doubling: the words whose index has top bit j are the words
     below 2^j XORed with basis row j.
     """
-    table = np.zeros((1 << len(basis_low), n_words), dtype=np.uint64)
+    table = np.zeros((n_words, 1 << len(basis_low)), dtype=np.uint64)
     for j, row in enumerate(basis_low):
         half = 1 << j
-        np.bitwise_xor(table[:half], _pack_row(row, n_words), out=table[half : 2 * half])
+        packed = _pack_row(row, n_words)[:, None]
+        np.bitwise_xor(table[:, :half], packed, out=table[:, half : 2 * half])
     return table
 
 
@@ -274,57 +287,71 @@ def _sweep_ranges(n_high: int, threads: int) -> list[tuple[int, int]]:
 
 
 class _ChunkStep:
-    """One worker's reusable buffers for XOR, popcount and row weights.
+    """One worker's reusable buffers for XOR, popcount and word weights.
 
     Allocated in the thread that creates it, so the large buffers never
     come from a worker thread's own malloc arena.
     """
 
-    def __init__(self, low: np.ndarray):
+    def __init__(self, low: np.ndarray, length: int):
         self.low = low
         self.rows = np.empty_like(low)
         self.pop = np.empty(low.shape, dtype=np.uint8)
-        self.weights = np.empty(len(low), dtype=np.int64)
+        # a weight is at most length; uint16 holds every weight below 2^16.
+        # np.bincount casts to intp, so the cast goes to a buffer kept here
+        # rather than to a new array per chunk.
+        self.weights = np.empty(low.shape[1], dtype=np.uint16 if length < 1 << 16 else np.uint32)
+        self.index = np.empty(low.shape[1], dtype=np.intp)
 
     def __call__(self, high_word: int) -> tuple[np.ndarray, np.ndarray]:
-        """Packed rows and weights of the 2^kl span words over one high word.
+        """Limb-major packed words and weights of the 2^kl span words over
+        one high word: word j is rows[:, j].
 
         Both arrays are overwritten by the next call.
         """
-        np.bitwise_xor(self.low, _pack_row(high_word, self.low.shape[1]), out=self.rows)
+        np.bitwise_xor(self.low, _pack_row(high_word, len(self.low))[:, None], out=self.rows)
         np.bitwise_count(self.rows, out=self.pop)
-        np.sum(self.pop, axis=1, dtype=np.int64, out=self.weights)
-        return self.rows, self.weights
+        np.sum(self.pop, axis=0, dtype=self.weights.dtype, out=self.weights)
+        np.copyto(self.index, self.weights)
+        return self.rows, self.index
+
+
+def _require_enumerable(basis: list[int]) -> None:
+    if len(basis) > MAX_ENUM_DIM:
+        raise TooLarge(f"dimension {len(basis)} exceeds the enumeration cap {MAX_ENUM_DIM}")
 
 
 def _split_basis(basis: list[int], length: int) -> tuple[np.ndarray, list[int]]:
     """Tabulated low half and streamed high half of a reduced basis."""
-    if len(basis) > MAX_ENUM_DIM:
-        raise TooLarge(f"dimension {len(basis)} exceeds the enumeration cap {MAX_ENUM_DIM}")
     kl = min(len(basis), _LOW_BITS)
     return _low_table(basis[:kl], (length + 63) // 64), basis[kl:]
 
 
-def weight_histogram(
-    basis: list[int], length: int, threads: int = 1, keep: dict[int, int] | None = None
-) -> dict[int, int] | tuple[dict[int, int], dict[int, np.ndarray]]:
-    """Exact weight -> count map over the full span of a reduced basis.
+def _sweep(
+    basis: list[int], length: int, threads: int, caps: dict[int, int], folded: bool
+) -> tuple[np.ndarray, dict[int, list[np.ndarray]]]:
+    """Weight counts over the span of basis, and the words of each capped weight.
 
-    The sweep splits the basis into a tabulated low half and a streamed
-    high half; each high word XORs against the low table and the weights
-    are popcounted in bulk.  Results are identical for any thread count.
-
-    keep maps a weight to a row cap.  The packed rows of each such weight
-    are collected during the same sweep, in coefficient-index order, and
-    a class is dropped as soon as its count passes its cap, so at most cap
-    rows of it are ever held.  With keep the result is (hist, kept), where
-    kept maps every weight that occurs and stayed within its cap to a
-    (count, n_words) uint64 array of its words.
+    The second result maps a weight to its limb-major (n_words, count) word
+    chunks in index order.  Each capped weight has a key with a running
+    count, shared by the workers under a lock; the key's words are dropped
+    as soon as the count passes its cap.  The key of weight w is w, or with
+    folded min(w, length - w): each swept word then also stands for its
+    complement, so w and length - w share a count capped by the larger of
+    their caps (half the cap for the self-complementary weight, whose words
+    count twice).
     """
+
+    def key_of(w: int) -> int:
+        return min(w, length - w) if folded else w
+
+    key_caps: dict[int, int] = {}
+    for w, cap in caps.items():
+        cap = cap // 2 if folded and 2 * w == length else cap
+        key_caps[key_of(w)] = max(key_caps.get(key_of(w), -1), cap)
     low, high_basis = _split_basis(basis, length)
     ranges = _sweep_ranges(1 << len(high_basis), threads)
-    steps = [_ChunkStep(low) for _ in ranges]
-    caps = keep or {}
+    steps = [_ChunkStep(low, length) for _ in ranges]
     lock = threading.Lock()
     running: dict[int, int] = {}
     dropped: set[int] = set()
@@ -338,15 +365,16 @@ def weight_histogram(
             chunk_counts = np.bincount(weights, minlength=length + 1)
             counts += chunk_counts
             for w in np.flatnonzero(chunk_counts).tolist():
-                if w not in caps:
+                key = key_of(w)
+                if key not in key_caps:
                     continue
                 with lock:
-                    running[w] = running.get(w, 0) + int(chunk_counts[w])
-                    if running[w] > caps[w]:
-                        dropped.add(w)
-                    live = w not in dropped
+                    running[key] = running.get(key, 0) + int(chunk_counts[w])
+                    if running[key] > key_caps[key]:
+                        dropped.add(key)
+                    live = key not in dropped
                 if live:
-                    parts.setdefault(w, []).append(rows[weights == w])
+                    parts.setdefault(w, []).append(rows[:, weights == w])
                 else:
                     parts.pop(w, None)
         return counts, parts
@@ -356,25 +384,89 @@ def weight_histogram(
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             results = list(pool.map(run, range(len(ranges))))
-    total = np.sum([counts for counts, _ in results], axis=0)
-    hist = {int(w): int(c) for w, c in enumerate(total) if c}
+    chunks: dict[int, list[np.ndarray]] = {}
+    for _, parts in results:
+        for w, part in parts.items():
+            chunks.setdefault(w, []).extend(part)
+    return np.sum([counts for counts, _ in results], axis=0), chunks
+
+
+def _stack(direct: list[np.ndarray], flipped: list[np.ndarray], ones: np.ndarray) -> np.ndarray:
+    """(count, n_words) words: those of the limb-major chunks direct in order,
+    then the complements of those of flipped in reverse order."""
+    out = np.empty((sum(p.shape[1] for p in direct + flipped), len(ones)), dtype=np.uint64)
+    i = 0
+    for p in direct:
+        out[i : i + p.shape[1]] = p.T
+        i += p.shape[1]
+    for p in reversed(flipped):
+        np.bitwise_xor(p.T[::-1], ones, out=out[i : i + p.shape[1]])
+        i += p.shape[1]
+    return out
+
+
+def weight_histogram(
+    basis: list[int], length: int, threads: int = 1, keep: dict[int, int] | None = None
+) -> dict[int, int] | tuple[dict[int, int], dict[int, np.ndarray]]:
+    """Exact weight -> count map over the full span of a reduced basis.
+
+    The sweep splits the basis into a tabulated low half and a streamed
+    high half; each high word XORs against the low table and the weights
+    are popcounted in bulk.  Results are identical for any thread count.
+
+    When the span holds the all-one word, only the span of basis[:-1] is
+    swept and count[w] = half[w] + half[length - w] (see the module
+    docstring).
+
+    keep maps a weight to a row cap.  The packed rows of each such weight
+    are collected during the same sweep, in coefficient-index order, and
+    a class is dropped as soon as its count passes its cap, so at most cap
+    rows of it are ever held (with the half sweep, a class and its
+    complement share one count and the larger of their caps).  With keep
+    the result is (hist, kept), where kept maps every weight that occurs
+    and stays within its cap to a (count, n_words) uint64 array of its
+    words.
+    """
+    _require_enumerable(basis)
+    ones = (1 << length) - 1
+    folded = bool(basis) and reduce(xor, basis) == ones
+    caps = keep or {}
+    counts, chunks = _sweep(basis[:-1] if folded else basis, length, threads, caps, folded)
+    if folded:
+        counts = counts + counts[::-1]
+    hist = {int(w): int(c) for w, c in enumerate(counts) if c}
     if keep is None:
         return hist
+    packed_ones = _pack_row(ones, (length + 63) // 64)
     kept = {}
-    for w in sorted(set(running) - dropped):
-        kept[w] = np.concatenate([rows for _, parts in results for rows in parts.pop(w, [])])
+    for w in sorted(caps):
+        if not 0 < hist.get(w, 0) <= caps[w]:
+            continue
+        if folded and length - w in kept:
+            kept[w] = np.bitwise_xor(kept[length - w][::-1], packed_ones)
+            continue
+        # the chunks are freed here: a kept complement class is derived from this one
+        direct = chunks.pop(w, [])
+        if not folded:
+            flipped = []
+        elif 2 * w == length:
+            flipped = direct
+        else:
+            flipped = chunks.pop(length - w, [])
+        kept[w] = _stack(direct, flipped, packed_ones)
     return hist, kept
 
 
 def stream_weight_class(basis: list[int], length: int, weight: int) -> Iterator[np.ndarray]:
     """Stream all span words of one weight as packed-uint64 row chunks."""
+    _require_enumerable(basis)
     low, high_basis = _split_basis(basis, length)
-    step = _ChunkStep(low)
+    step = _ChunkStep(low, length)
     for high_word in enumerate_span(high_basis):
         rows, weights = step(high_word)
         mask = weights == weight
         if mask.any():
-            yield rows[mask]
+            yield rows[:, mask].T
 
 
 def packed_rows_to_ints(rows: np.ndarray) -> list[int]:

@@ -108,19 +108,20 @@ def blocks_of_weight(
     weight: int,
     expected_count: int | None = None,
     rows: np.ndarray | None = None,
+    basis: list[int] | None = None,
 ) -> Iterator[int]:
     """Stream the supports of all weight-i codewords as bitmask ints.
 
     rows, when given, holds the class's packed words already collected by
     the sweep (weight_histogram's keep); otherwise the class is streamed
-    from a fresh basis.  Distinct codewords of a binary code have distinct
-    supports, and span enumeration never repeats a codeword, so the stream
-    needs no dedup.
+    from basis, the code's reduced basis, built here when not given.
+    Distinct codewords of a binary code have distinct supports, and span
+    enumeration never repeats a codeword, so the stream needs no dedup.
     """
     if rows is None:
-        chunks: Iterable[np.ndarray] = stream_weight_class(
-            generator_basis(spec, field), spec.length, weight
-        )
+        if basis is None:
+            basis = generator_basis(spec, field)
+        chunks: Iterable[np.ndarray] = stream_weight_class(basis, spec.length, weight)
     else:
         chunks = (rows[i : i + _CHUNK] for i in range(0, len(rows), _CHUNK))
     count = 0
@@ -288,8 +289,8 @@ def full_design_report(
     One sweep of the code gives the distribution and, for every class
     within COST_GATE t-subset increments, its blocks.  Classes above the
     gate are skipped unless exhaustive is set, in which case each one is
-    streamed on its own.  Weight 0 and the full-support class are excluded
-    as trivial.
+    streamed on its own from the same basis.  Weight 0 and the
+    full-support class are excluded as trivial.
     """
     basis = generator_basis(spec, field)
     v = spec.length
@@ -318,7 +319,7 @@ def full_design_report(
                 )
             )
             continue
-        blocks = blocks_of_weight(spec, field, w, expected_count=b, rows=kept.get(w))
+        blocks = blocks_of_weight(spec, field, w, expected_count=b, rows=kept.get(w), basis=basis)
         report = verify_t_design(blocks, v, t, expected_b=b)
         report.theorem_lambda = theorem
         if theorem is not None and report.lam is not None:

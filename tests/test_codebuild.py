@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -303,8 +304,8 @@ def test_sweep_ranges_capped_by_cores(monkeypatch):
 def test_low_table_index_order(f8):
     basis = generator_basis(CodeSpec("c1", 4), f8)[:9]
     table = _low_table(basis, 4)
-    assert table.shape == (512, 4)
-    assert packed_rows_to_ints(table) == list(enumerate_span(basis))
+    assert table.shape == (4, 512)  # limb-major: column j is the word of index j
+    assert packed_rows_to_ints(table.T.copy()) == list(enumerate_span(basis))
 
 
 def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):
@@ -328,6 +329,78 @@ def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):
                 assert packed_rows_to_ints(rows) == by_weight[w]
     finally:
         sys.setswitchinterval(interval)
+
+
+def _by_weight(basis: list[int]) -> dict[int, list[int]]:
+    """Span words grouped by weight, each group in coefficient-index order."""
+    by_weight: dict[int, list[int]] = {}
+    for w in enumerate_span(basis):
+        by_weight.setdefault(w.bit_count(), []).append(w)
+    return by_weight
+
+
+@pytest.mark.parametrize("route, drop", [
+    ("extended", {24, 28, 36}),  # 24 over its cap while 40 stays; 28 and 36 both over
+    ("extended", {32}),  # the self-complementary class, one over its cap
+    ("cyclic", {24}),  # length 63: no all-one word, padding bits in the last limb
+    ("row_removed", {24}),
+])
+def test_complement_sweep_matches_enumeration(route, drop, f6, monkeypatch):
+    spec = CodeSpec("c1", 3)
+    if route == "cyclic":
+        basis, length = cyclic_generator_basis(spec, f6), 63
+    else:
+        basis, length = generator_basis(spec, f6), 64
+        if route == "row_removed":
+            basis = basis[:5] + basis[6:]
+    by_weight = _by_weight(basis)
+    assert route != "extended" or 32 in by_weight
+    caps = {w: len(words) - (w in drop) for w, words in by_weight.items()}
+    caps[30] = 5  # a weight that never occurs
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for low_bits, threads in product((16, 12), (1, 2, 8)):
+            # 2^12-word chunks give every one of 8 workers several chunks
+            monkeypatch.setattr(codebuild, "_LOW_BITS", low_bits)
+            assert weight_histogram(basis, length, threads) == {
+                w: len(words) for w, words in by_weight.items()
+            }
+            _, kept = weight_histogram(basis, length, threads, keep=caps)
+            assert set(kept) == set(by_weight) - drop
+            for w, rows in kept.items():
+                assert rows.shape == (len(by_weight[w]), 1)
+                assert packed_rows_to_ints(rows) == by_weight[w]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_half_sweep_stays_internal(f6, monkeypatch):
+    # the benchmark's tracer wraps the module attribute: one call, one sweep
+    original = codebuild.weight_histogram
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(codebuild, "weight_histogram", spy)
+    basis = generator_basis(CodeSpec("c1", 3), f6)
+    original(basis, 64, 2, keep={16: 252})
+    assert calls == []
+
+
+def test_weight_dtype_at_2_16():
+    ones = (1 << 65536) - 1
+    assert weight_histogram([ones], 65536) == {0: 1, 65536: 1}
+    assert weight_histogram([(1 << 65535) - 1, 1 << 65535], 65536) == {
+        0: 1, 1: 1, 65535: 1, 65536: 1,
+    }
+    # both sweep a word of weight 2^16 itself, which a uint16 weight wraps to 0
+    assert weight_histogram([ones], 65537) == {0: 1, 65536: 1}
+    chunks = list(stream_weight_class([ones], 65536, 65536))
+    assert [w for chunk in chunks for w in packed_rows_to_ints(chunk)] == [ones]
 
 
 # -- properties of the evaluator under random primitive polynomials ---------------

@@ -242,9 +242,18 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
         streamed.append(weight)
         return stream(basis, length, weight)
 
+    built = []
+    build = designs.generator_basis
+
+    def basis_spy(*args):
+        built.append(args)
+        return build(*args)
+
     monkeypatch.setattr(designs, "stream_weight_class", spy)
+    monkeypatch.setattr(designs, "generator_basis", basis_spy)
     exhaustive = full_design_report(spec, f6, t=2, exhaustive=True)
     assert sorted(streamed) == sorted(heavy)  # only the classes over their cap
+    assert len(built) == 1  # every re-stream reuses the report's basis
     assert {r.k: r.lam for r in exhaustive} == {k: r.lam for k, r in ungated.items()}
     assert all(r.verified and r.match and not r.skipped for r in exhaustive)
 
