@@ -21,9 +21,15 @@ lexicographic order of the coefficient index; the index space can be cut
 into disjoint ranges so independent workers each sweep a slice and merge
 additively, which keeps every result independent of worker count.
 
-The sweep tabulates the span of the low basis rows limb-major, as an
-(n_words, 2^kl) array of 64-bit limbs, so each high word is XORed in as
-one (n_words, 1) column and the weights are popcounts summed over axis 0.
+The sweep never builds a word to weigh it.  The weight of the word at
+index c is (length - S(c))/2 with S(c) = sum_i (-1)^(c . g_i), where g_i
+is column i of the basis, so the weights of 2^16 consecutive indices are
+one Walsh-Hadamard transform of the basis column counts, signed by the
+word of the remaining high rows (see _SweepTables).  The transform runs in
+float32, exact for lengths below 2^24, as three stacked products with
+Sylvester matrices of order at most 64.  Only the words of a class that is
+kept or streamed are built, from a packed table of the low rows' span.
+
 When the span holds the all-one word 1, the sweep covers only the span of
 basis[:-1]: a reduced basis spans 1 exactly when its rows XOR to 1 (every
 pivot coefficient is forced), and then the word at index 2^(k-1) + j is
@@ -44,13 +50,20 @@ from typing import Iterator
 
 import numpy as np
 
+from .checks import require
 from .gf2m import Field
 
 # Above this dimension a full sweep (2^dim codewords) is refused.
 MAX_ENUM_DIM = 26
 
-# Rows of the low-half table in the split sweep: 2^16 codewords per chunk.
-_LOW_BITS = 16
+# Low basis rows whose span one transform covers: 2^12 words per high word.
+_LOW_BITS = 12
+
+# High words per transform batch, as index bits: a batch is 2^16 words.
+_BATCH_BITS = 4
+
+# float32 holds every integer below 2^24 exactly.
+_MAX_LENGTH = 1 << 24
 
 
 class CoefficientNotInSubfield(ValueError):
@@ -257,11 +270,17 @@ def enumerate_span(basis: list[int], start: int = 0, stop: int | None = None) ->
         yield w
 
 
-# -- vectorized weight sweep --------------------------------------------------
+# -- transform weight sweep ---------------------------------------------------
 
 
 def _pack_row(word: int, n_words: int) -> np.ndarray:
     return np.frombuffer(word.to_bytes(8 * n_words, "little"), dtype=np.uint64)
+
+
+def _unpack_row(word: int, length: int) -> np.ndarray:
+    """Bits 0..length-1 of word as a uint8 array."""
+    raw = np.frombuffer(word.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=length, bitorder="little")
 
 
 def _low_table(basis_low: list[int], n_words: int) -> np.ndarray:
@@ -279,6 +298,14 @@ def _low_table(basis_low: list[int], n_words: int) -> np.ndarray:
     return table
 
 
+def _hadamard(bits: int) -> np.ndarray:
+    """Sylvester matrix of order 2^bits: entry (x, y) is (-1)^popcount(x & y)."""
+    h = np.ones((1, 1), dtype=np.float32)
+    for _ in range(bits):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
 def _sweep_ranges(n_high: int, threads: int) -> list[tuple[int, int]]:
     """Contiguous slices of the high index space, at most one per core."""
     threads = max(1, min(threads, os.cpu_count() or 1, n_high))
@@ -286,45 +313,125 @@ def _sweep_ranges(n_high: int, threads: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(threads)]
 
 
-class _ChunkStep:
-    """One worker's reusable buffers for XOR, popcount and word weights.
+class _SweepTables:
+    """Read-only tables of one sweep, shared by its workers.
 
-    Allocated in the thread that creates it, so the large buffers never
-    come from a worker thread's own malloc arena.
+    The basis splits into kl = min(k, _LOW_BITS) low rows, then up to
+    _BATCH_BITS batch rows, then the high rows.  With kb low and batch
+    rows, batch j covers the 2^kb indices from j * 2^kb: its word at local
+    index c is base ^ low[c], where base is the span word of the high rows
+    at index j and low[c] the span word of the first kb rows at c.
+
+    Bit i of low[c] is the parity of c & col[i], where col[i] is the kb-bit
+    column of the first kb rows at coordinate i.  So with b_i = bit i of
+    base, the weight of the word at c is length/2 plus
+    sum_i (b_i - 1/2) (-1)^(c . col[i]): the Walsh-Hadamard transform of
+    the signed column counts F[u] = sum of b_i - 1/2 over the coordinates
+    i with col[i] = u.
     """
 
-    def __init__(self, low: np.ndarray, length: int):
-        self.low = low
-        self.rows = np.empty_like(low)
-        self.pop = np.empty(low.shape, dtype=np.uint8)
-        # a weight is at most length; uint16 holds every weight below 2^16.
-        # np.bincount casts to intp, so the cast goes to a buffer kept here
-        # rather than to a new array per chunk.
-        self.weights = np.empty(low.shape[1], dtype=np.uint16 if length < 1 << 16 else np.uint32)
-        self.index = np.empty(low.shape[1], dtype=np.intp)
+    def __init__(self, basis: list[int], length: int):
+        kl = min(len(basis), _LOW_BITS)
+        kb = min(len(basis), kl + _BATCH_BITS)
+        self.length = length
+        self.kl = kl
+        self.n_words = (length + 63) // 64
+        # span words of the low and of the batch rows, one word per row
+        self.low = _low_table(basis[:kl], self.n_words).T.copy()
+        self.offsets = _low_table(basis[kl:kb], self.n_words).T.copy()
+        self.high = basis[kb:]
+        cols = np.zeros(length, dtype=np.intp)
+        for j, row in enumerate(basis[:kb]):
+            cols |= _unpack_row(row, length).astype(np.intp) << j
+        # coordinates sorted by column, so that equal columns sum by reduceat
+        self.order = np.argsort(cols, kind="stable")
+        cols = cols[self.order]
+        self.starts = np.flatnonzero(np.diff(cols, prepend=-1))
+        self.columns = cols[self.starts]
+        # the transform as three stacked products of at most 64 x 64 factors
+        # (at kl = 12): OpenBLAS runs those on the calling thread, where one
+        # large product would start its own threads inside every worker
+        self.h_low = _hadamard(kl // 2)
+        self.h_high = _hadamard(kl - kl // 2)
+        self.h_batch = _hadamard(kb - kl)
+        self.indices = np.arange(1 << kb)
 
-    def __call__(self, high_word: int) -> tuple[np.ndarray, np.ndarray]:
-        """Limb-major packed words and weights of the 2^kl span words over
-        one high word: word j is rows[:, j].
 
-        Both arrays are overwritten by the next call.
+class _TransformStep:
+    """One worker's buffers for the transform of a batch and its gathers.
+
+    Allocated in the thread that creates it, so the batch buffers never
+    come from a worker thread's own malloc arena.  Every partial sum of the
+    transform is a multiple of 1/2 of magnitude at most length/2, so
+    float32 is exact for lengths below 2^24 (_require_enumerable).
+    """
+
+    def __init__(self, tables: _SweepTables):
+        self.tables = tables
+        shape = (len(tables.h_batch), len(tables.h_high), len(tables.h_low))
+        self.bits = np.empty(tables.length, dtype=np.uint8)
+        self.halves = np.empty(tables.length, dtype=np.float32)
+        self.sums = np.empty(len(tables.starts), dtype=np.float32)
+        # columns that never occur stay 0
+        self.counts = np.zeros(shape, dtype=np.float32)
+        self.first = np.empty(shape, dtype=np.float32)
+        self.second = np.empty(shape, dtype=np.float32)
+        self.weights = np.empty(self.counts.size, dtype=np.intp)
+        self.mask = np.empty(self.counts.size, dtype=bool)
+        self.high_words = np.empty_like(tables.offsets)
+        # gather buffers: only the rows a gather uses are ever touched
+        self.scratch = np.empty((2, self.counts.size), dtype=np.intp)
+        self.limbs = np.empty((self.counts.size, tables.n_words), dtype=np.uint64)
+
+    def __call__(self, base: int) -> np.ndarray:
+        """Weights of the batch over base word base, by local index.
+
+        The array is overwritten by the next call.
         """
-        np.bitwise_xor(self.low, _pack_row(high_word, len(self.low))[:, None], out=self.rows)
-        np.bitwise_count(self.rows, out=self.pop)
-        np.sum(self.pop, axis=0, dtype=self.weights.dtype, out=self.weights)
-        np.copyto(self.index, self.weights)
-        return self.rows, self.index
+        tb = self.tables
+        np.take(_unpack_row(base, tb.length), tb.order, out=self.bits)
+        np.subtract(self.bits, np.float32(0.5), out=self.halves)
+        np.add.reduceat(self.halves, tb.starts, out=self.sums)
+        np.put(self.counts, tb.columns, self.sums)
+        np.matmul(self.counts, tb.h_low, out=self.first)
+        np.matmul(tb.h_high, self.first, out=self.second)
+        # the batch rows index axis 0: one product per middle index
+        np.matmul(tb.h_batch, self.second.transpose(1, 0, 2), out=self.first.transpose(1, 0, 2))
+        self.first += np.float32(tb.length / 2)
+        np.copyto(self.weights, self.first.reshape(-1), casting="unsafe")
+        np.bitwise_xor(tb.offsets, _pack_row(base, tb.n_words), out=self.high_words)
+        return self.weights
+
+    def gather(self, weight: int) -> np.ndarray:
+        """(count, n_words) packed words of the last batch with the given
+        weight, in index order, each checked against that weight."""
+        tb = self.tables
+        np.equal(self.weights, weight, out=self.mask)
+        count = int(np.count_nonzero(self.mask))
+        # indices into buffers allocated up front: a worker thread's own
+        # allocations fragment its malloc arena between the kept rows
+        at, high = self.scratch[0, :count], self.scratch[1, :count]
+        np.compress(self.mask, tb.indices, out=at)
+        np.right_shift(at, tb.kl, out=high)
+        at &= (1 << tb.kl) - 1
+        # every index is in range; "raise" would take into a temporary first
+        rows = np.empty((count, tb.n_words), dtype=np.uint64)
+        np.take(tb.low, at, axis=0, out=rows, mode="clip")
+        limbs = self.limbs[:count]
+        np.take(self.high_words, high, axis=0, out=limbs, mode="clip")
+        rows ^= limbs
+        np.bitwise_count(rows, out=limbs)
+        np.sum(limbs, axis=1, dtype=np.intp, out=high)
+        np.equal(high, weight, out=self.mask[:count])
+        require(bool(self.mask[:count].all()), f"a word gathered for weight {weight} has another weight")
+        return rows
 
 
-def _require_enumerable(basis: list[int]) -> None:
+def _require_enumerable(basis: list[int], length: int) -> None:
     if len(basis) > MAX_ENUM_DIM:
         raise TooLarge(f"dimension {len(basis)} exceeds the enumeration cap {MAX_ENUM_DIM}")
-
-
-def _split_basis(basis: list[int], length: int) -> tuple[np.ndarray, list[int]]:
-    """Tabulated low half and streamed high half of a reduced basis."""
-    kl = min(len(basis), _LOW_BITS)
-    return _low_table(basis[:kl], (length + 63) // 64), basis[kl:]
+    if length >= _MAX_LENGTH:
+        raise TooLarge(f"length {length} is not below 2^24, where float32 sums stop being exact")
 
 
 def _sweep(
@@ -332,14 +439,15 @@ def _sweep(
 ) -> tuple[np.ndarray, dict[int, list[np.ndarray]]]:
     """Weight counts over the span of basis, and the words of each capped weight.
 
-    The second result maps a weight to its limb-major (n_words, count) word
-    chunks in index order.  Each capped weight has a key with a running
-    count, shared by the workers under a lock; the key's words are dropped
-    as soon as the count passes its cap.  The key of weight w is w, or with
-    folded min(w, length - w): each swept word then also stands for its
-    complement, so w and length - w share a count capped by the larger of
-    their caps (half the cap for the self-complementary weight, whose words
-    count twice).
+    The second result maps a weight to its (count, n_words) word chunks in
+    index order.  Each capped weight has a key with a running count,
+    shared by the workers under a lock; the key's words are dropped as
+    soon as the count passes its cap, and a batch's words of a weight are
+    gathered only after the batch is counted.  The key of weight w is w,
+    or with folded min(w, length - w): each swept word then also stands
+    for its complement, so w and length - w share a count capped by the
+    larger of their caps (half the cap for the self-complementary weight,
+    whose words count twice).
     """
 
     def key_of(w: int) -> int:
@@ -349,9 +457,9 @@ def _sweep(
     for w, cap in caps.items():
         cap = cap // 2 if folded and 2 * w == length else cap
         key_caps[key_of(w)] = max(key_caps.get(key_of(w), -1), cap)
-    low, high_basis = _split_basis(basis, length)
-    ranges = _sweep_ranges(1 << len(high_basis), threads)
-    steps = [_ChunkStep(low, length) for _ in ranges]
+    tables = _SweepTables(basis, length)
+    ranges = _sweep_ranges(1 << len(tables.high), threads)
+    steps = [_TransformStep(tables) for _ in ranges]
     lock = threading.Lock()
     running: dict[int, int] = {}
     dropped: set[int] = set()
@@ -360,21 +468,20 @@ def _sweep(
         counts = np.zeros(length + 1, dtype=np.int64)
         parts: dict[int, list[np.ndarray]] = {}
         step = steps[i]
-        for high_word in enumerate_span(high_basis, *ranges[i]):
-            rows, weights = step(high_word)
-            chunk_counts = np.bincount(weights, minlength=length + 1)
-            counts += chunk_counts
-            for w in np.flatnonzero(chunk_counts).tolist():
+        for base in enumerate_span(tables.high, *ranges[i]):
+            batch_counts = np.bincount(step(base), minlength=length + 1)
+            counts += batch_counts
+            for w in np.flatnonzero(batch_counts).tolist():
                 key = key_of(w)
                 if key not in key_caps:
                     continue
                 with lock:
-                    running[key] = running.get(key, 0) + int(chunk_counts[w])
+                    running[key] = running.get(key, 0) + int(batch_counts[w])
                     if running[key] > key_caps[key]:
                         dropped.add(key)
                     live = key not in dropped
                 if live:
-                    parts.setdefault(w, []).append(rows[:, weights == w])
+                    parts.setdefault(w, []).append(step.gather(w))
                 else:
                     parts.pop(w, None)
         return counts, parts
@@ -392,16 +499,16 @@ def _sweep(
 
 
 def _stack(direct: list[np.ndarray], flipped: list[np.ndarray], ones: np.ndarray) -> np.ndarray:
-    """(count, n_words) words: those of the limb-major chunks direct in order,
-    then the complements of those of flipped in reverse order."""
-    out = np.empty((sum(p.shape[1] for p in direct + flipped), len(ones)), dtype=np.uint64)
+    """(count, n_words) words: those of the chunks direct in order, then the
+    complements of those of flipped in reverse order."""
+    out = np.empty((sum(len(p) for p in direct + flipped), len(ones)), dtype=np.uint64)
     i = 0
     for p in direct:
-        out[i : i + p.shape[1]] = p.T
-        i += p.shape[1]
+        out[i : i + len(p)] = p
+        i += len(p)
     for p in reversed(flipped):
-        np.bitwise_xor(p.T[::-1], ones, out=out[i : i + p.shape[1]])
-        i += p.shape[1]
+        np.bitwise_xor(p[::-1], ones, out=out[i : i + len(p)])
+        i += len(p)
     return out
 
 
@@ -410,9 +517,9 @@ def weight_histogram(
 ) -> dict[int, int] | tuple[dict[int, int], dict[int, np.ndarray]]:
     """Exact weight -> count map over the full span of a reduced basis.
 
-    The sweep splits the basis into a tabulated low half and a streamed
-    high half; each high word XORs against the low table and the weights
-    are popcounted in bulk.  Results are identical for any thread count.
+    The weights of every 2^16 consecutive span words come from one
+    Walsh-Hadamard transform of signed column counts (see _SweepTables),
+    with no word built.  Results are identical for any thread count.
 
     When the span holds the all-one word, only the span of basis[:-1] is
     swept and count[w] = half[w] + half[length - w] (see the module
@@ -420,14 +527,15 @@ def weight_histogram(
 
     keep maps a weight to a row cap.  The packed rows of each such weight
     are collected during the same sweep, in coefficient-index order, and
-    a class is dropped as soon as its count passes its cap, so at most cap
-    rows of it are ever held (with the half sweep, a class and its
-    complement share one count and the larger of their caps).  With keep
-    the result is (hist, kept), where kept maps every weight that occurs
-    and stays within its cap to a (count, n_words) uint64 array of its
-    words.
+    a class is dropped as soon as its count passes its cap; words are
+    gathered only once counted, so at most cap rows of it are ever held
+    (with the half sweep, a class and its complement share one count and
+    the larger of their caps).  Each kept word is built from the low table
+    at its index and checked against its weight.  With keep the result is
+    (hist, kept), where kept maps every weight that occurs and stays within
+    its cap to a (count, n_words) uint64 array of its words.
     """
-    _require_enumerable(basis)
+    _require_enumerable(basis, length)
     ones = (1 << length) - 1
     folded = bool(basis) and reduce(xor, basis) == ones
     caps = keep or {}
@@ -458,15 +566,16 @@ def weight_histogram(
 
 
 def stream_weight_class(basis: list[int], length: int, weight: int) -> Iterator[np.ndarray]:
-    """Stream all span words of one weight as packed-uint64 row chunks."""
-    _require_enumerable(basis)
-    low, high_basis = _split_basis(basis, length)
-    step = _ChunkStep(low, length)
-    for high_word in enumerate_span(high_basis):
-        rows, weights = step(high_word)
-        mask = weights == weight
-        if mask.any():
-            yield rows[:, mask].T
+    """Stream all span words of one weight as (count, n_words) packed-uint64
+    chunks, in index order."""
+    _require_enumerable(basis, length)
+    tables = _SweepTables(basis, length)
+    step = _TransformStep(tables)
+    for base in enumerate_span(tables.high):
+        step(base)
+        rows = step.gather(weight)
+        if len(rows):
+            yield rows
 
 
 def packed_rows_to_ints(rows: np.ndarray) -> list[int]:

@@ -27,13 +27,15 @@ from designforge import (
     extend_distribution,
     full_design_report,
     affine_orbit_check,
+    bch_generator,
     pless_verify,
     quadform_rank,
     weight_distribution,
     weight_from_sum,
 )
 from designforge.cli import main as cli_main
-from designforge.polyops import cyclotomic_coset
+from designforge.codebuild import cyclic_generator_basis
+from designforge.polyops import cyclotomic_coset, poly_degree
 from designforge.spectrum import exp_sum_grid
 
 GOLDEN = {
@@ -190,3 +192,17 @@ def test_criterion_7_determinism(capsys):
     assert outputs["designs"][0] == outputs["designs"][1] == outputs["designs"][2]
     json.loads(outputs["weights"][0])  # well-formed JSON
     print("ACCEPTANCE 7: PASS - byte-identical reports across 1, 2, 8 workers")
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_cyclic_c1_dual_is_triple_error_correcting_bch(s, fields):
+    # the paper's "related to the triple-error-correcting BCH codes": the
+    # cyclic c1(s) code is the dual of the BCH code of designed distance 7
+    f = fields[2 * s]
+    n = f.n
+    basis = cyclic_generator_basis(CodeSpec("c1", s), f)
+    g = bch_generator(7, f)
+    ones = (1 << n) - 1
+    shifts = [((g << j) | (g >> (n - j))) & ones for j in range(n)]
+    assert all((row & shift).bit_count() % 2 == 0 for row in basis for shift in shifts)
+    assert len(basis) + (n - poly_degree(g)) == n

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
-from functools import cache
+from functools import cache, reduce
 from itertools import product
+from operator import xor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -288,6 +292,11 @@ def test_stream_weight_class_matches_filter(f4):
 def test_too_large_guard():
     with pytest.raises(TooLarge):
         weight_histogram([1 << i for i in range(27)], 64)
+    # float32 transform sums are exact only below 2^24
+    with pytest.raises(TooLarge):
+        weight_histogram([1], 1 << 24)
+    with pytest.raises(TooLarge):
+        next(stream_weight_class([1], 1 << 24, 1))
 
 
 def test_sweep_ranges_capped_by_cores(monkeypatch):
@@ -361,8 +370,8 @@ def test_complement_sweep_matches_enumeration(route, drop, f6, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for low_bits, threads in product((16, 12), (1, 2, 8)):
-            # 2^12-word chunks give every one of 8 workers several chunks
+        for low_bits, threads in product((16, 12, 8), (1, 2, 8)):
+            # at 8, batches of 2^12 words give every one of 8 workers several
             monkeypatch.setattr(codebuild, "_LOW_BITS", low_bits)
             assert weight_histogram(basis, length, threads) == {
                 w: len(words) for w, words in by_weight.items()
@@ -389,6 +398,116 @@ def test_half_sweep_stays_internal(f6, monkeypatch):
     basis = generator_basis(CodeSpec("c1", 3), f6)
     original(basis, 64, 2, keep={16: 252})
     assert calls == []
+
+
+def test_capped_class_gathers_stay_bounded(f6, monkeypatch):
+    # a class is dropped as soon as its shared running count passes its cap,
+    # and a batch's words are gathered only once they are counted, so no
+    # class over its cap ever holds more than cap words (tighter than the
+    # cap + workers * batch of a sweep that gathers before it counts); a lost
+    # update of the running count breaks this under frequent switches
+    basis = generator_basis(CodeSpec("c1", 3), f6)
+    hist = weight_histogram(basis, 64)
+    low_bits, threads = 4, 8
+    batch = 1 << (low_bits + codebuild._BATCH_BITS)
+    caps = {32: hist[32] // 8, 24: hist[24] // 8}
+    assert min(caps.values()) > threads * batch  # every worker gathers before the drop
+    gathered: list[tuple[int, int]] = []
+    original = codebuild._TransformStep.gather
+
+    def spy(self, weight):
+        rows = original(self, weight)
+        gathered.append((weight, len(rows)))
+        return rows
+
+    monkeypatch.setattr(codebuild._TransformStep, "gather", spy)
+    monkeypatch.setattr(codebuild, "_LOW_BITS", low_bits)
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, kept = weight_histogram(basis, 64, threads, keep=caps)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == hist and kept == {}
+    # in the half sweep a swept word and its complement are both words of the
+    # code: one of weight 24 stands for one of 40 too, and one of weight 32
+    # for two of weight 32
+    held = {
+        24: sum(n for w, n in gathered if w in (24, 40)),
+        32: 2 * sum(n for w, n in gathered if w == 32),
+    }
+    for w, cap in caps.items():
+        assert held[w] <= cap
+
+
+def test_wrong_transform_fails_the_gather_check(f6):
+    # a Hadamard factor with two columns swapped computes wrong weights; the
+    # words gathered for a class are recounted by popcount, also under -O
+    script = """
+import sys
+import designforge.codebuild as codebuild
+from designforge import CodeSpec, Field, generator_basis
+from designforge.checks import CheckFailed
+
+right = codebuild._hadamard
+
+def swapped(bits):
+    h = right(bits)
+    return h[:, [1, 0, *range(2, len(h))]] if len(h) > 1 else h
+
+basis = generator_basis(CodeSpec("c1", 3), Field(6))
+codebuild._hadamard = swapped
+try:
+    codebuild.weight_histogram(basis, 64, keep={w: 10**6 for w in range(65)})
+except CheckFailed:
+    sys.exit(0)
+sys.exit(3)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120)
+    assert proc.returncode == 0
+
+
+@st.composite
+def span_cases(draw):
+    """Random rows (dependent or not) of a random length, a low-table size
+    small enough to give odd splits and many batches, and a thread count."""
+    length = draw(st.sampled_from([1, 63, 64, 65, 100, 128]))
+    rows = draw(st.lists(st.integers(0, (1 << length) - 1), max_size=12))
+    if rows and draw(st.booleans()):
+        # rows that XOR to the all-one word take the half sweep
+        rows[-1] ^= reduce(xor, rows) ^ ((1 << length) - 1)
+    return rows, length, draw(st.integers(1, 5)), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(span_cases(), st.data())
+def test_transform_sweep_matches_bit_count_property(case, data):
+    rows, length, low_bits, threads = case
+    by_weight = _by_weight(rows)
+    hist = {w: len(words) for w, words in by_weight.items()}
+    drop = data.draw(st.sets(st.sampled_from(sorted(by_weight))))
+    caps = {w: len(words) - (w in drop) for w, words in by_weight.items()}
+    streamed_weight = data.draw(st.sampled_from(sorted(by_weight)))
+    saved = codebuild._LOW_BITS
+    codebuild._LOW_BITS = low_bits
+    try:
+        assert weight_histogram(rows, length, threads) == hist
+        got, kept = weight_histogram(rows, length, threads, keep=caps)
+        streamed = [
+            word
+            for chunk in stream_weight_class(rows, length, streamed_weight)
+            for word in packed_rows_to_ints(chunk)
+        ]
+    finally:
+        codebuild._LOW_BITS = saved
+    assert got == hist
+    assert set(kept) == set(by_weight) - drop
+    for w, kept_rows in kept.items():
+        assert packed_rows_to_ints(kept_rows) == by_weight[w]
+    assert streamed == by_weight[streamed_weight]
 
 
 def test_weight_dtype_at_2_16():
