@@ -2,10 +2,10 @@
 
 Blocks are codeword supports.  Verification counts, for every t-subset of
 the 2^m points, how many blocks contain it; the weight class is a design
-exactly when that count is one constant lambda.  Pair counting (t = 2) is
-a Gram matrix over 0/1 block-incidence chunks; triple counting (t = 3) is
-one Gram matrix per point p over the blocks that contain p, whose upper
-triangle beyond p holds the counts of the triples {p, i, j}.
+exactly when that count is one constant lambda.  One kernel counts every
+t-subset in lex order: the pairs are the strict upper triangle of a Gram
+matrix over 0/1 block-incidence chunks, and the t-subsets with least point
+p are the (t-1)-subsets beyond p counted over the blocks that contain p.
 
 Enumerated lambdas are the ground truth; the closed-form lambdas derived
 from the distribution tables are cross-checked against them and mismatches
@@ -15,6 +15,7 @@ are flagged, never reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -49,7 +50,7 @@ class EmptyWeightClass(ValueError):
 
 
 class TrivialDesign(ValueError):
-    """Block size k in {t, v} gives a trivial design."""
+    """Block size k <= t or k = v gives a trivial design."""
 
 
 class NotConstant(ValueError):
@@ -70,7 +71,6 @@ class DesignReport:
     b: int
     lam: int | None
     verified: bool
-    trivial: bool = False
     witness: tuple | None = None
     theorem_lambda: int | None = None
     match: bool | None = None
@@ -151,37 +151,41 @@ def _blocks_to_bits(chunk: list[int], v: int) -> np.ndarray:
     return bits[:, :v]
 
 
-def _triple_offsets(v: int) -> np.ndarray:
-    """Start of each point p's run in the lex-ordered list of triples p < i < j."""
-    sizes = [comb(v - p - 1, 2) for p in range(v)]
-    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+@lru_cache(maxsize=None)
+def _upper_mask(w: int) -> np.ndarray:
+    mask = np.triu(np.ones((w, w), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
-def _count_pairs(bits: np.ndarray, gram: np.ndarray) -> None:
+def _subset_counts(bits: np.ndarray, t: int) -> np.ndarray:
+    """Coverage of every t-subset of the v columns by the rows of bits, in lex order."""
+    v = bits.shape[1]
+    if t > 2:
+        # the subsets with least point p, for p = 0, 1, ... in turn
+        parts = [_subset_counts(bits[bits[:, p] == 1, p + 1 :], t - 1) for p in range(v - t + 1)]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     m = bits.astype(np.float32)
-    chunk_gram = (m.T @ m).astype(np.int64)
+    gram = m.T @ m
     require(
-        np.array_equal(np.diagonal(chunk_gram), bits.sum(axis=0)),
+        np.array_equal(np.diagonal(gram), bits.sum(axis=0)),
         "float32 Gram diagonal disagrees with the per-point block counts",
     )
-    gram += chunk_gram
+    return gram[_upper_mask(v)].astype(np.int64)
 
 
-def _count_triples(bits: np.ndarray, triple: np.ndarray, offsets: np.ndarray) -> None:
-    v = bits.shape[1]
-    m = bits.astype(np.float32)
-    for p in range(v - 2):
-        tail = m[bits[:, p] == 1, p + 1 :]
-        if len(tail):
-            g = (tail.T @ tail).astype(np.int64)
-            triple[offsets[p] : offsets[p + 1]] += g[np.triu_indices(v - p - 1, 1)]
-
-
-def _triple_at(index: int, offsets: np.ndarray, v: int) -> tuple[int, int, int]:
-    p = int(np.searchsorted(offsets, index, side="right")) - 1
-    iu = np.triu_indices(v - p - 1, 1)
-    r = index - int(offsets[p])
-    return p, p + 1 + int(iu[0][r]), p + 1 + int(iu[1][r])
+def _subset_at(rank: int, v: int, t: int) -> tuple[int, ...]:
+    """The t-subset of range(v) at position rank in lex order."""
+    out = []
+    x = 0
+    for left in range(t - 1, -1, -1):
+        # comb(v - x - 1, left) subsets have least remaining point x
+        while rank >= comb(v - x - 1, left):
+            rank -= comb(v - x - 1, left)
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
 
 
 def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | None = None) -> DesignReport:
@@ -189,22 +193,19 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
 
     Returns a verified report with the constant lambda, or an unverified one
     whose witness holds two t-subsets covered a different number of times.
-    Raises TrivialDesign when the block size is t or v.
+    Raises TrivialDesign when the block size k is at most t or equal to v
+    (for k < t no t-subset is covered, so lambda = 0 says nothing).
     """
     if t not in (2, 3):
         raise ValueError(f"t must be 2 or 3, got {t}")
     k = None
     b = 0
-    if t == 2:
-        gram = np.zeros((v, v), dtype=np.int64)
-    else:
-        offsets = _triple_offsets(v)
-        triple = np.zeros(comb(v, 3), dtype=np.int64)
+    vals = np.zeros(comb(v, t), dtype=np.int64)
 
     chunk: list[int] = []
 
     def flush():
-        nonlocal k, b
+        nonlocal k, b, vals
         if not chunk:
             return
         bits = _blocks_to_bits(chunk, v)
@@ -214,10 +215,7 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
         if not np.all(sizes == k):
             raise ValueError("blocks of unequal size in one weight class")
         b += len(chunk)
-        if t == 2:
-            _count_pairs(bits, gram)
-        else:
-            _count_triples(bits, triple, offsets)
+        vals += _subset_counts(bits, t)
         chunk.clear()
 
     for mask in blocks:
@@ -230,14 +228,8 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
         raise EmptyWeightClass("empty block stream")
     if expected_b is not None and b != expected_b:
         raise CheckFailed(f"streamed {b} blocks, expected {expected_b}")
-    if k in (t, v):
+    if k <= t or k == v:
         raise TrivialDesign(f"block size {k} with t={t}, v={v} is trivial")
-
-    if t == 2:
-        iu = np.triu_indices(v, 1)
-        vals = gram[iu]
-    else:
-        vals = triple
 
     # conservation: every block contributes exactly C(k, t) subset hits
     require(int(vals.sum()) == b * comb(k, t), "t-subset count conservation failed")
@@ -248,13 +240,8 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
         return DesignReport(t=t, v=v, k=k, b=b, lam=lam, verified=True)
 
     other = int(np.argmax(vals != lam))
-    if t == 2:
-        w1 = (int(iu[0][0]), int(iu[1][0]), lam)
-        w2 = (int(iu[0][other]), int(iu[1][other]), int(vals[other]))
-    else:
-        w1 = (*_triple_at(0, offsets, v), lam)
-        w2 = (*_triple_at(other, offsets, v), int(vals[other]))
-    return DesignReport(t=t, v=v, k=k, b=b, lam=None, verified=False, witness=(w1, w2))
+    witness = ((*_subset_at(0, v, t), lam), (*_subset_at(other, v, t), int(vals[other])))
+    return DesignReport(t=t, v=v, k=k, b=b, lam=None, verified=False, witness=witness)
 
 
 def theorem_lambda(spec: CodeSpec, i: int) -> int:

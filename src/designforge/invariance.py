@@ -1,17 +1,20 @@
 """Affine-invariance checks for the extended codes.
 
 Two independent routes: the defining-set criterion (the set of exponents
-must be downward closed under the 2-adic digit order), and a brute-force
-orbit check that applies every map x -> a*x + b to every basis codeword
-and tests membership.  The orbit route is gated to m <= 6, where the full
-affine group has at most 64*63 maps.
+must be downward closed under the 2-adic digit order), and an orbit check
+on the generators of the affine group.  The maps x -> alpha*x and
+x -> x + 1 generate AGL(1, 2^m): conjugating the translation by the j-th
+power of the first gives x -> x + alpha^j, and every x -> a*x + b is a
+product of these.  A coordinate permutation that maps a finite linear
+code into itself maps it onto itself, so the code is affine-invariant
+exactly when both generators send every basis word into the code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codebuild import CodeSpec, TooLarge, generator_basis
+from .codebuild import CodeSpec, generator_basis, membership_test, reduce_rows
 from .gf2m import Field
 
 
@@ -41,46 +44,32 @@ def closure_check(exponents: set[int], m: int) -> tuple[bool, tuple[int, int] | 
 def orbit_invariant_basis(field: Field, basis: list[int]) -> bool:
     """True iff the span of basis is fixed by every affine permutation.
 
-    Permuting coordinates is linear, so checking the basis words suffices
-    for the whole span.
+    Each generator x -> alpha*x, x -> x + 1 moves the bit at coordinate i
+    to the coordinate of its image; permuting coordinates is linear, so
+    the images of the basis words decide the whole span.
     """
-    if field.m > 6:
-        raise TooLarge(f"orbit check enumerates q(q-1) maps; m={field.m} > 6")
     q = field.q
-    if any(row.bit_length() > q for row in basis):
+    if any(row < 0 or row.bit_length() > q for row in basis):
         raise ValueError("basis word longer than the field size")
+    reduced = reduce_rows(basis)
 
-    # index(a*element(i) ^ b) for every map, as gather arrays
-    idx_np = np.zeros(q, dtype=np.int64)
-    idx_np[1:] = field.log_np[np.arange(1, q)] + 1
     elems = field.elements_in_order()
-    gathers = np.empty((field.n * q, q), dtype=np.int64)
-    row = 0
-    for a in range(1, q):
-        ax = field.scalar_mul_vec(a, elems)
-        for b in range(q):
-            gathers[row] = idx_np[ax ^ b]
-            row += 1
+    index = np.empty(q, dtype=np.int64)
+    index[elems] = np.arange(q)
+    scale = index[field.scalar_mul_vec(field.alpha_pow(1), elems)]
+    shift = index[elems ^ 1]
 
-    bits = np.zeros((len(basis), q), dtype=np.uint8)
-    for i, word in enumerate(basis):
-        raw = np.frombuffer(word.to_bytes((q + 7) // 8, "little"), dtype=np.uint8)
-        bits[i] = np.unpackbits(raw, bitorder="little")[:q]
-
-    permuted = bits[:, gathers]  # (dim, maps, q)
-    flat = permuted.transpose(1, 0, 2).reshape(-1, q)
-    packed = np.packbits(flat, axis=1, bitorder="little")
-    padded = np.zeros((packed.shape[0], 8), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    words = padded.view(np.uint64).ravel().copy()
-
-    for brow in basis:
-        pivot = np.uint64((brow & -brow).bit_length() - 1)
-        mask = (words >> pivot) & np.uint64(1)
-        words ^= np.uint64(brow) * mask
-    return bool(np.all(words == 0))
+    raw = b"".join(row.to_bytes(q // 8, "little") for row in reduced)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little").reshape(len(reduced), q)
+    image = np.empty_like(bits)
+    for target in (scale, shift):
+        image[:, target] = bits
+        for row in np.packbits(image, axis=1, bitorder="little"):
+            if not membership_test(int.from_bytes(row.tobytes(), "little"), reduced, q):
+                return False
+    return True
 
 
 def affine_orbit_check(spec: CodeSpec, field: Field) -> bool:
-    """Brute-force affine invariance of the extended code (m <= 6 only)."""
+    """Affine invariance of the extended code, decided on the two generators."""
     return orbit_invariant_basis(field, generator_basis(spec, field))

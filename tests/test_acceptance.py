@@ -113,8 +113,7 @@ def test_criterion_4_affine_invariance(fields):
         ok, witness = closure_check(set(defining_set_of_family(spec)), spec.m)
         assert ok and witness is None, spec.label()
     for spec in specs:
-        if spec.m <= 6:
-            assert affine_orbit_check(spec, fields[spec.m]), spec.label()
+        assert affine_orbit_check(spec, fields[spec.m]), spec.label()
     bad = {0} | set(cyclotomic_coset(7, 15).members)
     assert closure_check(bad, 4) == (False, (7, 3))
     print("ACCEPTANCE 4: PASS - closure and orbit checks pass; negative witness is (7, 3)")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from designforge.cli import main
 
 
@@ -98,12 +100,18 @@ def test_invariance_command(capsys):
     }
 
 
-def test_invariance_skips_orbit_for_large_m(capsys):
+def test_invariance_checks_orbit_at_m8(capsys):
     code, out, err = run_cli(capsys, "invariance", "--family", "c1", "--s", "4")
-    assert code == 0
+    assert code == 0 and err == ""
     obj = json.loads(out)
-    assert obj["closure"] is True and obj["orbit_checked"] is False
-    assert "skipped" in err
+    assert obj["closure"] is True
+    assert obj["orbit_checked"] is True and obj["orbit_invariant"] is True
+
+
+@pytest.mark.parametrize("s", ["3", "4"])
+def test_invariance_rejects_bad_poly(capsys, s):
+    code, out, err = run_cli(capsys, "invariance", "--family", "c1", "--s", s, "--poly", "0x3")
+    assert code == 2 and out == "" and "NonPrimitivePolynomial" in err
 
 
 def test_reproduce_single(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -98,6 +100,39 @@ def test_verify_not_constant_witness():
 def test_verify_trivial_design(f4):
     with pytest.raises(TrivialDesign):
         verify_t_design(blocks_of_weight(CodeSpec("c1", 2), f4, 16), 16, 2)
+    # blocks smaller than t cover no t-subset, also when v < t
+    with pytest.raises(TrivialDesign):
+        verify_t_design([0b1, 0b10, 0b100], 4, 2)
+    with pytest.raises(TrivialDesign):
+        verify_t_design([0b1, 0b10], 2, 3)
+
+
+def test_subset_unranker_is_lex_order():
+    for v in range(11):
+        for t in (2, 3):
+            subsets = list(combinations(range(v), t))
+            assert [designs._subset_at(r, v, t) for r in range(len(subsets))] == subsets
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_verify_random_blocks_against_naive_counter(t):
+    # v = 13 leaves the last incidence byte partly empty
+    v, k = 13, 5
+    rng = random.Random(t)
+    block_sets = [[frozenset(rng.sample(range(v), k)) for _ in range(rng.randrange(1, 60))]
+                  for _ in range(8)]
+    block_sets.append([frozenset(c) for c in combinations(range(v), k)])  # the complete design
+    for sets in block_sets:
+        counts = naive_t_design_count(sets, v, t)
+        rep = verify_t_design([sum(1 << i for i in s) for s in sets], v, t)
+        first, lam = next(iter(counts.items()))
+        other = next(((sub, c) for sub, c in counts.items() if c != lam), None)
+        if other is None:
+            assert rep.verified and rep.lam == lam and rep.witness is None
+        else:
+            assert not rep.verified and rep.lam is None
+            assert rep.witness == ((*first, lam), (*other[0], other[1]))
+    assert rep.lam == comb(v - t, k - t)  # the complete design, checked last
 
 
 def test_verify_rejects_mixed_sizes():

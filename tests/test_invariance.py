@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+from functools import reduce
+from operator import xor
+
+import numpy as np
 import pytest
 
 from designforge import (
     CodeSpec,
-    TooLarge,
     affine_orbit_check,
     closure_check,
     defining_set_of_family,
@@ -12,8 +16,43 @@ from designforge import (
     membership_test,
     preceq,
 )
+from designforge.codebuild import reduce_rows
 from designforge.invariance import orbit_invariant_basis
 from designforge.polyops import cyclotomic_coset
+
+
+def _affine_image(field, word, a, b):
+    """word with the bit at coordinate i moved to the coordinate of a*x + b."""
+    out = 0
+    for i in range(field.q):
+        if (word >> i) & 1:
+            out |= 1 << field.index(field.mul(a, field.element(i)) ^ b)
+    return out
+
+
+def _slow_orbit_invariant(field, rows):
+    """Apply all q(q-1) affine maps to every basis word, coordinate by coordinate."""
+    basis = reduce_rows(rows)
+    return all(
+        membership_test(_affine_image(field, word, a, b), basis, field.q)
+        for a in range(1, field.q)
+        for b in range(field.q)
+        for word in basis
+    )
+
+
+def _scale(field, word):
+    # x -> alpha*x fixes coordinate 0 and rotates coordinates 1..n up by one
+    n = field.n
+    rest = word >> 1
+    rotated = ((rest << 1) | (rest >> (n - 1))) & ((1 << n) - 1)
+    return (rotated << 1) | (word & 1)
+
+
+def _trace_word(field, e):
+    """tr(x^e) at every coordinate."""
+    bits = field.trace_np[field.power_table(e)]
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def test_preceq():
@@ -56,8 +95,6 @@ def test_closure_negative_witness():
 
 def test_closure_brute_force_agreement():
     # covering-relation closure equals the full submask definition
-    import random
-
     rng = random.Random(5)
     for _ in range(40):
         t = {0} | {rng.randrange(16) for _ in range(rng.randrange(1, 8))}
@@ -95,30 +132,67 @@ def test_affine_orbit_negative(f4):
     assert not orbit_invariant_basis(f4, [1, (1 << 16) - 1])
 
 
-def test_affine_orbit_too_large(f8):
-    with pytest.raises(TooLarge):
-        affine_orbit_check(CodeSpec("c1", 4), f8)
+def test_affine_orbit_m8(f8):
+    for spec in (CodeSpec("c1", 4), CodeSpec("c2", 4, 1), CodeSpec("c2", 4, 3)):
+        assert affine_orbit_check(spec, f8)
+    # tr(a*x^7) is fixed by x -> alpha*x but not by the translations:
+    # {0} plus the coset of 7 is not downward closed (7 covers 3)
+    word = _trace_word(f8, 7)
+    assert word & 1 == 0
+    orbit = [word]
+    for _ in range(f8.n - 1):
+        orbit.append(_scale(f8, orbit[-1]))
+    assert not closure_check({0} | set(cyclotomic_coset(7, 255).members), 8)[0]
+    assert not orbit_invariant_basis(f8, orbit + [(1 << 256) - 1])
 
 
 def test_orbit_check_against_slow_route(f4):
     # independent slow check: permute each basis word coordinate by
     # coordinate and test membership
-    spec = CodeSpec("c1", 2)
-    basis = generator_basis(spec, f4)
-    for a in range(1, 16):
-        for b in range(16):
-            for word in basis:
-                permuted = 0
-                for i in range(16):
-                    if (word >> i) & 1:
-                        permuted |= 1 << f4.index(f4.mul(a, f4.element(i)) ^ b)
-                assert membership_test(permuted, basis, 16)
+    basis = generator_basis(CodeSpec("c1", 2), f4)
+    assert _slow_orbit_invariant(f4, basis)
+    assert affine_orbit_check(CodeSpec("c1", 2), f4)
+
+
+def test_generator_check_agrees_with_all_maps(f4):
+    # three kinds of span: full affine orbits (invariant), x -> alpha*x
+    # orbits plus the all-one word (fixed by that map only), and
+    # translation orbits (fixed by the translations only)
+    rng = random.Random(23)
+    ones = (1 << 16) - 1
+
+    def low_weight_word():
+        return sum(1 << i for i in rng.sample(range(16), rng.randrange(1, 5)))
+
+    def scale_orbit(word):
+        orbit = [word]
+        for _ in range(f4.n - 1):
+            orbit.append(_scale(f4, orbit[-1]))
+        return orbit
+
+    affine = [[_affine_image(f4, w, a, b) for a in range(1, 16) for b in range(16)]
+              for w in (low_weight_word() for _ in range(6))]
+    # every sum of tr(x^e) over coset leaders e in {1, 3, 5, 7}, then random words
+    sums = [reduce(xor, (_trace_word(f4, e) for e, pick in zip((1, 3, 5, 7), bits) if pick), 0)
+            for bits in np.ndindex(2, 2, 2, 2)][1:]
+    scaled = [scale_orbit(w) + [ones] for w in sums + [rng.randrange(1 << 16) & ~1 for _ in range(6)]]
+    translated = [[_affine_image(f4, w, 1, b) for b in range(16)]
+                  for w in (low_weight_word() for _ in range(12))]
+
+    for kind, spans in (("affine", affine), ("scale", scaled), ("translation", translated)):
+        verdicts = []
+        for rows in spans:
+            fast = orbit_invariant_basis(f4, rows)
+            assert fast == _slow_orbit_invariant(f4, rows), (kind, rows)
+            verdicts.append(fast)
+        if kind == "affine":
+            assert all(verdicts)
+        else:
+            assert not all(verdicts), kind
 
 
 def test_affine_maps_form_group(f6):
     # composing two maps gives a map already in the family
-    import random
-
     rng = random.Random(11)
     for _ in range(32):
         a1, b1 = rng.randrange(1, 64), rng.randrange(64)
