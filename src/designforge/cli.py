@@ -26,6 +26,7 @@ from .spectrum import (
     WeightDistribution,
     closed_form,
     cyclic_weight_distribution,
+    extend_distribution,
     pless_verify,
     weight_distribution,
 )
@@ -178,29 +179,6 @@ def cmd_invariance(args) -> int:
     return EXIT_OK if closed and orbit_invariant else EXIT_MISMATCH
 
 
-def _run_example(ex_id: str, threads: int) -> dict:
-    info = golden.EXAMPLES[ex_id]
-    spec = CodeSpec(info["family"], info["s"], info["l"])
-    f = Field(spec.m)
-    dist = weight_distribution(spec, f, threads=threads)
-    expected = info["enumerator"]
-    match = dist.entries == expected and dist.dimension == info["params"][1]
-    return {
-        "example": ex_id,
-        "code": f"[{dist.length}, {dist.dimension}, {dist.min_distance()}]",
-        "match": match,
-    }
-
-
-def _run_pless(case, threads: int) -> dict:
-    ex_id, s, n, k = case
-    spec = CodeSpec("c1", s)
-    f = Field(spec.m)
-    dist = cyclic_weight_distribution(spec, f, threads=threads)
-    ok = dist.length == n and dist.dimension == k and bool(pless_verify(dist, n, k))
-    return {"example": ex_id, "code": f"[{n}, {k}]", "match": ok}
-
-
 def cmd_reproduce(args) -> int:
     if args.poly is not None:
         raise InapplicableParameters(
@@ -213,13 +191,27 @@ def cmd_reproduce(args) -> int:
                 f"unknown example {args.example!r}; choose from {', '.join(targets)}"
             )
         targets = [args.example]
+    # one sweep per code: an example extends the distribution its moment case checks
+    swept: dict[CodeSpec, WeightDistribution] = {}
+
+    def cyclic(spec: CodeSpec) -> WeightDistribution:
+        if spec not in swept:
+            swept[spec] = cyclic_weight_distribution(spec, Field(spec.m), threads=args.threads)
+        return swept[spec]
+
     results = []
     for ex_id in targets:
         if ex_id in golden.EXAMPLES:
-            results.append(_run_example(ex_id, args.threads))
+            info = golden.EXAMPLES[ex_id]
+            dist = extend_distribution(cyclic(CodeSpec(info["family"], info["s"], info["l"])))
+            match = dist.entries == info["enumerator"] and dist.dimension == info["params"][1]
+            code = f"[{dist.length}, {dist.dimension}, {dist.min_distance()}]"
         else:
-            case = next(c for c in golden.PLESS_CASES if c[0] == ex_id)
-            results.append(_run_pless(case, args.threads))
+            _, s, n, k = next(c for c in golden.PLESS_CASES if c[0] == ex_id)
+            dist = cyclic(CodeSpec("c1", s))
+            match = dist.length == n and dist.dimension == k and bool(pless_verify(dist, n, k))
+            code = f"[{n}, {k}]"
+        results.append({"example": ex_id, "code": code, "match": match})
     all_match = all(r["match"] for r in results)
     if args.format == "csv":
         _emit_csv([[r["example"], r["code"], r["match"]] for r in results],

@@ -134,21 +134,21 @@ def blocks_of_weight(
         raise CheckFailed(f"weight {weight}: streamed {count} blocks, expected {expected_count}")
 
 
-def _blocks_to_bits(chunk: list[int], v: int) -> np.ndarray:
-    """0/1 incidence rows of block bitmasks; ValueError on a point outside [0, v)."""
+def _blocks_to_bits(chunk: list[int], v: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 incidence rows of block bitmasks and their sizes; ValueError on a point outside [0, v)."""
+    n_words = (v + 63) // 64
     try:
-        if v <= 64:
-            raw = np.array(chunk, dtype="<u8").view(np.uint8).reshape(len(chunk), 8)
+        if n_words == 1:
+            words = np.array(chunk, dtype="<u8")[:, None]
         else:
-            nbytes = (v + 7) // 8
-            buf = b"".join(x.to_bytes(nbytes, "little") for x in chunk)
-            raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
+            buf = b"".join(x.to_bytes(8 * n_words, "little") for x in chunk)
+            words = np.frombuffer(buf, dtype="<u8").reshape(len(chunk), n_words)
     except OverflowError:
         raise ValueError(f"a block is negative or has a point >= v = {v}") from None
-    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     if bits[:, v:].any():
         raise ValueError(f"a block has a point >= v = {v}")
-    return bits[:, :v]
+    return bits[:, :v], np.bitwise_count(words).sum(axis=1, dtype=np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +168,7 @@ def _subset_counts(bits: np.ndarray, t: int) -> np.ndarray:
     m = bits.astype(np.float32)
     gram = m.T @ m
     require(
-        np.array_equal(np.diagonal(gram), bits.sum(axis=0)),
+        np.array_equal(np.diagonal(gram), bits.sum(axis=0, dtype=np.int32)),
         "float32 Gram diagonal disagrees with the per-point block counts",
     )
     return gram[_upper_mask(v)].astype(np.int64)
@@ -208,8 +208,7 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
         nonlocal k, b, vals
         if not chunk:
             return
-        bits = _blocks_to_bits(chunk, v)
-        sizes = bits.sum(axis=1)
+        bits, sizes = _blocks_to_bits(chunk, v)
         if k is None:
             k = int(sizes[0])
         if not np.all(sizes == k):

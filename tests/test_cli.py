@@ -135,6 +135,55 @@ def test_reproduce_csv(capsys):
     assert lines[1] == "3.7,[64, 16, 24],True"
 
 
+REPRODUCE_RESULTS = [
+    {"example": "3.3", "code": "[64, 19, 16]", "match": True},
+    {"example": "3.4", "code": "[256, 25, 96]", "match": True},
+    {"example": "m4", "code": "[16, 11, 4]", "match": True},
+    {"example": "3.6", "code": "[16, 11, 4]", "match": True},
+    {"example": "3.7", "code": "[64, 16, 24]", "match": True},
+    {"example": "3.8", "code": "[64, 16, 16]", "match": True},
+    {"example": "pless-s3", "code": "[63, 18]", "match": True},
+    {"example": "pless-s4", "code": "[255, 24]", "match": True},
+]
+
+
+def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
+    import designforge.spectrum as spectrum
+
+    original = spectrum.weight_histogram
+    swept = []
+
+    def spy(basis, length, *args, **kwargs):
+        swept.append((tuple(basis), length))
+        return original(basis, length, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "weight_histogram", spy)
+    code, out, _ = run_cli(capsys, "reproduce")
+    assert code == 0
+    assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
+    # one cyclic sweep per CodeSpec: 3.3 and pless-s3 share c1(3), 3.4 and
+    # pless-s4 share c1(4); m4 and 3.6 name c1(2) and c2(2, 1)
+    assert sorted(length for _, length in swept) == [15, 15, 63, 63, 63, 255]
+
+
+def test_reproduce_reports_each_example_of_a_shared_sweep(capsys, monkeypatch):
+    from designforge import golden
+
+    enumerator = dict(golden.EXAMPLES["3.4"]["enumerator"])
+    enumerator[96] += 1
+    monkeypatch.setitem(golden.EXAMPLES, "3.4", {**golden.EXAMPLES["3.4"], "enumerator": enumerator})
+    code, out, _ = run_cli(capsys, "reproduce")
+    assert code == 1
+    expected = [{**r, "match": r["example"] != "3.4"} for r in REPRODUCE_RESULTS]
+    assert json.loads(out) == {"results": expected, "all_match": False}
+
+
+def test_weights_too_large_caps_the_swept_cyclic_basis(capsys):
+    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "5")
+    assert code == 2 and out == ""
+    assert "TooLarge: dimension 30 exceeds the enumeration cap 26" in err
+
+
 def test_export_blocks_requires_weight(capsys):
     code, _, err = run_cli(capsys, "designs", "--family", "c1", "--s", "2", "--export-blocks")
     assert code == 2 and "InapplicableParameters" in err

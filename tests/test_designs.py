@@ -136,8 +136,10 @@ def test_verify_random_blocks_against_naive_counter(t):
 
 
 def test_verify_rejects_mixed_sizes():
-    with pytest.raises(ValueError):
-        verify_t_design([0b111, 0b11], 5, 2)
+    # sizes are counted on one packed word (v <= 64) or several (v > 64)
+    for v in (5, 100):
+        with pytest.raises(ValueError, match="unequal size"):
+            verify_t_design([0b111, 0b11], v, 2)
 
 
 def test_verify_rejects_points_outside_v():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -19,11 +21,13 @@ from designforge import (
     cyclic_weight_distribution,
     exp_sum,
     extend_distribution,
+    generator_basis,
     pless_verify,
     quadform_rank,
     weight_distribution,
     weight_from_sum,
 )
+from designforge.codebuild import weight_histogram
 from designforge.spectrum import _as_count, exp_sum_grid
 from ref_gf2 import ref_exp_sum
 
@@ -47,6 +51,21 @@ def test_golden_enumerators_small(f4, f6):
     assert (d.entries, d.dimension) == (C2_32_ENUMERATOR, 16)
     d = weight_distribution(CodeSpec("c2", 3, 1), f6)
     assert (d.entries, d.dimension) == (C2_31_ENUMERATOR, 16)
+
+
+@pytest.mark.parametrize("spec", [
+    CodeSpec("c1", 2), CodeSpec("c1", 3), CodeSpec("c1", 4), CodeSpec("c2", 2, 1),
+    CodeSpec("c2", 3, 1), CodeSpec("c2", 3, 2), CodeSpec("c2", 4, 1), CodeSpec("c2", 4, 3),
+])
+def test_extended_distribution_routes_agree(spec, f4, f6, f8):
+    # the half sweep of the extended basis (the route designs takes) against
+    # the cyclic sweep extended by complements (the route weight_distribution takes)
+    f = {4: f4, 6: f6, 8: f8}[spec.m]
+    basis = generator_basis(spec, f)
+    assert reduce(xor, basis) == (1 << spec.length) - 1  # the half sweep runs
+    dist = weight_distribution(spec, f)
+    assert weight_histogram(basis, spec.length, threads=2) == dist.entries
+    assert dist.dimension == len(basis)
 
 
 def test_palindrome_symmetry(f6):
@@ -198,6 +217,28 @@ def test_pless_cyclic_c1_s3(f6):
     cyc = cyclic_weight_distribution(CodeSpec("c1", 3), f6)
     assert (cyc.length, cyc.dimension) == (63, 18)
     assert bool(pless_verify(cyc, 63, 18))
+
+
+@pytest.mark.parametrize("spec,failing_identity", [
+    (CodeSpec("c1", 2), None),
+    (CodeSpec("c1", 3), None),
+    (CodeSpec("c2", 2, 1), None),
+    (CodeSpec("c2", 3, 1), 6),
+    (CodeSpec("c2", 3, 2), 6),
+    (CodeSpec("c2", 4, 1), 6),
+    (CodeSpec("c2", 4, 3), 6),
+])
+def test_pless_precondition_holds_for_c1_only(spec, failing_identity, f4, f6, f8):
+    # the moment identities assume a dual without words of weight <= 6: true
+    # for the c1 codes (duals of triple-error-correcting BCH codes), false for
+    # c2 beyond m = 4, so no c2 code belongs among golden.PLESS_CASES
+    f = {4: f4, 6: f6, 8: f8}[spec.m]
+    cyc = cyclic_weight_distribution(spec, f, threads=2)
+    res = pless_verify(cyc, cyc.length, cyc.dimension)
+    if failing_identity is None:
+        assert res.ok and res.first_failure is None
+    else:
+        assert not res.ok and res.first_failure[0] == failing_identity
 
 
 def test_pless_detects_perturbation(f6):
