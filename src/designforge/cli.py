@@ -37,15 +37,15 @@ EXIT_BAD_PARAMS = 2
 
 
 def _default_threads() -> int:
-    """DESIGN_FORGE_THREADS if it is an integer, else the CPU count; main()
-    rejects a value below 1."""
+    """DESIGN_FORGE_THREADS if it is set, else the CPU count; main() rejects
+    a value below 1."""
     env = os.environ.get("DESIGN_FORGE_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DESIGN_FORGE_THREADS must be an integer, got {env!r}") from None
 
 
 def _parse_poly(text: str) -> int:
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, family=False):
         p.add_argument("--poly", type=_parse_poly, default=None,
                        help="primitive polynomial as hex (LSB = constant term)")
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=int, default=None,
                        help="worker threads (env DESIGN_FORGE_THREADS)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if family:
@@ -277,11 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(f"ValueError: threads must be >= 1 (--threads or DESIGN_FORGE_THREADS), "
-              f"got {args.threads}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
     try:
+        if args.threads is None:
+            args.threads = _default_threads()
+        if args.threads < 1:
+            raise ValueError(
+                f"threads must be >= 1 (--threads or DESIGN_FORGE_THREADS), got {args.threads}"
+            )
         return args.func(args)
     except (UnsupportedM, NonPrimitivePolynomial, InapplicableParameters, TooLarge, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -29,12 +29,6 @@ word of the remaining high rows (see _SweepTables).  The transform runs in
 float32, exact for lengths below 2^24, as three stacked products with
 Sylvester matrices of order at most 64.  Only the words of a class that is
 kept or streamed are built, from a packed table of the low rows' span.
-
-When the span holds the all-one word 1, the sweep covers only the span of
-basis[:-1]: a reduced basis spans 1 exactly when its rows XOR to 1 (every
-pivot coefficient is forced), and then the word at index 2^(k-1) + j is
-the complement of the word at index 2^(k-1) - 1 - j, so the count of
-weight w is the half-sweep count of w plus that of length - w.
 """
 
 from __future__ import annotations
@@ -43,9 +37,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
-from operator import xor
 from typing import Iterator
 
 import numpy as np
@@ -435,28 +427,16 @@ def _require_enumerable(basis: list[int], length: int) -> None:
 
 
 def _sweep(
-    basis: list[int], length: int, threads: int, caps: dict[int, int], folded: bool
+    basis: list[int], length: int, threads: int, caps: dict[int, int]
 ) -> tuple[np.ndarray, dict[int, list[np.ndarray]]]:
     """Weight counts over the span of basis, and the words of each capped weight.
 
     The second result maps a weight to its (count, n_words) word chunks in
-    index order.  Each capped weight has a key with a running count,
-    shared by the workers under a lock; the key's words are dropped as
-    soon as the count passes its cap, and a batch's words of a weight are
-    gathered only after the batch is counted.  The key of weight w is w,
-    or with folded min(w, length - w): each swept word then also stands
-    for its complement, so w and length - w share a count capped by the
-    larger of their caps (half the cap for the self-complementary weight,
-    whose words count twice).
+    index order.  Each capped weight has a running count, shared by the
+    workers under a lock; its words are dropped as soon as the count
+    passes its cap, and a batch's words of a weight are gathered only
+    after the batch is counted.
     """
-
-    def key_of(w: int) -> int:
-        return min(w, length - w) if folded else w
-
-    key_caps: dict[int, int] = {}
-    for w, cap in caps.items():
-        cap = cap // 2 if folded and 2 * w == length else cap
-        key_caps[key_of(w)] = max(key_caps.get(key_of(w), -1), cap)
     tables = _SweepTables(basis, length)
     ranges = _sweep_ranges(1 << len(tables.high), threads)
     steps = [_TransformStep(tables) for _ in ranges]
@@ -472,14 +452,13 @@ def _sweep(
             batch_counts = np.bincount(step(base), minlength=length + 1)
             counts += batch_counts
             for w in np.flatnonzero(batch_counts).tolist():
-                key = key_of(w)
-                if key not in key_caps:
+                if w not in caps:
                     continue
                 with lock:
-                    running[key] = running.get(key, 0) + int(batch_counts[w])
-                    if running[key] > key_caps[key]:
-                        dropped.add(key)
-                    live = key not in dropped
+                    running[w] = running.get(w, 0) + int(batch_counts[w])
+                    if running[w] > caps[w]:
+                        dropped.add(w)
+                    live = w not in dropped
                 if live:
                     parts.setdefault(w, []).append(step.gather(w))
                 else:
@@ -498,20 +477,6 @@ def _sweep(
     return np.sum([counts for counts, _ in results], axis=0), chunks
 
 
-def _stack(direct: list[np.ndarray], flipped: list[np.ndarray], ones: np.ndarray) -> np.ndarray:
-    """(count, n_words) words: those of the chunks direct in order, then the
-    complements of those of flipped in reverse order."""
-    out = np.empty((sum(len(p) for p in direct + flipped), len(ones)), dtype=np.uint64)
-    i = 0
-    for p in direct:
-        out[i : i + len(p)] = p
-        i += len(p)
-    for p in reversed(flipped):
-        np.bitwise_xor(p[::-1], ones, out=out[i : i + len(p)])
-        i += len(p)
-    return out
-
-
 def weight_histogram(
     basis: list[int], length: int, threads: int = 1, keep: dict[int, int] | None = None
 ) -> dict[int, int] | tuple[dict[int, int], dict[int, np.ndarray]]:
@@ -521,47 +486,23 @@ def weight_histogram(
     Walsh-Hadamard transform of signed column counts (see _SweepTables),
     with no word built.  Results are identical for any thread count.
 
-    When the span holds the all-one word, only the span of basis[:-1] is
-    swept and count[w] = half[w] + half[length - w] (see the module
-    docstring).
-
     keep maps a weight to a row cap.  The packed rows of each such weight
     are collected during the same sweep, in coefficient-index order, and
     a class is dropped as soon as its count passes its cap; words are
-    gathered only once counted, so at most cap rows of it are ever held
-    (with the half sweep, a class and its complement share one count and
-    the larger of their caps).  Each kept word is built from the low table
-    at its index and checked against its weight.  With keep the result is
-    (hist, kept), where kept maps every weight that occurs and stays within
-    its cap to a (count, n_words) uint64 array of its words.
+    gathered only once counted, so at most cap rows of it are ever held.
+    Each kept word is built from the low table at its index and checked
+    against its weight.  With keep the result is (hist, kept), where kept
+    maps every weight that occurs and stays within its cap to a
+    (count, n_words) uint64 array of its words.
     """
     _require_enumerable(basis, length)
-    ones = (1 << length) - 1
-    folded = bool(basis) and reduce(xor, basis) == ones
     caps = keep or {}
-    counts, chunks = _sweep(basis[:-1] if folded else basis, length, threads, caps, folded)
-    if folded:
-        counts = counts + counts[::-1]
+    counts, chunks = _sweep(basis, length, threads, caps)
     hist = {int(w): int(c) for w, c in enumerate(counts) if c}
     if keep is None:
         return hist
-    packed_ones = _pack_row(ones, (length + 63) // 64)
-    kept = {}
-    for w in sorted(caps):
-        if not 0 < hist.get(w, 0) <= caps[w]:
-            continue
-        if folded and length - w in kept:
-            kept[w] = np.bitwise_xor(kept[length - w][::-1], packed_ones)
-            continue
-        # the chunks are freed here: a kept complement class is derived from this one
-        direct = chunks.pop(w, [])
-        if not folded:
-            flipped = []
-        elif 2 * w == length:
-            flipped = direct
-        else:
-            flipped = chunks.pop(length - w, [])
-        kept[w] = _stack(direct, flipped, packed_ones)
+    # each class's chunks are freed as soon as they are joined
+    kept = {w: np.concatenate(chunks.pop(w)) for w in sorted(caps) if 0 < hist.get(w, 0) <= caps[w]}
     return hist, kept
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .checks import CheckFailed, require
 from .codebuild import (
     CodeSpec,
+    cyclic_generator_basis,
     generator_basis,
     packed_rows_to_ints,
     stream_weight_class,
@@ -34,6 +35,7 @@ from .spectrum import (
     InapplicableParameters,
     WeightDistribution,
     closed_form,
+    extend_distribution,
 )
 
 # A weight class is skipped (unless exhaustive is set) above this many
@@ -43,6 +45,11 @@ COST_GATE = 10**9
 # Blocks per counting chunk.  Every per-chunk count is at most _CHUNK < 2^24,
 # so the float32 Gram products below are exact integers.
 _CHUNK = 8192
+
+
+# Packed rows per chunk handed to blocks_of_weight: each complement chunk
+# and each chunk's bytes are temporaries, 32 KB at v = 256.
+_ROWS_PER_YIELD = 1024
 
 
 class EmptyWeightClass(ValueError):
@@ -107,23 +114,22 @@ def blocks_of_weight(
     field: Field,
     weight: int,
     expected_count: int | None = None,
-    rows: np.ndarray | None = None,
+    chunks: Iterable[np.ndarray] | None = None,
     basis: list[int] | None = None,
 ) -> Iterator[int]:
     """Stream the supports of all weight-i codewords as bitmask ints.
 
-    rows, when given, holds the class's packed words already collected by
-    the sweep (weight_histogram's keep); otherwise the class is streamed
-    from basis, the code's reduced basis, built here when not given.
-    Distinct codewords of a binary code have distinct supports, and span
-    enumeration never repeats a codeword, so the stream needs no dedup.
+    chunks, when given, yields the class's packed words as (count, n_words)
+    arrays, assembled from the words a sweep kept (see full_design_report);
+    otherwise the class is streamed from basis, the code's reduced basis,
+    built here when not given.  Distinct codewords of a binary code have
+    distinct supports, and span enumeration never repeats a codeword, so
+    the stream needs no dedup.
     """
-    if rows is None:
+    if chunks is None:
         if basis is None:
             basis = generator_basis(spec, field)
-        chunks: Iterable[np.ndarray] = stream_weight_class(basis, spec.length, weight)
-    else:
-        chunks = (rows[i : i + _CHUNK] for i in range(0, len(rows), _CHUNK))
+        chunks = stream_weight_class(basis, spec.length, weight)
     count = 0
     for chunk in chunks:
         yield from packed_rows_to_ints(chunk)
@@ -132,6 +138,15 @@ def blocks_of_weight(
         raise EmptyWeightClass(f"no codeword of weight {weight} in {spec.label()}")
     if expected_count is not None and count != expected_count:
         raise CheckFailed(f"weight {weight}: streamed {count} blocks, expected {expected_count}")
+
+
+def _class_chunks(direct: np.ndarray, flipped: np.ndarray, ones: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of direct, then the complements of the rows of flipped, in
+    chunks of _ROWS_PER_YIELD rows."""
+    for i in range(0, len(direct), _ROWS_PER_YIELD):
+        yield direct[i : i + _ROWS_PER_YIELD]
+    for i in range(0, len(flipped), _ROWS_PER_YIELD):
+        yield flipped[i : i + _ROWS_PER_YIELD] ^ ones
 
 
 def _blocks_to_bits(chunk: list[int], v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,20 +287,30 @@ def full_design_report(
 ) -> list[DesignReport]:
     """Verify every nontrivial weight class, cross-checked against theorem lambdas.
 
-    One sweep of the code gives the distribution and, for every class
-    within COST_GATE t-subset increments, its blocks.  Classes above the
-    gate are skipped unless exhaustive is set, in which case each one is
-    streamed on its own from the same basis.  Weight 0 and the
+    One sweep gives the distribution and, for every class within COST_GATE
+    t-subset increments, its blocks.  It sweeps the h = 0 subcode H0, the
+    words with bit 0 clear (x = 0 there): the extended code is H0 plus the
+    complements of H0, so class w is the H0 words of weight w followed by
+    the complements of the H0 words of weight v - w.  The code is
+    affine-invariant, hence transitive on coordinates, so b(v - w)/v of the
+    b words of class w avoid coordinate 0 and b*w/v contain it: H0 weight
+    u feeds (v - u)/v of classes u and v - u, and is capped at that share
+    of the larger of their caps.  Classes above the gate are skipped
+    unless exhaustive is set, in which case each one is streamed on its
+    own from the extended basis, built once.  Weight 0 and the
     full-support class are excluded as trivial.
     """
-    basis = generator_basis(spec, field)
     v = spec.length
+    h0 = [row << 1 for row in cyclic_generator_basis(spec, field)]
     candidates = range(1, v) if weights is None else [w for w in weights if 0 < w < v]
     # a class with k < t has no t-subsets, so its cost is 0 and its cap never binds
     caps = {w: COST_GATE // max(1, comb(w, t)) for w in candidates}
-    hist, kept = weight_histogram(basis, v, threads, keep=caps)
-    dist = WeightDistribution(hist, v, len(basis))
-    dist.validate()
+    h0_caps: dict[int, int] = {}
+    for w, cap in caps.items():
+        for u in (w, v - w):
+            h0_caps[u] = max(h0_caps.get(u, 0), cap * (v - u) // v)
+    hist, kept = weight_histogram(h0, v, threads, keep=h0_caps)
+    dist = extend_distribution(WeightDistribution(hist, spec.n, len(h0)))
     targets = [w for w in dist.weights() if w not in (0, v)]
     if weights is not None:
         missing = set(weights) - set(targets)
@@ -293,6 +318,8 @@ def full_design_report(
             raise EmptyWeightClass(f"no nontrivial class at weights {sorted(missing)}")
         targets = [w for w in targets if w in set(weights)]
 
+    ones = np.frombuffer(((1 << v) - 1).to_bytes(8 * ((v + 63) // 64), "little"), dtype=np.uint64)
+    basis = None
     reports = []
     for w in targets:
         b = dist.entries[w]
@@ -305,7 +332,12 @@ def full_design_report(
                 )
             )
             continue
-        blocks = blocks_of_weight(spec, field, w, expected_count=b, rows=kept.get(w), basis=basis)
+        chunks = None
+        if b <= caps[w] and w in kept and v - w in kept:
+            chunks = _class_chunks(kept[w], kept[v - w], ones)
+        elif basis is None:
+            basis = generator_basis(spec, field)
+        blocks = blocks_of_weight(spec, field, w, expected_count=b, chunks=chunks, basis=basis)
         report = verify_t_design(blocks, v, t, expected_b=b)
         report.theorem_lambda = theorem
         if theorem is not None and report.lam is not None:

@@ -62,6 +62,8 @@ class Field:
             poly = DEFAULT_PRIMITIVE_POLYS.get(m)
             if poly is None:
                 raise UnsupportedM(f"no built-in primitive polynomial for m={m}; supply one")
+        if poly < 0:
+            raise NonPrimitivePolynomial(f"polynomial {poly:#x} is negative")
         if poly.bit_length() - 1 != m:
             raise NonPrimitivePolynomial(f"polynomial {poly:#x} has degree {poly.bit_length() - 1}, need {m}")
         if not poly & 1:

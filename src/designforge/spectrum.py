@@ -154,13 +154,9 @@ def closed_form(spec: CodeSpec) -> WeightDistribution:
     return closed_form_c2_extended(spec.s, spec.l)
 
 
-def _c2_params(s: int, l: int) -> CodeSpec:
-    return CodeSpec("c2", s, l)
-
-
 def closed_form_c2_extended(s: int, l: int) -> WeightDistribution:
     """Closed-form distribution of the extended c2 code, split on d' = d vs 2d."""
-    spec = _c2_params(s, l)
+    spec = CodeSpec("c2", s, l)
     d, dp = spec.d, spec.dprime
     w0 = 1 << (2 * s - 1)
     rows: dict[int, Fraction] = {1 << (2 * s): Fraction(1)}
@@ -215,7 +211,7 @@ def _c2_center_term(s: int, d: int) -> Fraction:
 
 def closed_form_c2_cyclic(s: int, l: int) -> WeightDistribution:
     """Closed-form distribution of the length-n cyclic c2 code."""
-    spec = _c2_params(s, l)
+    spec = CodeSpec("c2", s, l)
     d, dp = spec.d, spec.dprime
     w0 = 1 << (2 * s - 1)
     rows: dict[int, Fraction] = {}

@@ -30,6 +30,14 @@ def test_field_rejects_non_primitive(capsys):
     assert code == 2 and "NonPrimitivePolynomial" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("field", "--m", "4"), ("weights", "--family", "c1", "--s", "2"),
+])
+def test_negative_poly_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--poly", "-13")
+    assert code == 2 and out == "" and "NonPrimitivePolynomial" in err
+
+
 def test_weights_closed_form_match(capsys):
     code, out, _ = run_cli(capsys, "weights", "--family", "c1", "--s", "3", "--closed-form")
     assert code == 0
@@ -195,7 +203,8 @@ def test_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("DESIGN_FORGE_THREADS", "3")
     assert _default_threads() == 3
     monkeypatch.setenv("DESIGN_FORGE_THREADS", "junk")
-    assert _default_threads() >= 1
+    with pytest.raises(ValueError, match="DESIGN_FORGE_THREADS"):
+        _default_threads()
     monkeypatch.delenv("DESIGN_FORGE_THREADS")
     assert _default_threads() >= 1
 
@@ -217,6 +226,15 @@ def test_threads_must_be_positive(capsys, monkeypatch):
     monkeypatch.setenv("DESIGN_FORGE_THREADS", "-1")
     code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "2")
     assert code == 2 and out == "" and "DESIGN_FORGE_THREADS" in err
+
+
+def test_threads_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("DESIGN_FORGE_THREADS", "abc")
+    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "2")
+    assert code == 2 and out == "" and "DESIGN_FORGE_THREADS" in err and "'abc'" in err
+    # an explicit --threads does not read the variable
+    code, _, _ = run_cli(capsys, "weights", "--family", "c1", "--s", "2", "--threads", "1")
+    assert code == 0
 
 
 def test_reproduce_rejects_poly(capsys):

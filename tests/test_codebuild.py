@@ -385,8 +385,9 @@ def test_complement_sweep_matches_enumeration(route, drop, f6, monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_half_sweep_stays_internal(f6, monkeypatch):
-    # the benchmark's tracer wraps the module attribute: one call, one sweep
+def test_one_call_is_one_sweep(f6, monkeypatch):
+    # the benchmark's tracer counts calls of the module attribute as sweeps,
+    # so the sweep must never call it again
     original = codebuild.weight_histogram
     calls = []
 
@@ -430,13 +431,7 @@ def test_capped_class_gathers_stay_bounded(f6, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == hist and kept == {}
-    # in the half sweep a swept word and its complement are both words of the
-    # code: one of weight 24 stands for one of 40 too, and one of weight 32
-    # for two of weight 32
-    held = {
-        24: sum(n for w, n in gathered if w in (24, 40)),
-        32: 2 * sum(n for w, n in gathered if w == 32),
-    }
+    held = {w: sum(n for g, n in gathered if g == w) for w in caps}
     for w, cap in caps.items():
         assert held[w] <= cap
 
@@ -477,7 +472,7 @@ def span_cases(draw):
     length = draw(st.sampled_from([1, 63, 64, 65, 100, 128]))
     rows = draw(st.lists(st.integers(0, (1 << length) - 1), max_size=12))
     if rows and draw(st.booleans()):
-        # rows that XOR to the all-one word take the half sweep
+        # rows that XOR to the all-one word: the span is closed under complement
         rows[-1] ^= reduce(xor, rows) ^ ((1 << length) - 1)
     return rows, length, draw(st.integers(1, 5)), draw(st.sampled_from([1, 2]))
 

@@ -18,13 +18,16 @@ from designforge import (
     TrivialDesign,
     blocks_of_weight,
     full_design_report,
+    generator_basis,
     lambda_from_identity,
     theorem_lambda,
     verify_t_design,
     weight_distribution,
 )
+from designforge.codebuild import enumerate_span, packed_rows_to_ints
 from ref_gf2 import naive_t_design_count
 
+C1_S3_ENUMERATOR = {16: 252, 24: 37632, 28: 107520, 32: 233478, 36: 107520, 40: 37632, 48: 252}
 C1_S3_LAMBDAS = {16: 15, 24: 5152, 28: 20160, 32: 57443, 36: 33600, 40: 14560, 48: 141}
 M4_T3 = {4: 1, 6: 16, 8: 87, 10: 96, 12: 55}
 M4_T2 = {4: 7, 6: 56, 8: 203, 10: 168, 12: 77}
@@ -293,6 +296,59 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
     assert len(built) == 1  # every re-stream reuses the report's basis
     assert {r.k: r.lam for r in exhaustive} == {k: r.lam for k, r in ungated.items()}
     assert all(r.verified and r.match and not r.skipped for r in exhaustive)
+
+
+@pytest.mark.parametrize("spec_args", [("c1", 2, None), ("c2", 2, 1), ("c1", 3, None), ("c2", 3, 1)])
+def test_swept_rows_are_the_extended_classes(spec_args, f4, f6, monkeypatch):
+    # every class is assembled from h = 0 rows and complements, yet holds
+    # exactly the extended code's words of its weight, the class v/2 too
+    spec = CodeSpec(*spec_args)
+    field = f4 if spec.m == 4 else f6
+    served = {}
+    blocks = designs.blocks_of_weight
+
+    def spy(spec, field, weight, expected_count=None, chunks=None, basis=None):
+        served[weight] = None if chunks is None else list(chunks)
+        return blocks(spec, field, weight, expected_count, served[weight], basis)
+
+    monkeypatch.setattr(designs, "blocks_of_weight", spy)
+    reports = full_design_report(spec, field, t=2)
+    assert all(r.verified for r in reports)
+    by_weight: dict[int, list[int]] = {}
+    for word in enumerate_span(generator_basis(spec, field)):
+        by_weight.setdefault(word.bit_count(), []).append(word)
+    assert spec.length // 2 in served
+    assert set(served) == set(by_weight) - {0, spec.length}
+    for w, chunks in served.items():
+        assert chunks is not None
+        words = [word for chunk in chunks for word in packed_rows_to_ints(chunk)]
+        assert sorted(words) == sorted(by_weight[w])
+
+
+@pytest.mark.parametrize("k", [16, 32, 48])
+def test_cost_gate_boundary_serves_sweep_rows(k, f6, monkeypatch):
+    # a class costing exactly the gate is verified from the sweep's rows:
+    # the h = 0 caps, scaled by the share of the class off coordinate 0,
+    # keep both of its parts; one increment less and it is skipped
+    spec = CodeSpec("c1", 3)
+    b = C1_S3_ENUMERATOR[k]
+    streamed = []
+    stream = designs.stream_weight_class
+
+    def spy(basis, length, weight):
+        streamed.append(weight)
+        return stream(basis, length, weight)
+
+    monkeypatch.setattr(designs, "stream_weight_class", spy)
+    monkeypatch.setattr(designs, "COST_GATE", b * comb(k, 2))
+    by_k = {r.k: r for r in full_design_report(spec, f6, t=2)}
+    assert streamed == []
+    assert not by_k[k].skipped and by_k[k].lam == C1_S3_LAMBDAS[k]
+    monkeypatch.setattr(designs, "COST_GATE", b * comb(k, 2) - 1)
+    by_k = {r.k: r for r in full_design_report(spec, f6, t=2)}
+    assert by_k[k].skipped and streamed == []
+    by_k = {r.k: r for r in full_design_report(spec, f6, t=2, exhaustive=True)}
+    assert k in streamed and by_k[k].lam == C1_S3_LAMBDAS[k]
 
 
 def test_t3_witness_matches_naive_counter(f6):

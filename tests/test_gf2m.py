@@ -41,6 +41,9 @@ def test_non_primitive_polynomials():
     # zero constant term
     with pytest.raises(NonPrimitivePolynomial):
         Field(4, 0x12)
+    # negative, with a degree-m bit length and an odd low bit
+    with pytest.raises(NonPrimitivePolynomial):
+        Field(4, -0x13)
 
 
 def test_alternate_primitive_polynomial():

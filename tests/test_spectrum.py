@@ -58,11 +58,11 @@ def test_golden_enumerators_small(f4, f6):
     CodeSpec("c2", 3, 1), CodeSpec("c2", 3, 2), CodeSpec("c2", 4, 1), CodeSpec("c2", 4, 3),
 ])
 def test_extended_distribution_routes_agree(spec, f4, f6, f8):
-    # the half sweep of the extended basis (the route designs takes) against
-    # the cyclic sweep extended by complements (the route weight_distribution takes)
+    # a sweep of the whole extended basis against the cyclic sweep extended
+    # by complements (the route weight_distribution and designs take)
     f = {4: f4, 6: f6, 8: f8}[spec.m]
     basis = generator_basis(spec, f)
-    assert reduce(xor, basis) == (1 << spec.length) - 1  # the half sweep runs
+    assert reduce(xor, basis) == (1 << spec.length) - 1  # the span holds the all-one word
     dist = weight_distribution(spec, f)
     assert weight_histogram(basis, spec.length, threads=2) == dist.entries
     assert dist.dimension == len(basis)
