@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator
 
@@ -25,7 +26,6 @@ from .checks import CheckFailed, require
 from .codebuild import (
     CodeSpec,
     cyclic_generator_basis,
-    generator_basis,
     packed_rows_to_ints,
     stream_weight_class,
     weight_histogram,
@@ -47,8 +47,8 @@ COST_GATE = 10**9
 _CHUNK = 8192
 
 
-# Packed rows per chunk handed to blocks_of_weight: each complement chunk
-# and each chunk's bytes are temporaries, 32 KB at v = 256.
+# Kept rows per chunk in blocks_of_weight: each complement chunk and each
+# chunk's bytes are temporaries, 32 KB at v = 256.
 _ROWS_PER_YIELD = 1024
 
 
@@ -114,39 +114,40 @@ def blocks_of_weight(
     field: Field,
     weight: int,
     expected_count: int | None = None,
-    chunks: Iterable[np.ndarray] | None = None,
-    basis: list[int] | None = None,
+    h0_rows: dict[int, np.ndarray] | None = None,
+    h0: list[int] | None = None,
 ) -> Iterator[int]:
     """Stream the supports of all weight-i codewords as bitmask ints.
 
-    chunks, when given, yields the class's packed words as (count, n_words)
-    arrays, assembled from the words a sweep kept (see full_design_report);
-    otherwise the class is streamed from basis, the code's reduced basis,
-    built here when not given.  Distinct codewords of a binary code have
-    distinct supports, and span enumeration never repeats a codeword, so
-    the stream needs no dedup.
+    The extended code is its h = 0 subcode H0 plus the complements of H0,
+    so the class is the H0 words of weight i in index order, then the
+    complements of the H0 words of weight v - i in index order.  Each of
+    the two H0 parts is read from h0_rows, the packed (count, n_words) rows
+    a sweep kept by weight (see full_design_report), or else streamed over
+    h0, the H0 basis, built here when not given.  Distinct codewords of a
+    binary code have distinct supports, and span enumeration never repeats
+    a codeword, so the stream needs no dedup.
     """
-    if chunks is None:
-        if basis is None:
-            basis = generator_basis(spec, field)
-        chunks = stream_weight_class(basis, spec.length, weight)
+    v = spec.length
+    h0_rows = h0_rows or {}
+    if h0 is None and not {weight, v - weight} <= h0_rows.keys():
+        h0 = [row << 1 for row in cyclic_generator_basis(spec, field)]
+    ones = np.frombuffer(((1 << v) - 1).to_bytes(8 * ((v + 63) // 64), "little"), dtype=np.uint64)
+
+    def part(u: int) -> Iterable[np.ndarray]:
+        rows = h0_rows.get(u)
+        if rows is None:
+            return stream_weight_class(h0, v, u)
+        return (rows[i : i + _ROWS_PER_YIELD] for i in range(0, len(rows), _ROWS_PER_YIELD))
+
     count = 0
-    for chunk in chunks:
+    for chunk in chain(part(weight), (rows ^ ones for rows in part(v - weight))):
         yield from packed_rows_to_ints(chunk)
         count += len(chunk)
     if count == 0:
         raise EmptyWeightClass(f"no codeword of weight {weight} in {spec.label()}")
     if expected_count is not None and count != expected_count:
         raise CheckFailed(f"weight {weight}: streamed {count} blocks, expected {expected_count}")
-
-
-def _class_chunks(direct: np.ndarray, flipped: np.ndarray, ones: np.ndarray) -> Iterator[np.ndarray]:
-    """The rows of direct, then the complements of the rows of flipped, in
-    chunks of _ROWS_PER_YIELD rows."""
-    for i in range(0, len(direct), _ROWS_PER_YIELD):
-        yield direct[i : i + _ROWS_PER_YIELD]
-    for i in range(0, len(flipped), _ROWS_PER_YIELD):
-        yield flipped[i : i + _ROWS_PER_YIELD] ^ ones
 
 
 def _blocks_to_bits(chunk: list[int], v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,16 +290,16 @@ def full_design_report(
 
     One sweep gives the distribution and, for every class within COST_GATE
     t-subset increments, its blocks.  It sweeps the h = 0 subcode H0, the
-    words with bit 0 clear (x = 0 there): the extended code is H0 plus the
-    complements of H0, so class w is the H0 words of weight w followed by
-    the complements of the H0 words of weight v - w.  The code is
-    affine-invariant, hence transitive on coordinates, so b(v - w)/v of the
-    b words of class w avoid coordinate 0 and b*w/v contain it: H0 weight
-    u feeds (v - u)/v of classes u and v - u, and is capped at that share
-    of the larger of their caps.  Classes above the gate are skipped
-    unless exhaustive is set, in which case each one is streamed on its
-    own from the extended basis, built once.  Weight 0 and the
-    full-support class are excluded as trivial.
+    words with bit 0 clear (x = 0 there): class w is the H0 words of weight
+    w followed by the complements of the H0 words of weight v - w (see
+    blocks_of_weight).  The code is affine-invariant, hence transitive on
+    coordinates, so b(v - w)/v of the b words of class w avoid coordinate
+    0 and b*w/v contain it: H0 weight u feeds (v - u)/v of classes u and
+    v - u, and is capped at that share of the larger of their caps.
+    Classes above the gate are skipped unless exhaustive is set.  A class
+    is served from whichever of its two H0 parts the sweep kept; any other
+    part is streamed over the same H0 basis.  Weight 0 and the full-support
+    class are excluded as trivial.
     """
     v = spec.length
     h0 = [row << 1 for row in cyclic_generator_basis(spec, field)]
@@ -318,8 +319,6 @@ def full_design_report(
             raise EmptyWeightClass(f"no nontrivial class at weights {sorted(missing)}")
         targets = [w for w in targets if w in set(weights)]
 
-    ones = np.frombuffer(((1 << v) - 1).to_bytes(8 * ((v + 63) // 64), "little"), dtype=np.uint64)
-    basis = None
     reports = []
     for w in targets:
         b = dist.entries[w]
@@ -332,12 +331,7 @@ def full_design_report(
                 )
             )
             continue
-        chunks = None
-        if b <= caps[w] and w in kept and v - w in kept:
-            chunks = _class_chunks(kept[w], kept[v - w], ones)
-        elif basis is None:
-            basis = generator_basis(spec, field)
-        blocks = blocks_of_weight(spec, field, w, expected_count=b, chunks=chunks, basis=basis)
+        blocks = blocks_of_weight(spec, field, w, expected_count=b, h0_rows=kept, h0=h0)
         report = verify_t_design(blocks, v, t, expected_b=b)
         report.theorem_lambda = theorem
         if theorem is not None and report.lam is not None:

@@ -24,7 +24,8 @@ from designforge import (
     verify_t_design,
     weight_distribution,
 )
-from designforge.codebuild import enumerate_span, packed_rows_to_ints
+from designforge.cli import main
+from designforge.codebuild import enumerate_span
 from ref_gf2 import naive_t_design_count
 
 C1_S3_ENUMERATOR = {16: 252, 24: 37632, 28: 107520, 32: 233478, 36: 107520, 40: 37632, 48: 252}
@@ -279,21 +280,15 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
     stream = designs.stream_weight_class
 
     def spy(basis, length, weight):
-        streamed.append(weight)
+        streamed.append((weight, len(basis), length))
         return stream(basis, length, weight)
 
-    built = []
-    build = designs.generator_basis
-
-    def basis_spy(*args):
-        built.append(args)
-        return build(*args)
-
     monkeypatch.setattr(designs, "stream_weight_class", spy)
-    monkeypatch.setattr(designs, "generator_basis", basis_spy)
     exhaustive = full_design_report(spec, f6, t=2, exhaustive=True)
-    assert sorted(streamed) == sorted(heavy)  # only the classes over their cap
-    assert len(built) == 1  # every re-stream reuses the report's basis
+    # classes 28, 32 and 36 stream both of their H0 parts (28 and 36, 32
+    # twice); class 40 is served from H0 rows 40 and 24, kept for class 24
+    assert sorted(w for w, _, _ in streamed) == [28, 28, 32, 32, 36, 36]
+    assert {(k, n) for _, k, n in streamed} == {(15, 64)}  # the H0 basis: dim - 1 rows
     assert {r.k: r.lam for r in exhaustive} == {k: r.lam for k, r in ungated.items()}
     assert all(r.verified and r.match and not r.skipped for r in exhaustive)
 
@@ -307,9 +302,11 @@ def test_swept_rows_are_the_extended_classes(spec_args, f4, f6, monkeypatch):
     served = {}
     blocks = designs.blocks_of_weight
 
-    def spy(spec, field, weight, expected_count=None, chunks=None, basis=None):
-        served[weight] = None if chunks is None else list(chunks)
-        return blocks(spec, field, weight, expected_count, served[weight], basis)
+    def spy(spec, field, weight, expected_count=None, h0_rows=None, h0=None):
+        kept = h0_rows is not None and {weight, spec.length - weight} <= h0_rows.keys()
+        words = list(blocks(spec, field, weight, expected_count, h0_rows, h0))
+        served[weight] = words if kept else None
+        return iter(words)
 
     monkeypatch.setattr(designs, "blocks_of_weight", spy)
     reports = full_design_report(spec, field, t=2)
@@ -319,10 +316,58 @@ def test_swept_rows_are_the_extended_classes(spec_args, f4, f6, monkeypatch):
         by_weight.setdefault(word.bit_count(), []).append(word)
     assert spec.length // 2 in served
     assert set(served) == set(by_weight) - {0, spec.length}
-    for w, chunks in served.items():
-        assert chunks is not None
-        words = [word for chunk in chunks for word in packed_rows_to_ints(chunk)]
+    for w, words in served.items():
+        assert words is not None
         assert sorted(words) == sorted(by_weight[w])
+
+
+@pytest.mark.parametrize("spec_args", [("c1", 2, None), ("c2", 2, 1), ("c1", 3, None), ("c2", 3, 1)])
+def test_one_block_order_for_every_route(spec_args, f4, f6, monkeypatch):
+    # a class streamed over the H0 basis comes in the same order as the
+    # one the report assembles from the sweep's kept rows
+    spec = CodeSpec(*spec_args)
+    field = f4 if spec.m == 4 else f6
+    passed = {}
+    verify = designs.verify_t_design
+
+    def spy(blocks, v, t, expected_b=None):
+        blocks = list(blocks)
+        passed[blocks[0].bit_count()] = blocks
+        return verify(blocks, v, t, expected_b)
+
+    def no_stream(*args):
+        raise AssertionError("the report streamed a class")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(designs, "verify_t_design", spy)
+        patch.setattr(designs, "stream_weight_class", no_stream)
+        full_design_report(spec, field, t=2)
+    assert set(passed) == set(weight_distribution(spec, field).entries) - {0, spec.length}
+    for w, blocks in passed.items():
+        assert list(blocks_of_weight(spec, field, w)) == blocks
+
+
+def test_export_blocks_prints_the_report_order(f4, capsys, monkeypatch):
+    spec = CodeSpec("c1", 2)
+    passed = []
+    verify = designs.verify_t_design
+
+    def spy(blocks, v, t, expected_b=None):
+        passed.extend(blocks)
+        return verify(passed, v, t, expected_b)
+
+    monkeypatch.setattr(designs, "verify_t_design", spy)
+    full_design_report(spec, f4, t=2, weights=[4])
+    assert main(["designs", "--family", "c1", "--s", "2", "--weight", "4", "--export-blocks"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    def line(mask):
+        return " ".join(str(i) for i in range(16) if mask >> i & 1)
+
+    assert lines == [line(mask) for mask in passed]
+    span = [word for word in enumerate_span(generator_basis(spec, f4)) if word.bit_count() == 4]
+    assert len(span) == 140
+    assert set(lines) == {line(mask) for mask in span}
 
 
 @pytest.mark.parametrize("k", [16, 32, 48])
@@ -348,7 +393,12 @@ def test_cost_gate_boundary_serves_sweep_rows(k, f6, monkeypatch):
     by_k = {r.k: r for r in full_design_report(spec, f6, t=2)}
     assert by_k[k].skipped and streamed == []
     by_k = {r.k: r for r in full_design_report(spec, f6, t=2, exhaustive=True)}
-    assert k in streamed and by_k[k].lam == C1_S3_LAMBDAS[k]
+    assert by_k[k].lam == C1_S3_LAMBDAS[k]
+    if k == 48:
+        # its H0 parts, 48 and 16, are kept for class 16: neither is streamed
+        assert not {16, 48} & set(streamed)
+    else:
+        assert k in streamed
 
 
 def test_t3_witness_matches_naive_counter(f6):
