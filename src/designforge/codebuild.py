@@ -276,17 +276,16 @@ def _unpack_row(word: int, length: int) -> np.ndarray:
 
 
 def _low_table(basis_low: list[int], n_words: int) -> np.ndarray:
-    """All 2^kl span words of the low basis slice, limb-major: column j is
-    the packed word of index j, so the table has shape (n_words, 2^kl).
+    """All 2^kl span words of the low basis slice in index order: row j is
+    the packed word of index j, so the table has shape (2^kl, n_words).
 
     Built by doubling: the words whose index has top bit j are the words
     below 2^j XORed with basis row j.
     """
-    table = np.zeros((n_words, 1 << len(basis_low)), dtype=np.uint64)
+    table = np.zeros((1 << len(basis_low), n_words), dtype=np.uint64)
     for j, row in enumerate(basis_low):
         half = 1 << j
-        packed = _pack_row(row, n_words)[:, None]
-        np.bitwise_xor(table[:, :half], packed, out=table[:, half : 2 * half])
+        np.bitwise_xor(table[:half], _pack_row(row, n_words), out=table[half : 2 * half])
     return table
 
 
@@ -329,8 +328,8 @@ class _SweepTables:
         self.kl = kl
         self.n_words = (length + 63) // 64
         # span words of the low and of the batch rows, one word per row
-        self.low = _low_table(basis[:kl], self.n_words).T.copy()
-        self.offsets = _low_table(basis[kl:kb], self.n_words).T.copy()
+        self.low = _low_table(basis[:kl], self.n_words)
+        self.offsets = _low_table(basis[kl:kb], self.n_words)
         self.high = basis[kb:]
         cols = np.zeros(length, dtype=np.intp)
         for j, row in enumerate(basis[:kb]):

@@ -60,10 +60,6 @@ class TrivialDesign(ValueError):
     """Block size k <= t or k = v gives a trivial design."""
 
 
-class NotConstant(ValueError):
-    """t-subset coverage is not constant; carries two differing subsets."""
-
-
 class NonIntegerLambda(ArithmeticError):
     """The design identity b*C(k,t) = lambda*C(v,t) does not divide exactly."""
 

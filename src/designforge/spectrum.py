@@ -342,7 +342,6 @@ def quadform_rank(field: Field, a: int, b: int) -> QuadFormProfile:
 class PlessResult:
     ok: bool
     first_failure: tuple[int, int, int] | None = None  # (identity index, lhs, rhs)
-    checked: int = 7
 
     def __bool__(self) -> bool:
         return self.ok

@@ -1,7 +1,8 @@
 """The benchmark harness under perfbench/ patches and imports library names
 by attribute; this fails when one of them is removed or renamed.  Its traced
 run also requires every verified block to pass through
-`designs.blocks_of_weight`, one int at a time, and no class to be streamed."""
+`designs.blocks_of_weight`, one int at a time, no class to be streamed, and
+every field to be built inside `Field.__init__`, which the tracer counts."""
 
 from __future__ import annotations
 
@@ -16,21 +17,28 @@ import contextlib, io, sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
 import workloads
 from tracer import Tracer
+import designforge.gf2m as gf2m
 from designforge.cli import main
 
+built = []  # every Field construction, counted apart from the tracer
+gf2m.Field.__new__ = lambda cls, *args, **kwargs: built.append(args) or object.__new__(cls)
 tracer = Tracer()
 tracer.install()
-for name in ("spectra", "designs"):
-    assert workloads.build(name), name
-
-invocations = workloads.build("designs")
-for inv in invocations:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = main(inv.argv)
-    failure = workloads.check(inv, rc, out.getvalue(), None)
-    assert failure is None, (inv.key, failure)
 counters = tracer.counters
+# Fields built per workload: reproduce builds one per CodeSpec it sweeps (6),
+# every other invocation one.
+for name, fields in (("spectra", 10), ("designs", 7)):
+    before = counters["gf2m.fields_built"], len(built)
+    invocations = workloads.build(name)
+    assert invocations, name
+    for inv in invocations:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(inv.argv)
+        failure = workloads.check(inv, rc, out.getvalue(), None)
+        assert failure is None, (inv.key, failure)
+    built_here = counters["gf2m.fields_built"] - before[0], len(built) - before[1]
+    assert built_here == (fields, fields), (name, built_here)
 assert counters["designs.blocks"] == sum(inv.blocks for inv in invocations), dict(counters)
 assert counters["codebuild.stream_words"] == 0, dict(counters)
 """

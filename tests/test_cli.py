@@ -116,6 +116,19 @@ def test_invariance_checks_orbit_at_m8(capsys):
     assert obj["orbit_checked"] is True and obj["orbit_invariant"] is True
 
 
+def test_invariance_at_m14_uses_the_built_in_poly(capsys):
+    code, out, err = run_cli(capsys, "invariance", "--family", "c1", "--s", "7")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["orbit_checked"] is True and obj["orbit_invariant"] is True
+
+
+@pytest.mark.parametrize(("m", "poly"), [("14", "0x402b"), ("16", "0x1002d")])
+def test_field_command_built_in_poly(capsys, m, poly):
+    code, out, _ = run_cli(capsys, "field", "--m", m)
+    assert code == 0 and json.loads(out)["poly"] == poly
+
+
 @pytest.mark.parametrize("s", ["3", "4"])
 def test_invariance_rejects_bad_poly(capsys, s):
     code, out, err = run_cli(capsys, "invariance", "--family", "c1", "--s", s, "--poly", "0x3")

@@ -313,8 +313,8 @@ def test_sweep_ranges_capped_by_cores(monkeypatch):
 def test_low_table_index_order(f8):
     basis = generator_basis(CodeSpec("c1", 4), f8)[:9]
     table = _low_table(basis, 4)
-    assert table.shape == (4, 512)  # limb-major: column j is the word of index j
-    assert packed_rows_to_ints(table.T.copy()) == list(enumerate_span(basis))
+    assert table.shape == (512, 4)  # row j is the word of index j
+    assert packed_rows_to_ints(table) == list(enumerate_span(basis))
 
 
 def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):

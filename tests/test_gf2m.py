@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from designforge import (
@@ -9,6 +10,7 @@ from designforge import (
     NotInSubfield,
     UnsupportedM,
 )
+from designforge.gf2m import DEFAULT_PRIMITIVE_POLYS
 from ref_gf2 import ref_mul, ref_trace
 
 
@@ -23,9 +25,18 @@ def test_unsupported_m():
     for m in (3, 5, 7, 2, 18):
         with pytest.raises(UnsupportedM):
             Field(m)
-    # supported degree but no built-in polynomial
-    with pytest.raises(UnsupportedM):
-        Field(14)
+
+
+@pytest.mark.parametrize("m", sorted(DEFAULT_PRIMITIVE_POLYS))
+def test_default_poly_is_the_least_primitive(m):
+    poly = (1 << m) | 1
+    while True:
+        try:
+            Field(m, poly)
+            break
+        except NonPrimitivePolynomial:
+            poly += 2
+    assert poly == DEFAULT_PRIMITIVE_POLYS[m] == Field(m).poly
 
 
 def test_non_primitive_polynomials():
@@ -53,7 +64,7 @@ def test_alternate_primitive_polynomial():
     assert sorted(f.alpha_pow(i) for i in range(15)) == list(range(1, 16))
 
 
-@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
 def test_mul_against_reference(m):
     f = Field(m)
     if m == 4:
@@ -64,7 +75,7 @@ def test_mul_against_reference(m):
         assert f.mul(a, b) == ref_mul(a, b, f.poly, m)
 
 
-@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
 def test_trace_against_reference(m):
     f = Field(m)
     for x in range(f.q):
@@ -117,7 +128,7 @@ def test_subfield_examples(f4):
         f4.subfield_trace(f4.alpha_pow(1))
 
 
-@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("m", [4, 6, 10, 12])
 def test_subfield_trace_transitivity(m):
     # tr_1^m = tr_1^s of the relative trace x + x^(2^s)
     f = Field(m)
@@ -152,3 +163,34 @@ def test_scalar_mul_vec(f4):
     for a in range(f4.q):
         out = f4.scalar_mul_vec(a, xs)
         assert all(int(out[i]) == f4.mul(a, int(xs[i])) for i in range(f4.q))
+
+
+@pytest.mark.parametrize("m", [14, 16])
+def test_large_field_tables(m):
+    f = Field(m)
+    elems = f.elements_in_order()
+    trace = f.trace_np[elems]
+    assert int(trace.sum()) == f.q // 2
+    assert np.array_equal(f.trace_np[f.power_table(2)], trace)
+    fixed = f.power_table(1 << f.s) == elems
+    assert int(fixed.sum()) == 1 << f.s
+    assert np.array_equal(f.in_subfield_np[elems].astype(bool), fixed)
+    assert not f.sub_trace_np[elems[~fixed]].any()
+    assert int(f.sub_trace_np.sum()) == 1 << (f.s - 1)
+
+
+def test_tables_are_read_only(f4):
+    for name in ("exp_np", "log_np", "trace_np", "in_subfield_np", "sub_trace_np"):
+        with pytest.raises(ValueError):
+            getattr(f4, name)[1] = 0
+
+
+def test_scalar_results_are_python_ints(f4):
+    omega = f4.alpha_pow(5)
+    values = [f4.mul(3, 7), f4.pow(3, 7), f4.pow(3, 2**70), omega, f4.trace(3),
+              f4.subfield_trace(omega), f4.element(3), f4.index(3), *f4.subfield_elements()]
+    assert all(type(v) is int for v in values)
+    assert type(f4.in_subfield(omega)) is bool
+    # a large exponent reduces exactly, with no int64 overflow
+    for e in (2**60 + 1, 2**70):
+        assert f4.pow(3, e) == f4.pow(3, e % f4.n)
