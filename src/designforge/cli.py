@@ -16,7 +16,7 @@ import sys
 
 from . import golden
 from .checks import CheckFailed
-from .codebuild import CodeSpec, TooLarge
+from .codebuild import CodeSpec, TooLarge, cyclic_generator_basis
 from .designs import blocks_of_weight, full_design_report
 from .gf2m import Field, NonPrimitivePolynomial, UnsupportedM
 from .invariance import affine_orbit_check, closure_check
@@ -191,13 +191,20 @@ def cmd_reproduce(args) -> int:
                 f"unknown example {args.example!r}; choose from {', '.join(targets)}"
             )
         targets = [args.example]
-    # one sweep per code: an example extends the distribution its moment case checks
-    swept: dict[CodeSpec, WeightDistribution] = {}
+    # one sweep per code, keyed by its reduced cyclic basis: an example
+    # extends the distribution its moment case checks, and two CodeSpecs may
+    # name one code (m4 and 3.6 are c1(2) and c2(2, 1))
+    bases: dict[CodeSpec, tuple[int, ...]] = {}
+    swept: dict[tuple[int, ...], WeightDistribution] = {}
 
     def cyclic(spec: CodeSpec) -> WeightDistribution:
-        if spec not in swept:
-            swept[spec] = cyclic_weight_distribution(spec, Field(spec.m), threads=args.threads)
-        return swept[spec]
+        if spec not in bases:
+            field = Field(spec.m)
+            basis = cyclic_generator_basis(spec, field)
+            bases[spec] = key = tuple(basis)
+            if key not in swept:
+                swept[key] = cyclic_weight_distribution(spec, field, args.threads, basis)
+        return swept[bases[spec]]
 
     results = []
     for ex_id in targets:

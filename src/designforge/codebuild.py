@@ -27,14 +27,18 @@ is column i of the basis, so the weights of 2^16 consecutive indices are
 one Walsh-Hadamard transform of the basis column counts, signed by the
 word of the remaining high rows (see _SweepTables).  The transform runs in
 float32, exact for lengths below 2^24, as three stacked products with
-Sylvester matrices of order at most 64.  Only the words of a class that is
-kept or streamed are built, from a packed table of the low rows' span.
+Sylvester matrices of order at most 64.  Each worker counts a batch by
+comparing the transform with the weights it has already seen, and
+recounts with bincount only a batch those leave short.  Only the words
+of a class that is kept or streamed are built, from a packed table of
+the low rows' span.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -349,12 +353,14 @@ class _SweepTables:
 
 
 class _TransformStep:
-    """One worker's buffers for the transform of a batch and its gathers.
+    """One worker's buffers for the transform of a batch, its counts and its
+    gathers.
 
     Allocated in the thread that creates it, so the batch buffers never
     come from a worker thread's own malloc arena.  Every partial sum of the
     transform is a multiple of 1/2 of magnitude at most length/2, so
-    float32 is exact for lengths below 2^24 (_require_enumerable).
+    float32 is exact for lengths below 2^24 (_require_enumerable): the
+    transform of a word of weight w is exactly w - length/2.
     """
 
     def __init__(self, tables: _SweepTables):
@@ -367,17 +373,23 @@ class _TransformStep:
         self.counts = np.zeros(shape, dtype=np.float32)
         self.first = np.empty(shape, dtype=np.float32)
         self.second = np.empty(shape, dtype=np.float32)
-        self.weights = np.empty(self.counts.size, dtype=np.intp)
+        self.centred = self.first.reshape(-1)  # weight - length/2, by local index
         self.mask = np.empty(self.counts.size, dtype=bool)
+        self.base = 0
         self.high_words = np.empty_like(tables.offsets)
+        self.high_ready = False  # high_words are those of base
+        # the weights this worker has seen, most frequent first, with their
+        # transform values, and its running count of each
+        self.seen: list[tuple[int, np.float32]] = []
+        self.tally: Counter[int] = Counter()
         # gather buffers: only the rows a gather uses are ever touched
         self.scratch = np.empty((2, self.counts.size), dtype=np.intp)
         self.limbs = np.empty((self.counts.size, tables.n_words), dtype=np.uint64)
 
-    def __call__(self, base: int) -> np.ndarray:
-        """Weights of the batch over base word base, by local index.
+    def __call__(self, base: int) -> None:
+        """Transform the batch over base word base into centred.
 
-        The array is overwritten by the next call.
+        Overwritten by the next call.
         """
         tb = self.tables
         np.take(_unpack_row(base, tb.length), tb.order, out=self.bits)
@@ -388,17 +400,50 @@ class _TransformStep:
         np.matmul(tb.h_high, self.first, out=self.second)
         # the batch rows index axis 0: one product per middle index
         np.matmul(tb.h_batch, self.second.transpose(1, 0, 2), out=self.first.transpose(1, 0, 2))
-        self.first += np.float32(tb.length / 2)
-        np.copyto(self.weights, self.first.reshape(-1), casting="unsafe")
-        np.bitwise_xor(tb.offsets, _pack_row(base, tb.n_words), out=self.high_words)
-        return self.weights
+        self.base = base
+        self.high_ready = False
+
+    def count(self) -> list[tuple[int, int]]:
+        """(weight, count) of every weight of the last batch, added to tally.
+
+        The transform is compared with w - length/2 for each weight w seen
+        so far, most frequent first, until the counts reach the batch size.
+        The values compared are distinct, so no word is counted twice, and
+        the counts reach the batch size only when every word is counted.  A
+        batch that falls short is recounted by bincount, which adds its new
+        weights to those seen.
+        """
+        length = self.tables.length
+        left = self.centred.size
+        found = []
+        for w, value in self.seen:
+            np.equal(self.centred, value, out=self.mask)
+            c = int(np.count_nonzero(self.mask))
+            if c:
+                found.append((w, c))
+                left -= c
+                if not left:
+                    break
+        if left:
+            weights = self.scratch[0]
+            np.add(self.centred, np.float32(length / 2), out=self.second.reshape(-1))
+            np.copyto(weights, self.second.reshape(-1), casting="unsafe")
+            counts = np.bincount(weights)
+            found = [(w, int(counts[w])) for w in np.flatnonzero(counts).tolist()]
+        self.tally.update(dict(found))
+        if left:
+            self.seen = [(w, np.float32(w - length / 2)) for w, _ in self.tally.most_common()]
+        return found
 
     def gather(self, weight: int) -> np.ndarray:
         """(count, n_words) packed words of the last batch with the given
         weight, in index order, each checked against that weight."""
         tb = self.tables
-        np.equal(self.weights, weight, out=self.mask)
+        np.equal(self.centred, np.float32(weight - tb.length / 2), out=self.mask)
         count = int(np.count_nonzero(self.mask))
+        if not self.high_ready:
+            np.bitwise_xor(tb.offsets, _pack_row(self.base, tb.n_words), out=self.high_words)
+            self.high_ready = True
         # indices into buffers allocated up front: a worker thread's own
         # allocations fragment its malloc arena between the kept rows
         at, high = self.scratch[0, :count], self.scratch[1, :count]
@@ -412,8 +457,11 @@ class _TransformStep:
         np.take(self.high_words, high, axis=0, out=limbs, mode="clip")
         rows ^= limbs
         np.bitwise_count(rows, out=limbs)
-        np.sum(limbs, axis=1, dtype=np.intp, out=high)
-        np.equal(high, weight, out=self.mask[:count])
+        # one column add per limb: a reduction along the short axis is slower
+        sizes = limbs[:, 0]
+        for j in range(1, tb.n_words):
+            sizes += limbs[:, j]
+        np.equal(sizes, weight, out=self.mask[:count])
         require(bool(self.mask[:count].all()), f"a word gathered for weight {weight} has another weight")
         return rows
 
@@ -427,14 +475,15 @@ def _require_enumerable(basis: list[int], length: int) -> None:
 
 def _sweep(
     basis: list[int], length: int, threads: int, caps: dict[int, int]
-) -> tuple[np.ndarray, dict[int, list[np.ndarray]]]:
+) -> tuple[dict[int, int], dict[int, list[np.ndarray]]]:
     """Weight counts over the span of basis, and the words of each capped weight.
 
-    The second result maps a weight to its (count, n_words) word chunks in
-    index order.  Each capped weight has a running count, shared by the
-    workers under a lock; its words are dropped as soon as the count
-    passes its cap, and a batch's words of a weight are gathered only
-    after the batch is counted.
+    The first result maps each weight that occurs to its count, by
+    increasing weight.  The second maps a weight to its (count, n_words)
+    word chunks in index order.  Each capped weight has a running count,
+    shared by the workers under a lock; its words are dropped as soon as
+    the count passes its cap, and a batch's words of a weight are gathered
+    only after the batch is counted.
     """
     tables = _SweepTables(basis, length)
     ranges = _sweep_ranges(1 << len(tables.high), threads)
@@ -443,18 +492,19 @@ def _sweep(
     running: dict[int, int] = {}
     dropped: set[int] = set()
 
-    def run(i: int) -> tuple[np.ndarray, dict[int, list[np.ndarray]]]:
-        counts = np.zeros(length + 1, dtype=np.int64)
+    def run(i: int) -> dict[int, list[np.ndarray]]:
         parts: dict[int, list[np.ndarray]] = {}
         step = steps[i]
         for base in enumerate_span(tables.high, *ranges[i]):
-            batch_counts = np.bincount(step(base), minlength=length + 1)
-            counts += batch_counts
-            for w in np.flatnonzero(batch_counts).tolist():
+            step(base)
+            batch = step.count()
+            if not caps:
+                continue
+            for w, c in batch:
                 if w not in caps:
                     continue
                 with lock:
-                    running[w] = running.get(w, 0) + int(batch_counts[w])
+                    running[w] = running.get(w, 0) + c
                     if running[w] > caps[w]:
                         dropped.add(w)
                     live = w not in dropped
@@ -462,18 +512,19 @@ def _sweep(
                     parts.setdefault(w, []).append(step.gather(w))
                 else:
                     parts.pop(w, None)
-        return counts, parts
+        return parts
 
     if len(ranges) == 1:
         results = [run(0)]
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             results = list(pool.map(run, range(len(ranges))))
+    counts = sum((step.tally for step in steps), Counter())
     chunks: dict[int, list[np.ndarray]] = {}
-    for _, parts in results:
+    for parts in results:
         for w, part in parts.items():
             chunks.setdefault(w, []).extend(part)
-    return np.sum([counts for counts, _ in results], axis=0), chunks
+    return dict(sorted(counts.items())), chunks
 
 
 def weight_histogram(
@@ -496,8 +547,7 @@ def weight_histogram(
     """
     _require_enumerable(basis, length)
     caps = keep or {}
-    counts, chunks = _sweep(basis, length, threads, caps)
-    hist = {int(w): int(c) for w, c in enumerate(counts) if c}
+    hist, chunks = _sweep(basis, length, threads, caps)
     if keep is None:
         return hist
     # each class's chunks are freed as soon as they are joined

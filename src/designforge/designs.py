@@ -160,7 +160,12 @@ def _blocks_to_bits(chunk: list[int], v: int) -> tuple[np.ndarray, np.ndarray]:
     bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     if bits[:, v:].any():
         raise ValueError(f"a block has a point >= v = {v}")
-    return bits[:, :v], np.bitwise_count(words).sum(axis=1, dtype=np.intp)
+    # one column add per limb: a reduction along the short axis is slower
+    limbs = np.bitwise_count(words)
+    sizes = limbs[:, 0].astype(np.intp)
+    for j in range(1, n_words):
+        sizes += limbs[:, j]
+    return bits[:, :v], sizes
 
 
 @lru_cache(maxsize=None)

@@ -25,10 +25,11 @@ gf2m.Field.__new__ = lambda cls, *args, **kwargs: built.append(args) or object._
 tracer = Tracer()
 tracer.install()
 counters = tracer.counters
-# Fields built per workload: reproduce builds one per CodeSpec it sweeps (6),
-# every other invocation one.
-for name, fields in (("spectra", 10), ("designs", 7)):
-    before = counters["gf2m.fields_built"], len(built)
+# Fields built per workload: reproduce builds one per CodeSpec it names (6),
+# every other invocation one.  Words swept per workload: reproduce sweeps
+# each code once (c1(2) and c2(2, 1) are one code), designs each H0 once.
+for name, fields, words in (("spectra", 10, 50660352), ("designs", 7, 17139712)):
+    before = counters["gf2m.fields_built"], len(built), counters["codebuild.sweep_words"]
     invocations = workloads.build(name)
     assert invocations, name
     for inv in invocations:
@@ -39,6 +40,8 @@ for name, fields in (("spectra", 10), ("designs", 7)):
         assert failure is None, (inv.key, failure)
     built_here = counters["gf2m.fields_built"] - before[0], len(built) - before[1]
     assert built_here == (fields, fields), (name, built_here)
+    swept = counters["codebuild.sweep_words"] - before[2]
+    assert swept == words, (name, swept)
 assert counters["designs.blocks"] == sum(inv.blocks for inv in invocations), dict(counters)
 assert counters["codebuild.stream_words"] == 0, dict(counters)
 """

@@ -182,9 +182,10 @@ def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "reproduce")
     assert code == 0
     assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
-    # one cyclic sweep per CodeSpec: 3.3 and pless-s3 share c1(3), 3.4 and
-    # pless-s4 share c1(4); m4 and 3.6 name c1(2) and c2(2, 1)
-    assert sorted(length for _, length in swept) == [15, 15, 63, 63, 63, 255]
+    # one cyclic sweep per code: 3.3 and pless-s3 share c1(3), 3.4 and
+    # pless-s4 share c1(4), and m4 and 3.6 name one code, c1(2) = c2(2, 1)
+    assert sorted(length for _, length in swept) == [15, 63, 63, 63, 255]
+    assert len(set(swept)) == len(swept)
 
 
 def test_reproduce_reports_each_example_of_a_shared_sweep(capsys, monkeypatch):

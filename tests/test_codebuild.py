@@ -465,6 +465,77 @@ sys.exit(3)
     assert proc.returncode == 0
 
 
+def _counting_basis() -> list[int]:
+    """Eight rows of weight 2 on coordinates 0-15, then five dense rows on
+    16-63: the first batch (at most 8 rows) sees only weights 0-16, and
+    later batches bring weights it never saw."""
+    rows = [1 << j | 1 << (j + 8) for j in range(8)]
+    rows += [(0x9E3779B97F4A7C15 * (j + 1) & (1 << 48) - 1) << 16 for j in range(5)]
+    return rows
+
+
+def _spy_bincount(monkeypatch) -> list[int]:
+    """Record the size of each bincount call: only a batch that the known
+    weights do not account for is recounted by bincount."""
+    original = codebuild.np.bincount
+    calls: list[int] = []
+
+    def spy(values, *args, **kwargs):
+        calls.append(len(values))
+        return original(values, *args, **kwargs)
+
+    monkeypatch.setattr(codebuild.np, "bincount", spy)
+    return calls
+
+
+@pytest.mark.parametrize("low_bits, threads", product((2, 3, 4), (1, 2, 8)))
+def test_counting_recounts_batches_with_new_weights(low_bits, threads, monkeypatch):
+    basis = _counting_basis()
+    by_weight = _by_weight(basis)
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(codebuild, "_LOW_BITS", low_bits)
+    workers = len(_sweep_ranges(1 << (len(basis) - low_bits - codebuild._BATCH_BITS), threads))
+    fallbacks = _spy_bincount(monkeypatch)
+    hist, kept = weight_histogram(basis, 64, threads, keep={w: 1 << 13 for w in range(65)})
+    assert hist == {w: len(words) for w, words in by_weight.items()}
+    assert set(kept) == set(by_weight)
+    for w, rows in kept.items():
+        assert packed_rows_to_ints(rows) == by_weight[w]
+    # each worker recounts its first batch, and a later one with a new weight
+    assert len(fallbacks) >= 2 * workers
+    assert len(fallbacks) <= workers * len(by_weight)
+
+
+def test_counting_fallbacks_stay_within_the_weights(f6, monkeypatch):
+    # every recount adds a weight the worker had not seen
+    basis = cyclic_generator_basis(CodeSpec("c1", 3), f6)
+    hist = weight_histogram(basis, 63)
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(codebuild, "_LOW_BITS", 4)
+    for threads in (1, 2, 8):
+        fallbacks = _spy_bincount(monkeypatch)
+        assert weight_histogram(basis, 63, threads) == hist
+        assert 1 <= len(fallbacks) <= threads * len(hist)
+
+
+def test_counting_properties_hold_under_optimize():
+    # the counting tests and the sweep property, with assert statements
+    # compiled away in the program under test
+    here = Path(__file__).resolve()
+    tests = ["test_counting_recounts_batches_with_new_weights",
+             "test_transform_sweep_matches_bit_count_property"]
+    src = str(here.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", str(here),
+         "-k", " or ".join(tests)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    # pytest still checks the tests' own asserts under -O
+    assert "\n10 passed" in proc.stdout, proc.stdout[-2000:]
+
+
 @st.composite
 def span_cases(draw):
     """Random rows (dependent or not) of a random length, a low-table size

@@ -140,16 +140,25 @@ def test_verify_random_blocks_against_naive_counter(t):
 
 
 def test_verify_rejects_mixed_sizes():
-    # sizes are counted on one packed word (v <= 64) or several (v > 64)
-    for v in (5, 100):
+    # sizes are counted on one packed word (v <= 64) or summed over several
+    # (v > 64), where two sizes may differ only in the last limb
+    for v in (5, 100, 256):
         with pytest.raises(ValueError, match="unequal size"):
             verify_t_design([0b111, 0b11], v, 2)
+    for v, far in ((100, 99), (256, 200), (256, 255)):
+        with pytest.raises(ValueError, match="unequal size"):
+            verify_t_design([0b11 | 1 << far, 0b11], v, 2)
+    # equal sizes spread over every limb are one class
+    blocks = [0b111 | 1 << 70 | 1 << 255, 0b1011 | 1 << 140 | 1 << 200]
+    assert verify_t_design(blocks, 256, 2).k == 5
 
 
 def test_verify_rejects_points_outside_v():
     # a point at or past v, or a negative mask, is bad input on both the
     # 64-bit path (v <= 64) and the byte path (v > 64)
-    for v, bad in [(5, 1 << 9), (5, 1 << 70), (5, -1), (100, 1 << 101), (100, -1)]:
+    cases = [(5, 1 << 9), (5, 1 << 70), (5, -1), (100, 1 << 101), (100, 1 << 127), (100, -1),
+             (256, 1 << 256), (256, 1 << 300), (256, -1)]
+    for v, bad in cases:
         with pytest.raises(ValueError, match="point >= v"):
             verify_t_design([0b00111, 0b01011 | bad], v, 2)
 
