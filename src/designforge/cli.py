@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import golden
 from .checks import CheckFailed
@@ -192,19 +193,17 @@ def cmd_reproduce(args) -> int:
             )
         targets = [args.example]
     # one sweep per code, keyed by its reduced cyclic basis: an example
-    # extends the distribution its moment case checks, and two CodeSpecs may
-    # name one code (m4 and 3.6 are c1(2) and c2(2, 1))
-    bases: dict[CodeSpec, tuple[int, ...]] = {}
+    # extends the distribution its moment case checks, and m4 and 3.6 name
+    # one code, c1(2) = c2(2, 1)
     swept: dict[tuple[int, ...], WeightDistribution] = {}
 
+    @cache
     def cyclic(spec: CodeSpec) -> WeightDistribution:
-        if spec not in bases:
-            field = Field(spec.m)
-            basis = cyclic_generator_basis(spec, field)
-            bases[spec] = key = tuple(basis)
-            if key not in swept:
-                swept[key] = cyclic_weight_distribution(spec, field, args.threads, basis)
-        return swept[bases[spec]]
+        field = Field(spec.m)
+        key = tuple(cyclic_generator_basis(spec, field))
+        if key not in swept:
+            swept[key] = cyclic_weight_distribution(spec, field, args.threads)
+        return swept[key]
 
     results = []
     for ex_id in targets:

@@ -85,15 +85,9 @@ def weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -> Weigh
     return extend_distribution(cyclic_weight_distribution(spec, field, threads))
 
 
-def cyclic_weight_distribution(
-    spec: CodeSpec, field: Field, threads: int = 1, basis: list[int] | None = None
-) -> WeightDistribution:
-    """Exact distribution of the length-n cyclic relative by full enumeration.
-
-    basis is cyclic_generator_basis(spec, field) when the caller has it.
-    """
-    if basis is None:
-        basis = cyclic_generator_basis(spec, field)
+def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -> WeightDistribution:
+    """Exact distribution of the length-n cyclic relative by full enumeration."""
+    basis = cyclic_generator_basis(spec, field)
     counts = weight_histogram(basis, spec.n, threads)
     dist = WeightDistribution(counts, spec.n, len(basis))
     dist.validate()
