@@ -93,15 +93,17 @@ def cmd_field(args) -> int:
 def cmd_weights(args) -> int:
     spec = _spec_from_args(args)
     f = Field(spec.m, args.poly)
+    # a closed form that cannot be compared is rejected before the sweep
+    expected = None
+    if args.closed_form:
+        if args.cyclic:
+            raise InapplicableParameters("--closed-form compares the extended code only")
+        expected = closed_form(spec)
     if args.cyclic:
         dist = cyclic_weight_distribution(spec, f, threads=args.threads)
     else:
         dist = weight_distribution(spec, f, threads=args.threads)
-    match = None
-    if args.closed_form:
-        if args.cyclic:
-            raise InapplicableParameters("--closed-form compares the extended code only")
-        match = closed_form(spec) == dist
+    match = None if expected is None else expected == dist
     obj = {
         "family": spec.family,
         "s": spec.s,

@@ -269,8 +269,39 @@ def enumerate_span(basis: list[int], start: int = 0, stop: int | None = None) ->
 # -- transform weight sweep ---------------------------------------------------
 
 
-def _pack_row(word: int, n_words: int) -> np.ndarray:
-    return np.frombuffer(word.to_bytes(8 * n_words, "little"), dtype=np.uint64)
+def pack_words(words: list[int], length: int) -> np.ndarray:
+    """Int words of the given length as (len(words), n_words) uint64 rows:
+    limb j holds bits 64j..64j+63.
+
+    ValueError on a negative word or one with a bit at or past length.
+    """
+    n_words = (length + 63) // 64
+    try:
+        if n_words == 1:
+            rows = np.array(words, dtype=np.uint64).reshape(len(words), 1)
+        else:
+            buf = b"".join(w.to_bytes(8 * n_words, "little") for w in words)
+            rows = np.frombuffer(buf, dtype=np.uint64).reshape(len(words), n_words)
+    except OverflowError:
+        raise ValueError(f"a word is negative or has a point >= v = {length}") from None
+    if length % 64 and (rows[:, -1] >> np.uint64(length % 64)).any():
+        raise ValueError(f"a word has a point >= v = {length}")
+    return rows
+
+
+def row_weights(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Weight of each packed row, summed in uint64: bitwise_count alone
+    gives uint8, which wraps at weight 256.
+
+    out, a uint64 array of the shape of rows, takes the limb counts, and
+    the weights are summed into its column 0.
+    """
+    limbs = np.bitwise_count(rows, out=out)
+    sizes = limbs[:, 0] if out is not None else limbs[:, 0].astype(np.uint64)
+    # one column add per limb: a reduction along the short axis is slower
+    for j in range(1, rows.shape[1]):
+        sizes += limbs[:, j]
+    return sizes
 
 
 def _unpack_row(word: int, length: int) -> np.ndarray:
@@ -279,17 +310,18 @@ def _unpack_row(word: int, length: int) -> np.ndarray:
     return np.unpackbits(raw, count=length, bitorder="little")
 
 
-def _low_table(basis_low: list[int], n_words: int) -> np.ndarray:
+def _low_table(basis_low: list[int], length: int) -> np.ndarray:
     """All 2^kl span words of the low basis slice in index order: row j is
     the packed word of index j, so the table has shape (2^kl, n_words).
 
     Built by doubling: the words whose index has top bit j are the words
     below 2^j XORed with basis row j.
     """
-    table = np.zeros((1 << len(basis_low), n_words), dtype=np.uint64)
-    for j, row in enumerate(basis_low):
+    rows = pack_words(basis_low, length)
+    table = np.zeros((1 << len(basis_low), rows.shape[1]), dtype=np.uint64)
+    for j, row in enumerate(rows):
         half = 1 << j
-        np.bitwise_xor(table[:half], _pack_row(row, n_words), out=table[half : 2 * half])
+        np.bitwise_xor(table[:half], row, out=table[half : 2 * half])
     return table
 
 
@@ -332,8 +364,8 @@ class _SweepTables:
         self.kl = kl
         self.n_words = (length + 63) // 64
         # span words of the low and of the batch rows, one word per row
-        self.low = _low_table(basis[:kl], self.n_words)
-        self.offsets = _low_table(basis[kl:kb], self.n_words)
+        self.low = _low_table(basis[:kl], length)
+        self.offsets = _low_table(basis[kl:kb], length)
         self.high = basis[kb:]
         cols = np.zeros(length, dtype=np.intp)
         for j, row in enumerate(basis[:kb]):
@@ -442,7 +474,7 @@ class _TransformStep:
         np.equal(self.centred, np.float32(weight - tb.length / 2), out=self.mask)
         count = int(np.count_nonzero(self.mask))
         if not self.high_ready:
-            np.bitwise_xor(tb.offsets, _pack_row(self.base, tb.n_words), out=self.high_words)
+            np.bitwise_xor(tb.offsets, pack_words([self.base], tb.length), out=self.high_words)
             self.high_ready = True
         # indices into buffers allocated up front: a worker thread's own
         # allocations fragment its malloc arena between the kept rows
@@ -456,12 +488,7 @@ class _TransformStep:
         limbs = self.limbs[:count]
         np.take(self.high_words, high, axis=0, out=limbs, mode="clip")
         rows ^= limbs
-        np.bitwise_count(rows, out=limbs)
-        # one column add per limb: a reduction along the short axis is slower
-        sizes = limbs[:, 0]
-        for j in range(1, tb.n_words):
-            sizes += limbs[:, j]
-        np.equal(sizes, weight, out=self.mask[:count])
+        np.equal(row_weights(rows, out=limbs), weight, out=self.mask[:count])
         require(bool(self.mask[:count].all()), f"a word gathered for weight {weight} has another weight")
         return rows
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codebuild import CodeSpec, generator_basis, membership_test, reduce_rows
+from .codebuild import CodeSpec, generator_basis, membership_test, pack_words, reduce_rows
 from .gf2m import Field
 
 
@@ -49,8 +49,6 @@ def orbit_invariant_basis(field: Field, basis: list[int]) -> bool:
     the images of the basis words decide the whole span.
     """
     q = field.q
-    if any(row < 0 or row.bit_length() > q for row in basis):
-        raise ValueError("basis word longer than the field size")
     reduced = reduce_rows(basis)
 
     elems = field.elements_in_order()
@@ -59,8 +57,9 @@ def orbit_invariant_basis(field: Field, basis: list[int]) -> bool:
     scale = index[field.scalar_mul_vec(field.alpha_pow(1), elems)]
     shift = index[elems ^ 1]
 
-    raw = b"".join(row.to_bytes(q // 8, "little") for row in reduced)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little").reshape(len(reduced), q)
+    # the reduced rows span the words of basis: pack_words rejects them
+    # exactly when a basis word is negative or longer than q
+    bits = np.unpackbits(pack_words(reduced, q).view(np.uint8), axis=1, count=q, bitorder="little")
     image = np.empty_like(bits)
     for target in (scale, shift):
         image[:, target] = bits

@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .checks import require
 from .codebuild import (
     CodeSpec,
-    TooLarge,
     build_codeword,
     cyclic_generator_basis,
     weight_histogram,
@@ -274,30 +271,6 @@ def exp_sum(field: Field, a: int, b: int, c: int) -> int:
     """S(a,b,c) = sum over all x of (-1)^tr(a*x^5 + b*x^3 + c*x), exactly:
     q minus twice the weight of the c1 word at (a, b, c)."""
     return field.q - 2 * build_codeword(CodeSpec("c1", field.s), field, a, b, c).bit_count()
-
-
-def exp_sum_grid(field: Field) -> np.ndarray:
-    """S(a,b,c) for every coefficient triple, indexed by element value (m <= 6)."""
-    if field.m > 6:
-        raise TooLarge(f"full S grid needs q^3 entries; m={field.m} is too big")
-    q = field.q
-    xs = field.elements_in_order()
-    x5 = field.power_table(5)
-    x3 = field.power_table(3)
-    # char[c, x] = (-1)^tr(c*x)
-    prod = np.zeros((q, q), dtype=np.int64)
-    for cval in range(1, q):
-        prod[cval] = field.scalar_mul_vec(cval, xs)
-    char = (1 - 2 * field.trace_np[prod].astype(np.int32)).astype(np.int32)
-    grid = np.empty((q, q, q), dtype=np.int32)
-    b_rows = np.zeros((q, q), dtype=np.int64)
-    for bval in range(1, q):
-        b_rows[bval] = field.scalar_mul_vec(bval, x3)
-    for aval in range(q):
-        base = field.scalar_mul_vec(aval, x5)
-        signs = (1 - 2 * field.trace_np[base[None, :] ^ b_rows].astype(np.int32)).astype(np.int32)
-        grid[aval] = signs @ char.T
-    return grid
 
 
 def weight_from_sum(s_value: int, s: int) -> int:

@@ -51,6 +51,20 @@ def test_weights_closed_form_inapplicable(capsys):
     assert code == 2 and "InapplicableParameters" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "c2", "--s", "5", "--l", "1", "--cyclic", "--closed-form"),
+    ("--family", "c1", "--s", "2", "--closed-form"),
+])
+def test_weights_closed_form_rejected_before_the_sweep(capsys, monkeypatch, argv):
+    import designforge.spectrum as spectrum
+
+    swept = []
+    monkeypatch.setattr(spectrum, "weight_histogram", lambda *args, **kwargs: swept.append(args))
+    code, out, err = run_cli(capsys, "weights", *argv)
+    assert code == 2 and out == "" and "InapplicableParameters" in err
+    assert swept == []
+
+
 def test_weights_c2_enumerator(capsys):
     code, out, _ = run_cli(capsys, "weights", "--family", "c2", "--s", "2", "--l", "1")
     assert code == 0

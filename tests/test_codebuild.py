@@ -312,7 +312,7 @@ def test_sweep_ranges_capped_by_cores(monkeypatch):
 
 def test_low_table_index_order(f8):
     basis = generator_basis(CodeSpec("c1", 4), f8)[:9]
-    table = _low_table(basis, 4)
+    table = _low_table(basis, 256)
     assert table.shape == (512, 4)  # row j is the word of index j
     assert packed_rows_to_ints(table) == list(enumerate_span(basis))
 

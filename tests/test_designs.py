@@ -151,6 +151,13 @@ def test_verify_rejects_mixed_sizes():
     # equal sizes spread over every limb are one class
     blocks = [0b111 | 1 << 70 | 1 << 255, 0b1011 | 1 << 140 | 1 << 200]
     assert verify_t_design(blocks, 256, 2).k == 5
+    # sizes past 255, where 8-bit limb counts would wrap: 300 and 556
+    # points agree modulo 256
+    block = (1 << 300) - 1
+    assert verify_t_design([block, block << 700], 1024, 2).k == 300
+    for other in ((1 << 301) - 1, (1 << 556) - 1):
+        with pytest.raises(ValueError, match="unequal size"):
+            verify_t_design([block, other], 1024, 2)
 
 
 def test_verify_rejects_points_outside_v():
@@ -311,9 +318,9 @@ def test_swept_rows_are_the_extended_classes(spec_args, f4, f6, monkeypatch):
     served = {}
     blocks = designs.blocks_of_weight
 
-    def spy(spec, field, weight, expected_count=None, h0_rows=None, h0=None):
+    def spy(spec, field, weight, h0_rows=None, h0=None):
         kept = h0_rows is not None and {weight, spec.length - weight} <= h0_rows.keys()
-        words = list(blocks(spec, field, weight, expected_count, h0_rows, h0))
+        words = list(blocks(spec, field, weight, h0_rows, h0))
         served[weight] = words if kept else None
         return iter(words)
 
@@ -427,5 +434,20 @@ def test_block_count_mismatch_is_a_failed_check(f6):
     spec = CodeSpec("c1", 3)
     with pytest.raises(CheckFailed):
         verify_t_design(blocks_of_weight(spec, f6, 16), 64, 2, expected_b=253)
-    with pytest.raises(CheckFailed):
-        list(blocks_of_weight(spec, f6, 16, expected_count=251))
+
+
+def test_lost_block_fails_the_count_guard(capsys, monkeypatch):
+    # a stream that loses one block of a class fails the report's one count
+    # guard, which the CLI maps to exit 1
+    blocks = designs.blocks_of_weight
+
+    def lossy(*args, **kwargs):
+        stream = blocks(*args, **kwargs)
+        next(stream)
+        return stream
+
+    monkeypatch.setattr(designs, "blocks_of_weight", lossy)
+    code = main(["designs", "--family", "c1", "--s", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "CheckFailed: weight 4: streamed 139 blocks, expected 140" in captured.err

@@ -132,6 +132,12 @@ def test_affine_orbit_negative(f4):
     assert not orbit_invariant_basis(f4, [1, (1 << 16) - 1])
 
 
+def test_orbit_check_rejects_words_outside_the_field(f4, f6):
+    for field, bad in ((f4, 1 << 16), (f4, -1), (f6, 1 << 64), (f6, -3)):
+        with pytest.raises(ValueError, match="point >= v"):
+            orbit_invariant_basis(field, [0b110, bad])
+
+
 def test_affine_orbit_m8(f8):
     for spec in (CodeSpec("c1", 4), CodeSpec("c2", 4, 1), CodeSpec("c2", 4, 3)):
         assert affine_orbit_check(spec, f8)

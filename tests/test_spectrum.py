@@ -14,7 +14,6 @@ from designforge import (
     WeightCollision,
     WeightDistribution,
     ZeroForm,
-    build_codeword,
     closed_form_c1,
     closed_form_c2_cyclic,
     closed_form_c2_extended,
@@ -28,7 +27,7 @@ from designforge import (
     weight_from_sum,
 )
 from designforge.codebuild import weight_histogram
-from designforge.spectrum import _as_count, exp_sum_grid
+from designforge.spectrum import _as_count
 from ref_gf2 import ref_exp_sum
 
 M4_ENUMERATOR = {0: 1, 4: 140, 6: 448, 8: 870, 10: 448, 12: 140, 16: 1}
@@ -158,15 +157,6 @@ def test_exp_sum_against_reference(f4):
                 assert exp_sum(f4, a, b, c) == ref_exp_sum(a, b, c, f4.poly, 4)
 
 
-def test_exp_sum_grid(f4, f6):
-    grid = exp_sum_grid(f4)
-    for a, b, c in [(1, 0, 0), (3, 7, 9), (0, 0, 5), (15, 15, 15)]:
-        assert grid[a, b, c] == exp_sum(f4, a, b, c)
-    grid6 = exp_sum_grid(f6)
-    for a, b, c in [(1, 2, 3), (63, 0, 1), (0, 17, 40)]:
-        assert grid6[a, b, c] == exp_sum(f6, a, b, c)
-
-
 def test_quadform_examples(f6, f8):
     p = quadform_rank(f8, 1, 0)
     assert (p.kernel_size, p.rank) == (16, 4)  # kernel is the GF(16) subfield
@@ -187,13 +177,12 @@ def test_quadform_rank_range_exhaustive(f4):
 
 
 def test_exp_sum_value_set_m4(f4):
-    grid = exp_sum_grid(f4)
     for a in range(16):
         for b in range(16):
             if (a, b) == (0, 0):
                 continue
             mag = 1 << (4 - quadform_rank(f4, a, b).rank // 2)
-            assert {int(v) for v in grid[a, b]} <= {0, mag, -mag}
+            assert {exp_sum(f4, a, b, c) for c in range(16)} <= {0, mag, -mag}
 
 
 def test_weight_from_sum(f4):
@@ -202,15 +191,6 @@ def test_weight_from_sum(f4):
     assert weight_from_sum(16, 2) == 0  # the all-x-plus-one case S = q
     with pytest.raises(OddSum):
         weight_from_sum(3, 2)
-
-
-def test_weight_agreement_m4(f4):
-    grid = exp_sum_grid(f4)
-    for a in range(16):
-        for b in range(16):
-            for c in range(16):
-                w = (build_codeword(CodeSpec("c1", 2), f4, a, b, c) >> 1).bit_count()
-                assert w == weight_from_sum(int(grid[a, b, c]), 2)
 
 
 def test_pless_cyclic_c1_s3(f6):
