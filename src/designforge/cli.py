@@ -5,6 +5,10 @@ on stdout (JSON by default, CSV via --format csv) and diagnostics on
 stderr.  Exit codes: 0 success / all verified, 1 verification mismatch or
 failed internal check, 2 invalid parameters.  Identical inputs give
 byte-identical JSON no matter how many worker threads run the enumeration.
+
+Each `cmd_*` computes and returns a Result, or, for --export-blocks, a lazy
+stream of block lines; main() is the one writer of stdout and the one map
+from verdicts and errors to exit codes.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ import json
 import os
 import sys
 from functools import cache
+from typing import Iterator, NamedTuple
 
 from . import golden
 from .checks import CheckFailed
-from .codebuild import CodeSpec, TooLarge, cyclic_generator_basis
-from .designs import blocks_of_weight, full_design_report
-from .gf2m import Field, NonPrimitivePolynomial, UnsupportedM
+from .codebuild import CodeSpec, cyclic_generator_basis
+from .designs import EmptyWeightClass, blocks_of_weight, full_design_report
+from .gf2m import Field
 from .invariance import affine_orbit_check, closure_check
 from .polyops import defining_set_of_family, poly_str
 from .spectrum import (
@@ -35,6 +40,15 @@ from .spectrum import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_PARAMS = 2
+
+
+class Result(NamedTuple):
+    """What a command computed: its JSON object, its CSV table, and its verdict."""
+
+    obj: dict
+    header: list[str]
+    rows: list[list]
+    ok: bool = True
 
 
 def _default_threads() -> int:
@@ -53,25 +67,11 @@ def _parse_poly(text: str) -> int:
     return int(text, 16)
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
-
-
-def _emit_csv(rows: list[list], header: list[str]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join("" if x is None else str(x) for x in row))
-
-
 def _spec_from_args(args) -> CodeSpec:
     return CodeSpec(args.family, args.s, getattr(args, "l", None))
 
 
-def _dist_rows(dist: WeightDistribution) -> list[list]:
-    return [[w, dist.entries[w]] for w in dist.weights()]
-
-
-def cmd_field(args) -> int:
+def cmd_field(args) -> Result:
     f = Field(args.m, args.poly)
     obj = {
         "m": f.m,
@@ -82,15 +82,11 @@ def cmd_field(args) -> int:
         "poly_terms": poly_str(f.poly),
         "alpha_order": f.n,
     }
-    if args.format == "csv":
-        _emit_csv([[obj[k] for k in ("m", "s", "q", "n", "poly", "alpha_order")]],
-                  ["m", "s", "q", "n", "poly", "alpha_order"])
-    else:
-        _emit(obj)
-    return EXIT_OK
+    header = ["m", "s", "q", "n", "poly", "alpha_order"]
+    return Result(obj, header, [[obj[k] for k in header]])
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args) -> Result:
     spec = _spec_from_args(args)
     f = Field(spec.m, args.poly)
     # a closed form that cannot be compared is rejected before the sweep
@@ -112,30 +108,24 @@ def cmd_weights(args) -> int:
         "distribution": dist.to_json_obj(),
         "closed_form_match": match,
     }
-    if args.format == "csv":
-        _emit_csv(_dist_rows(dist), ["w", "count"])
-    else:
-        _emit(obj)
     if match is False:
         print("closed form disagrees with enumeration", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return Result(obj, ["w", "count"], [[w, dist.entries[w]] for w in dist.weights()],
+                  ok=match is not False)
 
 
-def cmd_designs(args) -> int:
+def cmd_designs(args) -> Result | Iterator[str]:
     spec = _spec_from_args(args)
     f = Field(spec.m, args.poly)
     if args.export_blocks:
         if args.weight is None:
             raise InapplicableParameters("--export-blocks needs --weight")
-        for mask in blocks_of_weight(spec, f, args.weight):
-            support = []
-            while mask:
-                low = mask & -mask
-                support.append(low.bit_length() - 1)
-                mask ^= low
-            print(" ".join(map(str, support)))
-        return EXIT_OK
+        # the report's bound: weight 0 and the full support are trivial classes
+        if not 0 < args.weight < spec.length:
+            raise EmptyWeightClass(f"no nontrivial class at weights [{args.weight}]")
+        # each block as its support, lazily: main prints one line per block
+        return (" ".join(str(i) for i, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1")
+                for mask in blocks_of_weight(spec, f, args.weight))
     weights = [args.weight] if args.weight is not None else None
     reports = full_design_report(
         spec, f, t=args.t, threads=args.threads, exhaustive=args.exhaustive, weights=weights
@@ -151,18 +141,14 @@ def cmd_designs(args) -> int:
         "v": spec.length,
         "reports": [r.to_json_obj() for r in reports],
     }
-    if args.format == "csv":
-        rows = [[r.t, r.v, r.k, r.b, r.lam, r.verified, r.theorem_lambda, r.match,
-                 r.skipped] for r in reports]
-        _emit_csv(rows, ["t", "v", "k", "b", "lambda", "verified", "theorem_lambda", "match", "skipped"])
-    else:
-        _emit(obj)
-    active = [r for r in reports if not r.skipped]
-    ok = all(r.verified and r.match in (True, None) for r in active)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    rows = [[r.t, r.v, r.k, r.b, r.lam, r.verified, r.theorem_lambda, r.match, r.skipped]
+            for r in reports]
+    ok = all(r.verified and r.match in (True, None) for r in reports if not r.skipped)
+    header = ["t", "v", "k", "b", "lambda", "verified", "theorem_lambda", "match", "skipped"]
+    return Result(obj, header, rows, ok=ok)
 
 
-def cmd_invariance(args) -> int:
+def cmd_invariance(args) -> Result:
     spec = _spec_from_args(args)
     closed, witness = closure_check(set(defining_set_of_family(spec)), spec.m)
     orbit_invariant = affine_orbit_check(spec, Field(spec.m, args.poly))
@@ -173,16 +159,12 @@ def cmd_invariance(args) -> int:
         "orbit_invariant": orbit_invariant,
         "dual_inherits": closed,
     }
-    if args.format == "csv":
-        wit_csv = "" if witness is None else f"{witness[0]};{witness[1]}"
-        _emit_csv([[closed, wit_csv, True, orbit_invariant]],
-                  ["closure", "witness", "orbit_checked", "orbit_invariant"])
-    else:
-        _emit(obj)
-    return EXIT_OK if closed and orbit_invariant else EXIT_MISMATCH
+    wit_csv = "" if witness is None else f"{witness[0]};{witness[1]}"
+    return Result(obj, ["closure", "witness", "orbit_checked", "orbit_invariant"],
+                  [[closed, wit_csv, True, orbit_invariant]], ok=closed and orbit_invariant)
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> Result:
     if args.poly is not None:
         raise InapplicableParameters(
             "reproduce runs the built-in polynomial of each m it covers (4, 6, 8); drop --poly"
@@ -221,12 +203,8 @@ def cmd_reproduce(args) -> int:
             code = f"[{n}, {k}]"
         results.append({"example": ex_id, "code": code, "match": match})
     all_match = all(r["match"] for r in results)
-    if args.format == "csv":
-        _emit_csv([[r["example"], r["code"], r["match"]] for r in results],
-                  ["example", "code", "match"])
-    else:
-        _emit({"results": results, "all_match": all_match})
-    return EXIT_OK if all_match else EXIT_MISMATCH
+    return Result({"results": results, "all_match": all_match}, ["example", "code", "match"],
+                  [[r["example"], r["code"], r["match"]] for r in results], ok=all_match)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only code that writes stdout or picks the exit code."""
+    args = build_parser().parse_args(argv)
     try:
         if args.threads is None:
             args.threads = _default_threads()
@@ -292,8 +270,19 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(
                 f"threads must be >= 1 (--threads or DESIGN_FORGE_THREADS), got {args.threads}"
             )
-        return args.func(args)
-    except (UnsupportedM, NonPrimitivePolynomial, InapplicableParameters, TooLarge, ValueError) as exc:
+        result = args.func(args)
+        if not isinstance(result, Result):  # --export-blocks: a stream of block lines
+            for line in result:
+                print(line)
+            return EXIT_OK
+        if args.format == "csv":
+            print(",".join(result.header))
+            for row in result.rows:
+                print(",".join("" if x is None else str(x) for x in row))
+        else:
+            print(json.dumps(result.obj, sort_keys=True))
+        return EXIT_OK if result.ok else EXIT_MISMATCH
+    except ValueError as exc:  # UnsupportedM, InapplicableParameters, TooLarge, ... subclass it
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except CheckFailed as exc:

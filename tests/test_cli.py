@@ -86,6 +86,60 @@ def test_weights_csv(capsys):
     assert lines[1] == "0,1" and lines[2] == "4,140"
 
 
+# Exact stdout and exit code: the CSV tables no other test pins, and the
+# exit-1 verdict of an unverified t = 3 class, whose CSV row leaves lambda
+# and theorem_lambda empty and spells its booleans True/False.
+PINNED_OUTPUT = [
+    (("field", "--m", "4", "--format", "csv"), 0, "m,s,q,n,poly,alpha_order\n4,2,16,15,0x13,15\n"),
+    (("invariance", "--family", "c2", "--s", "3", "--l", "2", "--format", "csv"), 0,
+     "closure,witness,orbit_checked,orbit_invariant\nTrue,,True,True\n"),
+    (("designs", "--family", "c1", "--s", "3", "--weight", "16", "--format", "csv"), 0,
+     "t,v,k,b,lambda,verified,theorem_lambda,match,skipped\n2,64,16,252,15,True,15,True,False\n"),
+    (("designs", "--family", "c2", "--s", "3", "--l", "1", "--t", "3", "--weight", "16",
+      "--format", "csv"), 1,
+     "t,v,k,b,lambda,verified,theorem_lambda,match,skipped\n3,64,16,84,,False,,,False\n"),
+    (("designs", "--family", "c2", "--s", "3", "--l", "1", "--t", "3", "--weight", "16"), 1,
+     '{"family": "c2", "l": 1, "reports": [{"b": "84", "k": 16, "lambda": null, "match": null, '
+     '"t": 3, "theorem_lambda": null, "v": 64, "verified": false}], "s": 3, "t": 3, "v": 64}\n'),
+]
+
+
+@pytest.mark.parametrize(("argv", "rc", "stdout"), PINNED_OUTPUT)
+def test_output_is_pinned(capsys, argv, rc, stdout):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (rc, stdout, "")
+
+
+def test_weights_closed_form_mismatch_exits_1(capsys, monkeypatch):
+    import dataclasses
+
+    import designforge.cli as cli
+
+    table = cli.closed_form(cli.CodeSpec("c1", 3))
+    perturbed = dataclasses.replace(table, entries={**table.entries, 16: table.entries[16] + 1})
+    monkeypatch.setattr(cli, "closed_form", lambda spec: perturbed)
+    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "3", "--closed-form")
+    assert code == 1
+    assert json.loads(out)["closed_form_match"] is False
+    assert err == "closed form disagrees with enumeration\n"
+
+
+def test_designs_gate_notice_goes_to_stderr_only(capsys, monkeypatch):
+    import designforge.designs as designs
+
+    monkeypatch.setattr(designs, "COST_GATE", 3 * 10**5)
+    code, out, err = run_cli(capsys, "designs", "--family", "c1", "--s", "3")
+    assert code == 0
+    # weights 16 and 48 (252 blocks, 252*C(k, 2) increments) stay under the gate
+    skipped = [r["k"] for r in json.loads(out)["reports"] if r.get("skipped")]
+    assert skipped == [24, 28, 32, 36, 40]
+    assert "rerun with --exhaustive" not in out
+    assert err.splitlines() == [
+        f"weight {k}: skipped ({b} blocks; rerun with --exhaustive)"
+        for k, b in ((24, 37632), (28, 107520), (32, 233478), (36, 107520), (40, 37632))
+    ]
+
+
 def test_designs_command(capsys):
     code, out, _ = run_cli(capsys, "designs", "--family", "c1", "--s", "3", "--t", "2")
     assert code == 0
@@ -110,6 +164,41 @@ def test_designs_export_blocks(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 140
     assert all(len(line.split()) == 4 for line in lines)
+
+
+@pytest.mark.parametrize("weight", ["0", "16", "-2", "18"])
+def test_export_blocks_rejects_trivial_and_out_of_range_weights(capsys, monkeypatch, weight):
+    import designforge.designs as designs
+
+    streamed = []
+    monkeypatch.setattr(designs, "stream_weight_class", lambda *args: streamed.append(args) or iter(()))
+    code, out, err = run_cli(
+        capsys, "designs", "--family", "c1", "--s", "2", "--weight", weight, "--export-blocks"
+    )
+    assert code == 2 and out == ""
+    assert err == f"EmptyWeightClass: no nontrivial class at weights [{weight}]\n"
+    assert streamed == []
+
+
+def test_export_blocks_is_a_lazy_stream(monkeypatch):
+    import designforge.designs as designs
+    from designforge.cli import build_parser, cmd_designs
+
+    original = designs.stream_weight_class
+    streamed = []
+
+    def spy(basis, length, weight):  # records a stream when its first chunk is asked for
+        streamed.append(weight)
+        yield from original(basis, length, weight)
+
+    monkeypatch.setattr(designs, "stream_weight_class", spy)
+    args = build_parser().parse_args(
+        ["designs", "--family", "c1", "--s", "2", "--weight", "4", "--export-blocks"]
+    )
+    lines = cmd_designs(args)
+    assert streamed == []
+    assert next(lines) == "1 11 13 15"
+    assert streamed == [4]
 
 
 def test_invariance_command(capsys):
