@@ -133,6 +133,10 @@ def cmd_designs(args) -> Result | Iterator[str]:
     for r in reports:
         if r.skipped:
             print(f"weight {r.k}: skipped ({r.b} blocks; rerun with --exhaustive)", file=sys.stderr)
+        elif not r.verified:
+            (*first, n_first), (*other, n_other) = r.witness
+            print(f"weight {r.k}: not a {r.t}-design: {tuple(first)} is in {n_first} of the "
+                  f"blocks, {tuple(other)} in {n_other}", file=sys.stderr)
     obj = {
         "family": spec.family,
         "s": spec.s,

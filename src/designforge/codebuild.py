@@ -17,9 +17,11 @@ build_codeword(spec, field, a, b, c) >> 1, and its reduced basis is the
 reduced basis of the h = 0 words shifted the same way.
 
 Enumeration of a full code walks the span of a row-reduced basis in
-lexicographic order of the coefficient index; the index space can be cut
-into disjoint ranges so independent workers each sweep a slice and merge
-additively, which keeps every result independent of worker count.
+lexicographic order of the coefficient index, its words held only as
+packed uint64 rows; workers sweep disjoint slices of the high span table
+and merge additively, so every result is independent of worker count.
+pack_words, packed_rows_to_ints, unpack_rows, bits_to_ints and row_weights
+are the only code that knows the bit layout.
 
 The sweep never builds a word to weigh it.  The weight of the word at
 index c is (length - S(c))/2 with S(c) = sum_i (-1)^(c . g_i), where g_i
@@ -30,8 +32,8 @@ float32, exact for lengths below 2^24, as three stacked products with
 Sylvester matrices of order at most 64.  Each worker counts a batch by
 comparing the transform with the weights it has already seen, and
 recounts with bincount only a batch those leave short.  Only the words
-of a class that is kept or streamed are built, from a packed table of
-the low rows' span.
+of a class that is kept or streamed are built, from the packed tables of
+the low and batch rows' spans and the batch's high word.
 """
 
 from __future__ import annotations
@@ -133,10 +135,6 @@ class CodeSpec:
         return f"c2(s={self.s}, l={self.l})"
 
 
-def _pack_bits(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 # -- the trace-form evaluator -------------------------------------------------
 
 
@@ -157,7 +155,7 @@ def build_codeword(spec: CodeSpec, field: Field, a: int, b: int, c: int, h: int 
     v = field.scalar_mul_vec(b, field.power_table(e_b))
     v ^= field.scalar_mul_vec(c, field.elements_in_order())
     bits = trace_a[field.scalar_mul_vec(a, field.power_table(e_a))] ^ field.trace_np[v]
-    return _pack_bits(bits ^ (h & 1))
+    return bits_to_ints(bits[None] ^ (h & 1))[0]
 
 
 # -- GF(2) row space machinery ------------------------------------------------
@@ -231,37 +229,21 @@ def cyclic_generator_basis(spec: CodeSpec, field: Field) -> list[int]:
 # -- span enumeration ---------------------------------------------------------
 
 
-def _span_word_at(basis: list[int], index: int) -> int:
-    out = 0
-    j = 0
-    while index:
-        if index & 1:
-            out ^= basis[j]
-        index >>= 1
-        j += 1
-    return out
-
-
-def enumerate_span(basis: list[int], start: int = 0, stop: int | None = None) -> Iterator[int]:
-    """Yield span words for coefficient indices [start, stop) in index order.
+def enumerate_span(basis: list[int]) -> Iterator[int]:
+    """Yield every span word as an int in index order: the reference the
+    sweep is tested against.
 
     Incrementing the index from i-1 to i flips exactly the trailing bits
     through bit ctz(i), so each step XORs one prefix of the basis.
     """
-    k = len(basis)
-    total = 1 << k
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start}, {stop}) for 2^{k} words")
     prefix = []
     acc = 0
     for row in basis:
         acc ^= row
         prefix.append(acc)
-    w = _span_word_at(basis, start)
-    for i in range(start, stop):
-        if i > start:
+    w = 0
+    for i in range(1 << len(basis)):
+        if i:
             w ^= prefix[((i ^ (i - 1)).bit_length()) - 1]
         yield w
 
@@ -304,21 +286,27 @@ def row_weights(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return sizes
 
 
-def _unpack_row(word: int, length: int) -> np.ndarray:
-    """Bits 0..length-1 of word as a uint8 array."""
-    raw = np.frombuffer(word.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=length, bitorder="little")
+def unpack_rows(rows: np.ndarray, length: int) -> np.ndarray:
+    """Packed uint64 rows (or one row) as 0/1 uint8 incidence rows: entry
+    i of a row is bit i of its word."""
+    return np.unpackbits(rows.view(np.uint8), axis=-1, count=length, bitorder="little")
 
 
-def _low_table(basis_low: list[int], length: int) -> np.ndarray:
-    """All 2^kl span words of the low basis slice in index order: row j is
-    the packed word of index j, so the table has shape (2^kl, n_words).
+def bits_to_ints(bits: np.ndarray) -> list[int]:
+    """0/1 incidence rows as int bitmasks (bit i = entry i)."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _span_table(basis: list[int], length: int) -> np.ndarray:
+    """All 2^k span words of basis in index order: row j is the packed word
+    of index j, so the table has shape (2^k, n_words).
 
     Built by doubling: the words whose index has top bit j are the words
     below 2^j XORed with basis row j.
     """
-    rows = pack_words(basis_low, length)
-    table = np.zeros((1 << len(basis_low), rows.shape[1]), dtype=np.uint64)
+    rows = pack_words(basis, length)
+    table = np.zeros((1 << len(basis), rows.shape[1]), dtype=np.uint64)
     for j, row in enumerate(rows):
         half = 1 << j
         np.bitwise_xor(table[:half], row, out=table[half : 2 * half])
@@ -346,8 +334,10 @@ class _SweepTables:
     The basis splits into kl = min(k, _LOW_BITS) low rows, then up to
     _BATCH_BITS batch rows, then the high rows.  With kb low and batch
     rows, batch j covers the 2^kb indices from j * 2^kb: its word at local
-    index c is base ^ low[c], where base is the span word of the high rows
-    at index j and low[c] the span word of the first kb rows at c.
+    index c is base ^ low[c], where base = high[j] is the span word of the
+    high rows at index j and low[c] the span word of the first kb rows at
+    c.  The high table has 2^(k - kb) <= 2^(MAX_ENUM_DIM - 16) = 1024 rows
+    (64 KB for the 512 rows of length 1023 in the c2(5, 1) sweep).
 
     Bit i of low[c] is the parity of c & col[i], where col[i] is the kb-bit
     column of the first kb rows at coordinate i.  So with b_i = bit i of
@@ -363,13 +353,12 @@ class _SweepTables:
         self.length = length
         self.kl = kl
         self.n_words = (length + 63) // 64
-        # span words of the low and of the batch rows, one word per row
-        self.low = _low_table(basis[:kl], length)
-        self.offsets = _low_table(basis[kl:kb], length)
-        self.high = basis[kb:]
+        self.low = _span_table(basis[:kl], length)
+        self.offsets = _span_table(basis[kl:kb], length)
+        self.high = _span_table(basis[kb:], length)
         cols = np.zeros(length, dtype=np.intp)
-        for j, row in enumerate(basis[:kb]):
-            cols |= _unpack_row(row, length).astype(np.intp) << j
+        for j, row in enumerate(unpack_rows(pack_words(basis[:kb], length), length)):
+            cols |= row.astype(np.intp) << j
         # coordinates sorted by column, so that equal columns sum by reduceat
         self.order = np.argsort(cols, kind="stable")
         cols = cols[self.order]
@@ -407,9 +396,8 @@ class _TransformStep:
         self.second = np.empty(shape, dtype=np.float32)
         self.centred = self.first.reshape(-1)  # weight - length/2, by local index
         self.mask = np.empty(self.counts.size, dtype=bool)
-        self.base = 0
+        self.base = tables.high[0]
         self.high_words = np.empty_like(tables.offsets)
-        self.high_ready = False  # high_words are those of base
         # the weights this worker has seen, most frequent first, with their
         # transform values, and its running count of each
         self.seen: list[tuple[int, np.float32]] = []
@@ -418,13 +406,13 @@ class _TransformStep:
         self.scratch = np.empty((2, self.counts.size), dtype=np.intp)
         self.limbs = np.empty((self.counts.size, tables.n_words), dtype=np.uint64)
 
-    def __call__(self, base: int) -> None:
-        """Transform the batch over base word base into centred.
+    def __call__(self, base: np.ndarray) -> None:
+        """Transform the batch over base, a row of the high table, into centred.
 
         Overwritten by the next call.
         """
         tb = self.tables
-        np.take(_unpack_row(base, tb.length), tb.order, out=self.bits)
+        np.take(unpack_rows(base, tb.length), tb.order, out=self.bits)
         np.subtract(self.bits, np.float32(0.5), out=self.halves)
         np.add.reduceat(self.halves, tb.starts, out=self.sums)
         np.put(self.counts, tb.columns, self.sums)
@@ -433,7 +421,6 @@ class _TransformStep:
         # the batch rows index axis 0: one product per middle index
         np.matmul(tb.h_batch, self.second.transpose(1, 0, 2), out=self.first.transpose(1, 0, 2))
         self.base = base
-        self.high_ready = False
 
     def count(self) -> list[tuple[int, int]]:
         """(weight, count) of every weight of the last batch, added to tally.
@@ -473,9 +460,7 @@ class _TransformStep:
         tb = self.tables
         np.equal(self.centred, np.float32(weight - tb.length / 2), out=self.mask)
         count = int(np.count_nonzero(self.mask))
-        if not self.high_ready:
-            np.bitwise_xor(tb.offsets, pack_words([self.base], tb.length), out=self.high_words)
-            self.high_ready = True
+        np.bitwise_xor(tb.offsets, self.base, out=self.high_words)
         # indices into buffers allocated up front: a worker thread's own
         # allocations fragment its malloc arena between the kept rows
         at, high = self.scratch[0, :count], self.scratch[1, :count]
@@ -513,16 +498,15 @@ def _sweep(
     only after the batch is counted.
     """
     tables = _SweepTables(basis, length)
-    ranges = _sweep_ranges(1 << len(tables.high), threads)
+    ranges = _sweep_ranges(len(tables.high), threads)
     steps = [_TransformStep(tables) for _ in ranges]
     lock = threading.Lock()
     running: dict[int, int] = {}
-    dropped: set[int] = set()
 
     def run(i: int) -> dict[int, list[np.ndarray]]:
         parts: dict[int, list[np.ndarray]] = {}
         step = steps[i]
-        for base in enumerate_span(tables.high, *ranges[i]):
+        for base in tables.high[slice(*ranges[i])]:
             step(base)
             batch = step.count()
             if not caps:
@@ -530,11 +514,10 @@ def _sweep(
             for w, c in batch:
                 if w not in caps:
                     continue
+                # running counts only grow: once past its cap a class stays dropped
                 with lock:
                     running[w] = running.get(w, 0) + c
-                    if running[w] > caps[w]:
-                        dropped.add(w)
-                    live = w not in dropped
+                    live = running[w] <= caps[w]
                 if live:
                     parts.setdefault(w, []).append(step.gather(w))
                 else:
@@ -567,7 +550,7 @@ def weight_histogram(
     are collected during the same sweep, in coefficient-index order, and
     a class is dropped as soon as its count passes its cap; words are
     gathered only once counted, so at most cap rows of it are ever held.
-    Each kept word is built from the low table at its index and checked
+    Each kept word is built from the span tables at its index and checked
     against its weight.  With keep the result is (hist, kept), where kept
     maps every weight that occurs and stays within its cap to a
     (count, n_words) uint64 array of its words.
@@ -588,7 +571,7 @@ def stream_weight_class(basis: list[int], length: int, weight: int) -> Iterator[
     _require_enumerable(basis, length)
     tables = _SweepTables(basis, length)
     step = _TransformStep(tables)
-    for base in enumerate_span(tables.high):
+    for base in tables.high:
         step(base)
         rows = step.gather(weight)
         if len(rows):

@@ -30,6 +30,7 @@ from .codebuild import (
     packed_rows_to_ints,
     row_weights,
     stream_weight_class,
+    unpack_rows,
     weight_histogram,
 )
 from .gf2m import Field
@@ -126,6 +127,8 @@ def blocks_of_weight(
     a codeword, so the stream needs no dedup.
     """
     v = spec.length
+    if weight % 2:  # every word of these extended codes has even weight
+        raise EmptyWeightClass(f"no codeword of weight {weight} in {spec.label()}")
     h0_rows = h0_rows or {}
     if h0 is None and not {weight, v - weight} <= h0_rows.keys():
         h0 = [row << 1 for row in cyclic_generator_basis(spec, field)]
@@ -208,7 +211,7 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
         if not np.all(sizes == k):
             raise ValueError("blocks of unequal size in one weight class")
         b += len(words)
-        vals += _subset_counts(np.unpackbits(words.view(np.uint8), axis=1, count=v, bitorder="little"), t)
+        vals += _subset_counts(unpack_rows(words, v), t)
 
     if b == 0:
         raise EmptyWeightClass("empty block stream")

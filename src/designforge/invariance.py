@@ -14,7 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codebuild import CodeSpec, generator_basis, membership_test, pack_words, reduce_rows
+from .codebuild import (
+    CodeSpec,
+    bits_to_ints,
+    generator_basis,
+    membership_test,
+    pack_words,
+    reduce_rows,
+    unpack_rows,
+)
 from .gf2m import Field
 
 
@@ -59,12 +67,12 @@ def orbit_invariant_basis(field: Field, basis: list[int]) -> bool:
 
     # the reduced rows span the words of basis: pack_words rejects them
     # exactly when a basis word is negative or longer than q
-    bits = np.unpackbits(pack_words(reduced, q).view(np.uint8), axis=1, count=q, bitorder="little")
+    bits = unpack_rows(pack_words(reduced, q), q)
     image = np.empty_like(bits)
     for target in (scale, shift):
         image[:, target] = bits
-        for row in np.packbits(image, axis=1, bitorder="little"):
-            if not membership_test(int.from_bytes(row.tobytes(), "little"), reduced, q):
+        for word in bits_to_ints(image):
+            if not membership_test(word, reduced, q):
                 return False
     return True
 

@@ -104,10 +104,18 @@ PINNED_OUTPUT = [
 ]
 
 
+# The unverified class names its witness on stderr: two t-subsets covered
+# by different numbers of blocks.
+PINNED_STDERR = {
+    argv: "weight 16: not a 3-design: (0, 1, 2) is in 1 of the blocks, (0, 1, 22) in 5\n"
+    for argv, _, _ in PINNED_OUTPUT[3:]
+}
+
+
 @pytest.mark.parametrize(("argv", "rc", "stdout"), PINNED_OUTPUT)
 def test_output_is_pinned(capsys, argv, rc, stdout):
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (rc, stdout, "")
+    assert (code, out, err) == (rc, stdout, PINNED_STDERR.get(argv, ""))
 
 
 def test_weights_closed_form_mismatch_exits_1(capsys, monkeypatch):
@@ -177,6 +185,24 @@ def test_export_blocks_rejects_trivial_and_out_of_range_weights(capsys, monkeypa
     )
     assert code == 2 and out == ""
     assert err == f"EmptyWeightClass: no nontrivial class at weights [{weight}]\n"
+    assert streamed == []
+
+
+def test_export_blocks_rejects_odd_weight_before_streaming(capsys, monkeypatch):
+    import designforge.designs as designs
+
+    streamed = []
+    original = designs.stream_weight_class
+
+    def spy(basis, length, weight):
+        streamed.append(weight)
+        return original(basis, length, weight)
+
+    monkeypatch.setattr(designs, "stream_weight_class", spy)
+    code, out, err = run_cli(
+        capsys, "designs", "--family", "c1", "--s", "2", "--weight", "5", "--export-blocks"
+    )
+    assert (code, out, err) == (2, "", "EmptyWeightClass: no codeword of weight 5 in c1(s=2)\n")
     assert streamed == []
 
 

@@ -7,7 +7,9 @@ from functools import cache, reduce
 from itertools import product
 from operator import xor
 from pathlib import Path
+from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,13 +29,16 @@ from designforge import (
 )
 import designforge.codebuild as codebuild
 from designforge.codebuild import (
-    _low_table,
+    _span_table,
     _sweep_ranges,
+    bits_to_ints,
     cyclic_generator_basis,
     enumerate_span,
+    pack_words,
     packed_rows_to_ints,
     reduce_rows,
     stream_weight_class,
+    unpack_rows,
     weight_histogram,
 )
 
@@ -241,15 +246,6 @@ def test_enumerate_span_lexicographic_order():
         assert w == expect
 
 
-def test_enumerate_span_partitions():
-    basis = [0b0001, 0b0110, 0b1010, 0b10000]
-    full = list(enumerate_span(basis))
-    pieces = []
-    for lo, hi in [(0, 5), (5, 6), (6, 16)]:
-        pieces.extend(enumerate_span(basis, lo, hi))
-    assert pieces == full
-
-
 def test_weight_histogram_matches_python_enumeration(f4):
     spec = CodeSpec("c2", 2, 1)
     basis = generator_basis(spec, f4)
@@ -312,9 +308,23 @@ def test_sweep_ranges_capped_by_cores(monkeypatch):
 
 def test_low_table_index_order(f8):
     basis = generator_basis(CodeSpec("c1", 4), f8)[:9]
-    table = _low_table(basis, 256)
+    table = _span_table(basis, 256)
     assert table.shape == (512, 4)  # row j is the word of index j
     assert packed_rows_to_ints(table) == list(enumerate_span(basis))
+
+
+@pytest.mark.parametrize("length", [16, 63, 64, 65, 255, 256, 1023, 1024])
+def test_incidence_rows_round_trip(length):
+    words = [0, 1, 1 << (length - 1), (1 << length) - 1, Random(length).getrandbits(length)]
+    rows = pack_words(words, length)
+    bits = unpack_rows(rows, length)
+    assert bits.shape == (len(words), length) and bits.dtype == np.uint8
+    assert [[i for i in range(length) if b[i]] for b in bits] == [
+        [i for i in range(length) if (w >> i) & 1] for w in words
+    ]
+    assert bits_to_ints(bits) == words == packed_rows_to_ints(rows)
+    # one packed row unpacks to one incidence row
+    assert np.array_equal(unpack_rows(rows[3], length), bits[3])
 
 
 def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):
