@@ -396,6 +396,7 @@ class _TransformStep:
         self.second = np.empty(shape, dtype=np.float32)
         self.centred = self.first.reshape(-1)  # weight - length/2, by local index
         self.mask = np.empty(self.counts.size, dtype=bool)
+        self.hit = np.empty(self.counts.size, dtype=bool)
         self.base = tables.high[0]
         self.high_words = np.empty_like(tables.offsets)
         # the weights this worker has seen, most frequent first, with their
@@ -454,11 +455,20 @@ class _TransformStep:
             self.seen = [(w, np.float32(w - length / 2)) for w, _ in self.tally.most_common()]
         return found
 
-    def gather(self, weight: int) -> np.ndarray:
-        """(count, n_words) packed words of the last batch with the given
-        weight, in index order, each checked against that weight."""
+    def _mark(self, values: np.ndarray, targets: list) -> None:
+        """Set mask[:len(values)] where a value equals one of targets."""
+        mask, hit = self.mask[: len(values)], self.hit[: len(values)]
+        np.equal(values, targets[0], out=mask)
+        for target in targets[1:]:
+            np.equal(values, target, out=hit)
+            mask |= hit
+
+    def gather(self, weights: tuple[int, ...]) -> np.ndarray:
+        """(count, n_words) packed words of the last batch whose weight is
+        listed in weights, in index order, each checked against them."""
         tb = self.tables
-        np.equal(self.centred, np.float32(weight - tb.length / 2), out=self.mask)
+        listed = sorted(set(weights))
+        self._mark(self.centred, [np.float32(w - tb.length / 2) for w in listed])
         count = int(np.count_nonzero(self.mask))
         np.bitwise_xor(tb.offsets, self.base, out=self.high_words)
         # indices into buffers allocated up front: a worker thread's own
@@ -473,8 +483,8 @@ class _TransformStep:
         limbs = self.limbs[:count]
         np.take(self.high_words, high, axis=0, out=limbs, mode="clip")
         rows ^= limbs
-        np.equal(row_weights(rows, out=limbs), weight, out=self.mask[:count])
-        require(bool(self.mask[:count].all()), f"a word gathered for weight {weight} has another weight")
+        self._mark(row_weights(rows, out=limbs), listed)
+        require(bool(self.mask[:count].all()), f"a word gathered for weights {listed} has another weight")
         return rows
 
 
@@ -485,43 +495,58 @@ def _require_enumerable(basis: list[int], length: int) -> None:
         raise TooLarge(f"length {length} is not below 2^24, where float32 sums stop being exact")
 
 
-def _sweep(
-    basis: list[int], length: int, threads: int, caps: dict[int, int]
-) -> tuple[dict[int, int], dict[int, list[np.ndarray]]]:
-    """Weight counts over the span of basis, and the words of each capped weight.
+def weight_histogram(
+    basis: list[int], length: int, threads: int = 1, keep: dict[tuple[int, ...], int] | None = None
+) -> dict[int, int] | tuple[dict[int, int], dict[tuple[int, ...], list[np.ndarray]]]:
+    """Exact weight -> count map over the full span of a reduced basis, by
+    increasing weight.
 
-    The first result maps each weight that occurs to its count, by
-    increasing weight.  The second maps a weight to its (count, n_words)
-    word chunks in index order.  Each capped weight has a running count,
-    shared by the workers under a lock; its words are dropped as soon as
-    the count passes its cap, and a batch's words of a weight are gathered
-    only after the batch is counted.
+    The weights of every 2^16 consecutive span words come from one
+    Walsh-Hadamard transform of signed column counts (see _SweepTables),
+    with no word built.  Results are identical for any thread count.
+
+    keep maps a group, a tuple of weights, to a cap on its running count,
+    shared by the workers under a lock, to which a word adds once for each
+    time its weight is listed.  The packed rows of every listed weight of
+    a group are collected during the same sweep, in coefficient-index
+    order, and a group is dropped as soon as its count passes its cap;
+    a batch's words are gathered only once counted, so a group never holds
+    more words than its cap.  Each kept word is built from the span tables
+    at its index and checked against the group's weights.  With keep the
+    result is (hist, kept), where kept maps every group whose count is
+    positive and within its cap to the list of (count, n_words) uint64
+    chunks of its words.
     """
+    _require_enumerable(basis, length)
+    caps = keep or {}
     tables = _SweepTables(basis, length)
     ranges = _sweep_ranges(len(tables.high), threads)
     steps = [_TransformStep(tables) for _ in ranges]
     lock = threading.Lock()
-    running: dict[int, int] = {}
+    running: dict[tuple[int, ...], int] = {}
+    groups_of: dict[int, list[tuple[int, ...]]] = {}
+    for group in caps:
+        for w in group:
+            groups_of.setdefault(w, []).append(group)
 
-    def run(i: int) -> dict[int, list[np.ndarray]]:
-        parts: dict[int, list[np.ndarray]] = {}
+    def run(i: int) -> dict[tuple[int, ...], list[np.ndarray]]:
+        parts: dict[tuple[int, ...], list[np.ndarray]] = {}
         step = steps[i]
         for base in tables.high[slice(*ranges[i])]:
             step(base)
-            batch = step.count()
-            if not caps:
-                continue
-            for w, c in batch:
-                if w not in caps:
-                    continue
-                # running counts only grow: once past its cap a class stays dropped
+            added: dict[tuple[int, ...], int] = {}
+            for w, c in step.count():
+                for group in groups_of.get(w, ()):
+                    added[group] = added.get(group, 0) + c
+            for group, c in added.items():
+                # running counts only grow: once past its cap a group stays dropped
                 with lock:
-                    running[w] = running.get(w, 0) + c
-                    live = running[w] <= caps[w]
+                    running[group] = running.get(group, 0) + c
+                    live = running[group] <= caps[group]
                 if live:
-                    parts.setdefault(w, []).append(step.gather(w))
+                    parts.setdefault(group, []).append(step.gather(group))
                 else:
-                    parts.pop(w, None)
+                    parts.pop(group, None)
         return parts
 
     if len(ranges) == 1:
@@ -529,51 +554,25 @@ def _sweep(
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             results = list(pool.map(run, range(len(ranges))))
-    counts = sum((step.tally for step in steps), Counter())
-    chunks: dict[int, list[np.ndarray]] = {}
-    for parts in results:
-        for w, part in parts.items():
-            chunks.setdefault(w, []).extend(part)
-    return dict(sorted(counts.items())), chunks
-
-
-def weight_histogram(
-    basis: list[int], length: int, threads: int = 1, keep: dict[int, int] | None = None
-) -> dict[int, int] | tuple[dict[int, int], dict[int, np.ndarray]]:
-    """Exact weight -> count map over the full span of a reduced basis.
-
-    The weights of every 2^16 consecutive span words come from one
-    Walsh-Hadamard transform of signed column counts (see _SweepTables),
-    with no word built.  Results are identical for any thread count.
-
-    keep maps a weight to a row cap.  The packed rows of each such weight
-    are collected during the same sweep, in coefficient-index order, and
-    a class is dropped as soon as its count passes its cap; words are
-    gathered only once counted, so at most cap rows of it are ever held.
-    Each kept word is built from the span tables at its index and checked
-    against its weight.  With keep the result is (hist, kept), where kept
-    maps every weight that occurs and stays within its cap to a
-    (count, n_words) uint64 array of its words.
-    """
-    _require_enumerable(basis, length)
-    caps = keep or {}
-    hist, chunks = _sweep(basis, length, threads, caps)
+    hist = dict(sorted(sum((step.tally for step in steps), Counter()).items()))
     if keep is None:
         return hist
-    # each class's chunks are freed as soon as they are joined
-    kept = {w: np.concatenate(chunks.pop(w)) for w in sorted(caps) if 0 < hist.get(w, 0) <= caps[w]}
-    return hist, kept
+    chunks: dict[tuple[int, ...], list[np.ndarray]] = {}
+    for parts in results:
+        for group, part in parts.items():
+            chunks.setdefault(group, []).extend(part)
+    return hist, {g: chunks[g] for g in caps if 0 < sum(hist.get(w, 0) for w in g) <= caps[g]}
 
 
-def stream_weight_class(basis: list[int], length: int, weight: int) -> Iterator[np.ndarray]:
-    """Stream all span words of one weight as (count, n_words) packed-uint64
-    chunks, in index order."""
+def stream_weight_class(basis: list[int], length: int, weights: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """Stream the span words of every listed weight as (count, n_words)
+    packed-uint64 chunks, in index order."""
     _require_enumerable(basis, length)
     tables = _SweepTables(basis, length)
     step = _TransformStep(tables)
     for base in tables.high:
         step(base)
-        rows = step.gather(weight)
+        rows = step.gather(weights)
         if len(rows):
             yield rows
 

@@ -1,11 +1,13 @@
 """Brute-force verification of the t-designs held by the code families.
 
-Blocks are codeword supports.  Verification counts, for every t-subset of
-the 2^m points, how many blocks contain it; the weight class is a design
-exactly when that count is one constant lambda.  One kernel counts every
-t-subset in lex order: the pairs are the strict upper triangle of a Gram
-matrix over 0/1 block-incidence chunks, and the t-subsets with least point
-p are the (t-1)-subsets beyond p counted over the blocks that contain p.
+Blocks are codeword supports.  Class w is read off the h = 0 subcode
+alone: its words of weight w, and those of weight v - w complemented.
+Verification counts, for every t-subset of the 2^m points, how many blocks
+contain it; the class is a design exactly when that count is one constant
+lambda.  One kernel counts every t-subset in lex order: the pairs are the
+strict upper triangle of a Gram matrix over 0/1 block-incidence chunks,
+and the t-subsets with least point p are the (t-1)-subsets beyond p
+counted over the blocks that contain p.
 
 Enumerated lambdas are the ground truth; the closed-form lambdas derived
 from the distribution tables are cross-checked against them and mismatches
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from math import comb
 from typing import Iterable, Iterator
 
@@ -50,8 +52,8 @@ COST_GATE = 10**9
 _CHUNK = 8192
 
 
-# Kept rows per chunk in blocks_of_weight: each complement chunk and each
-# chunk's bytes are temporaries, 32 KB at v = 256.
+# H0 rows per slice in blocks_of_weight: each slice's complements and bytes
+# are temporaries, 32 KB at v = 256.
 _ROWS_PER_YIELD = 1024
 
 
@@ -108,42 +110,44 @@ def lambda_from_identity(b: int, k: int, v: int, t: int) -> int:
     return lam
 
 
+def _pair(weight: int, v: int) -> tuple[int, int]:
+    """The H0 weights whose words make up class weight (see blocks_of_weight)."""
+    return min(weight, v - weight), max(weight, v - weight)
+
+
 def blocks_of_weight(
-    spec: CodeSpec,
-    field: Field,
-    weight: int,
-    h0_rows: dict[int, np.ndarray] | None = None,
-    h0: list[int] | None = None,
+    spec: CodeSpec, field: Field, weight: int, chunks: Iterable[np.ndarray] | None = None
 ) -> Iterator[int]:
     """Stream the supports of all weight-i codewords as bitmask ints.
 
     The extended code is its h = 0 subcode H0 plus the complements of H0,
-    so the class is the H0 words of weight i in index order, then the
-    complements of the H0 words of weight v - i in index order.  Each of
-    the two H0 parts is read from h0_rows, the packed (count, n_words) rows
-    a sweep kept by weight (see full_design_report), or else streamed over
-    h0, the H0 basis, built here when not given.  Distinct codewords of a
-    binary code have distinct supports, and span enumeration never repeats
-    a codeword, so the stream needs no dedup.
+    so class i is the H0 words of its pair (min(i, v-i), max(i, v-i)), each
+    of weight v - i complemented.  chunks holds the pair's packed
+    (count, n_words) H0 rows in index order, as a sweep kept them (see
+    full_design_report); by default the pair is streamed over the H0 basis.
+    So block j of class v - i is block j of class i complemented, and class
+    v/2 gives each slice of rows, then their complements.  Distinct
+    codewords of a binary code have distinct supports, and span
+    enumeration never repeats a codeword, so the stream needs no dedup.
     """
     v = spec.length
-    if weight % 2:  # every word of these extended codes has even weight
+    if weight % 2 or not 0 <= weight <= v:  # every word has even weight, at most v
         raise EmptyWeightClass(f"no codeword of weight {weight} in {spec.label()}")
-    h0_rows = h0_rows or {}
-    if h0 is None and not {weight, v - weight} <= h0_rows.keys():
+    if chunks is None:
         h0 = [row << 1 for row in cyclic_generator_basis(spec, field)]
+        chunks = stream_weight_class(h0, v, _pair(weight, v))
     ones = pack_words([(1 << v) - 1], v)
-
-    def part(u: int) -> Iterable[np.ndarray]:
-        rows = h0_rows.get(u)
-        if rows is None:
-            return stream_weight_class(h0, v, u)
-        return (rows[i : i + _ROWS_PER_YIELD] for i in range(0, len(rows), _ROWS_PER_YIELD))
-
     count = 0
-    for chunk in chain(part(weight), (rows ^ ones for rows in part(v - weight))):
-        yield from packed_rows_to_ints(chunk)
-        count += len(chunk)
+    for rows in chunks:
+        for i in range(0, len(rows), _ROWS_PER_YIELD):
+            part = rows[i : i + _ROWS_PER_YIELD]
+            if 2 * weight == v:
+                blocks = [part, part ^ ones]
+            else:
+                blocks = [np.where((row_weights(part) != weight)[:, None], part ^ ones, part)]
+            for block_rows in blocks:
+                yield from packed_rows_to_ints(block_rows)
+                count += len(block_rows)
     if count == 0:
         raise EmptyWeightClass(f"no codeword of weight {weight} in {spec.label()}")
 
@@ -262,29 +266,24 @@ def full_design_report(
 ) -> list[DesignReport]:
     """Verify every nontrivial weight class, cross-checked against theorem lambdas.
 
-    One sweep gives the distribution and, for every class within COST_GATE
-    t-subset increments, its blocks.  It sweeps the h = 0 subcode H0, the
-    words with bit 0 clear (x = 0 there): class w is the H0 words of weight
-    w followed by the complements of the H0 words of weight v - w (see
-    blocks_of_weight).  The code is affine-invariant, hence transitive on
-    coordinates, so b(v - w)/v of the b words of class w avoid coordinate
-    0 and b*w/v contain it: H0 weight u feeds (v - u)/v of classes u and
-    v - u, and is capped at that share of the larger of their caps.
-    Classes above the gate are skipped unless exhaustive is set.  A class
-    is served from whichever of its two H0 parts the sweep kept; any other
-    part is streamed over the same H0 basis.  Weight 0 and the full-support
-    class are excluded as trivial.
+    One sweep of the h = 0 subcode H0 gives the distribution and keeps the
+    H0 words of each class's pair (see blocks_of_weight).  A pair's running
+    count is the class size b (the pair of class v/2 lists its weight
+    twice), and its cap is the larger of its classes' COST_GATE // C(k, t),
+    so a class within the gate always finds its pair kept.  Classes above
+    the gate are skipped unless exhaustive is set; a class whose pair was
+    not kept streams it over the same H0 basis.  Weight 0 and the
+    full-support class are excluded as trivial.
     """
     v = spec.length
     h0 = [row << 1 for row in cyclic_generator_basis(spec, field)]
     candidates = range(1, v) if weights is None else [w for w in weights if 0 < w < v]
-    # a class with k < t has no t-subsets, so its cost is 0 and its cap never binds
-    caps = {w: COST_GATE // max(1, comb(w, t)) for w in candidates}
-    h0_caps: dict[int, int] = {}
-    for w, cap in caps.items():
-        for u in (w, v - w):
-            h0_caps[u] = max(h0_caps.get(u, 0), cap * (v - u) // v)
-    hist, kept = weight_histogram(h0, v, threads, keep=h0_caps)
+    caps: dict[tuple[int, int], int] = {}
+    for w in candidates:
+        pair = _pair(w, v)
+        # a class with k < t has no t-subsets, so its cost is 0 and its cap never binds
+        caps[pair] = max(caps.get(pair, 0), COST_GATE // max(1, comb(w, t)))
+    hist, kept = weight_histogram(h0, v, threads, keep=caps)
     dist = extend_distribution(WeightDistribution(hist, spec.n, len(h0)))
     targets = [w for w in dist.weights() if w not in (0, v)]
     if weights is not None:
@@ -305,7 +304,9 @@ def full_design_report(
                 )
             )
             continue
-        blocks = blocks_of_weight(spec, field, w, h0_rows=kept, h0=h0)
+        pair = _pair(w, v)
+        chunks = kept[pair] if pair in kept else stream_weight_class(h0, v, pair)
+        blocks = blocks_of_weight(spec, field, w, chunks)
         report = verify_t_design(blocks, v, t, expected_b=b)
         report.theorem_lambda = theorem
         if theorem is not None and report.lam is not None:

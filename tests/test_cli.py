@@ -194,9 +194,9 @@ def test_export_blocks_rejects_odd_weight_before_streaming(capsys, monkeypatch):
     streamed = []
     original = designs.stream_weight_class
 
-    def spy(basis, length, weight):
-        streamed.append(weight)
-        return original(basis, length, weight)
+    def spy(basis, length, weights):
+        streamed.append(weights)
+        return original(basis, length, weights)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
     code, out, err = run_cli(
@@ -213,9 +213,9 @@ def test_export_blocks_is_a_lazy_stream(monkeypatch):
     original = designs.stream_weight_class
     streamed = []
 
-    def spy(basis, length, weight):  # records a stream when its first chunk is asked for
-        streamed.append(weight)
-        yield from original(basis, length, weight)
+    def spy(basis, length, weights):  # records a stream when its first chunk is asked for
+        streamed.append(weights)
+        yield from original(basis, length, weights)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
     args = build_parser().parse_args(
@@ -224,7 +224,7 @@ def test_export_blocks_is_a_lazy_stream(monkeypatch):
     lines = cmd_designs(args)
     assert streamed == []
     assert next(lines) == "1 11 13 15"
-    assert streamed == [4]
+    assert streamed == [(4, 12)]  # class 4's pair: H0 weights 4 and 16 - 4
 
 
 def test_invariance_command(capsys):

@@ -216,7 +216,7 @@ def test_membership(f4, f6):
     basis = generator_basis(spec, f6)
     assert membership_test(0, basis, 64)
     assert membership_test((1 << 64) - 1, basis, 64)
-    w16 = next(iter(stream_weight_class(basis, 64, 16)))
+    w16 = next(iter(stream_weight_class(basis, 64, (16,))))
     word = packed_rows_to_ints(w16[:1])[0]
     assert membership_test(word, basis, 64)
     assert not membership_test(word ^ 1, basis, 64)  # one flipped bit leaves the code
@@ -278,7 +278,7 @@ def test_stream_weight_class_matches_filter(f4):
     basis = generator_basis(spec, f4)
     got = sorted(
         word
-        for chunk in stream_weight_class(basis, 16, 4)
+        for chunk in stream_weight_class(basis, 16, (4,))
         for word in packed_rows_to_ints(chunk)
     )
     expect = sorted(w for w in enumerate_span(basis) if w.bit_count() == 4)
@@ -292,7 +292,7 @@ def test_too_large_guard():
     with pytest.raises(TooLarge):
         weight_histogram([1], 1 << 24)
     with pytest.raises(TooLarge):
-        next(stream_weight_class([1], 1 << 24, 1))
+        next(stream_weight_class([1], 1 << 24, (1,)))
 
 
 def test_sweep_ranges_capped_by_cores(monkeypatch):
@@ -335,7 +335,7 @@ def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):
     by_weight: dict[int, list[int]] = {}
     for w in enumerate_span(basis):
         by_weight.setdefault(w.bit_count(), []).append(w)
-    caps = {16: 252, 24: 37631, 32: 10**6, 30: 5}
+    caps = {(16,): 252, (24,): 37631, (32,): 10**6, (30,): 5}
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -343,9 +343,9 @@ def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):
         for threads in (1, 2, 8):
             got, kept = weight_histogram(basis, 64, threads, keep=caps)
             assert got == hist
-            assert set(kept) == {16, 32}  # 24 passes its cap by one; 30 never occurs
-            for w, rows in kept.items():
-                assert packed_rows_to_ints(rows) == by_weight[w]
+            assert set(kept) == {(16,), (32,)}  # 24 passes its cap by one; 30 never occurs
+            for (w,), chunks in kept.items():
+                assert packed_rows_to_ints(np.concatenate(chunks)) == by_weight[w]
     finally:
         sys.setswitchinterval(interval)
 
@@ -374,8 +374,8 @@ def test_complement_sweep_matches_enumeration(route, drop, f6, monkeypatch):
             basis = basis[:5] + basis[6:]
     by_weight = _by_weight(basis)
     assert route != "extended" or 32 in by_weight
-    caps = {w: len(words) - (w in drop) for w, words in by_weight.items()}
-    caps[30] = 5  # a weight that never occurs
+    caps = {(w,): len(words) - (w in drop) for w, words in by_weight.items()}
+    caps[(30,)] = 5  # a weight that never occurs
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -387,12 +387,53 @@ def test_complement_sweep_matches_enumeration(route, drop, f6, monkeypatch):
                 w: len(words) for w, words in by_weight.items()
             }
             _, kept = weight_histogram(basis, length, threads, keep=caps)
-            assert set(kept) == set(by_weight) - drop
-            for w, rows in kept.items():
+            assert {w for w, in kept} == set(by_weight) - drop
+            for (w,), chunks in kept.items():
+                rows = np.concatenate(chunks)
                 assert rows.shape == (len(by_weight[w]), 1)
                 assert packed_rows_to_ints(rows) == by_weight[w]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_keep_groups_count_each_listed_weight(f6, monkeypatch):
+    # a group keeps the words of all its weights in index order, and a word
+    # counts against its cap once for each time its weight is listed; with
+    # more workers than cores and frequent switches, a lost update of the
+    # shared running counts would keep (32, 32), one word over its cap
+    basis = generator_basis(CodeSpec("c1", 3), f6)
+    by_weight = _by_weight(basis)
+    b = {w: len(words) for w, words in by_weight.items()}
+    caps = {(24, 40): b[24] + b[40], (32, 32): 2 * b[32] - 1, (16, 16): 2 * b[16],
+            (16, 48): b[16] + b[48], (28, 30): b[28]}
+    gathered: list[tuple[tuple[int, ...], int]] = []
+    original = codebuild._TransformStep.gather
+
+    def spy(self, weights):
+        rows = original(self, weights)
+        gathered.append((weights, len(rows)))
+        return rows
+
+    monkeypatch.setattr(codebuild._TransformStep, "gather", spy)
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(codebuild, "_LOW_BITS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 8):
+            gathered.clear()
+            _, kept = weight_histogram(basis, 64, threads, keep=caps)
+            assert set(kept) == set(caps) - {(32, 32)}
+            # (32, 32) passes its cap only in the batch that brings its last
+            # words, which is never gathered
+            assert sum(n for group, n in gathered if group == (32, 32)) < b[32]
+            for group, chunks in kept.items():
+                words = [w for w in enumerate_span(basis) if w.bit_count() in group]
+                assert packed_rows_to_ints(np.concatenate(chunks)) == words
+    finally:
+        sys.setswitchinterval(interval)
+    streamed = [w for chunk in stream_weight_class(basis, 64, (24, 40)) for w in packed_rows_to_ints(chunk)]
+    assert streamed == [w for w in enumerate_span(basis) if w.bit_count() in (24, 40)]
 
 
 def test_one_call_is_one_sweep(f6, monkeypatch):
@@ -407,7 +448,7 @@ def test_one_call_is_one_sweep(f6, monkeypatch):
 
     monkeypatch.setattr(codebuild, "weight_histogram", spy)
     basis = generator_basis(CodeSpec("c1", 3), f6)
-    original(basis, 64, 2, keep={16: 252})
+    original(basis, 64, 2, keep={(16,): 252})
     assert calls == []
 
 
@@ -421,14 +462,14 @@ def test_capped_class_gathers_stay_bounded(f6, monkeypatch):
     hist = weight_histogram(basis, 64)
     low_bits, threads = 4, 8
     batch = 1 << (low_bits + codebuild._BATCH_BITS)
-    caps = {32: hist[32] // 8, 24: hist[24] // 8}
+    caps = {(32,): hist[32] // 8, (24,): hist[24] // 8}
     assert min(caps.values()) > threads * batch  # every worker gathers before the drop
-    gathered: list[tuple[int, int]] = []
+    gathered: list[tuple[tuple[int, ...], int]] = []
     original = codebuild._TransformStep.gather
 
-    def spy(self, weight):
-        rows = original(self, weight)
-        gathered.append((weight, len(rows)))
+    def spy(self, weights):
+        rows = original(self, weights)
+        gathered.append((weights, len(rows)))
         return rows
 
     monkeypatch.setattr(codebuild._TransformStep, "gather", spy)
@@ -464,7 +505,7 @@ def swapped(bits):
 basis = generator_basis(CodeSpec("c1", 3), Field(6))
 codebuild._hadamard = swapped
 try:
-    codebuild.weight_histogram(basis, 64, keep={w: 10**6 for w in range(65)})
+    codebuild.weight_histogram(basis, 64, keep={(w,): 10**6 for w in range(65)})
 except CheckFailed:
     sys.exit(0)
 sys.exit(3)
@@ -506,11 +547,11 @@ def test_counting_recounts_batches_with_new_weights(low_bits, threads, monkeypat
     monkeypatch.setattr(codebuild, "_LOW_BITS", low_bits)
     workers = len(_sweep_ranges(1 << (len(basis) - low_bits - codebuild._BATCH_BITS), threads))
     fallbacks = _spy_bincount(monkeypatch)
-    hist, kept = weight_histogram(basis, 64, threads, keep={w: 1 << 13 for w in range(65)})
+    hist, kept = weight_histogram(basis, 64, threads, keep={(w,): 1 << 13 for w in range(65)})
     assert hist == {w: len(words) for w, words in by_weight.items()}
-    assert set(kept) == set(by_weight)
-    for w, rows in kept.items():
-        assert packed_rows_to_ints(rows) == by_weight[w]
+    assert {w for w, in kept} == set(by_weight)
+    for (w,), chunks in kept.items():
+        assert packed_rows_to_ints(np.concatenate(chunks)) == by_weight[w]
     # each worker recounts its first batch, and a later one with a new weight
     assert len(fallbacks) >= 2 * workers
     assert len(fallbacks) <= workers * len(by_weight)
@@ -562,7 +603,7 @@ def test_transform_sweep_matches_bit_count_property(case, data):
     by_weight = _by_weight(rows)
     hist = {w: len(words) for w, words in by_weight.items()}
     drop = data.draw(st.sets(st.sampled_from(sorted(by_weight))))
-    caps = {w: len(words) - (w in drop) for w, words in by_weight.items()}
+    caps = {(w,): len(words) - (w in drop) for w, words in by_weight.items()}
     streamed_weight = data.draw(st.sampled_from(sorted(by_weight)))
     saved = codebuild._LOW_BITS
     codebuild._LOW_BITS = low_bits
@@ -571,15 +612,15 @@ def test_transform_sweep_matches_bit_count_property(case, data):
         got, kept = weight_histogram(rows, length, threads, keep=caps)
         streamed = [
             word
-            for chunk in stream_weight_class(rows, length, streamed_weight)
+            for chunk in stream_weight_class(rows, length, (streamed_weight,))
             for word in packed_rows_to_ints(chunk)
         ]
     finally:
         codebuild._LOW_BITS = saved
     assert got == hist
-    assert set(kept) == set(by_weight) - drop
-    for w, kept_rows in kept.items():
-        assert packed_rows_to_ints(kept_rows) == by_weight[w]
+    assert {w for w, in kept} == set(by_weight) - drop
+    for (w,), chunks in kept.items():
+        assert packed_rows_to_ints(np.concatenate(chunks)) == by_weight[w]
     assert streamed == by_weight[streamed_weight]
 
 
@@ -591,7 +632,7 @@ def test_weight_dtype_at_2_16():
     }
     # both sweep a word of weight 2^16 itself, which a uint16 weight wraps to 0
     assert weight_histogram([ones], 65537) == {0: 1, 65536: 1}
-    chunks = list(stream_weight_class([ones], 65536, 65536))
+    chunks = list(stream_weight_class([ones], 65536, (65536,)))
     assert [w for chunk in chunks for w in packed_rows_to_ints(chunk)] == [ones]
 
 

@@ -295,15 +295,15 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
     streamed = []
     stream = designs.stream_weight_class
 
-    def spy(basis, length, weight):
-        streamed.append((weight, len(basis), length))
-        return stream(basis, length, weight)
+    def spy(basis, length, weights):
+        streamed.append((weights, len(basis), length))
+        return stream(basis, length, weights)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
     exhaustive = full_design_report(spec, f6, t=2, exhaustive=True)
-    # classes 28, 32 and 36 stream both of their H0 parts (28 and 36, 32
-    # twice); class 40 is served from H0 rows 40 and 24, kept for class 24
-    assert sorted(w for w, _, _ in streamed) == [28, 28, 32, 32, 36, 36]
+    # classes 28, 32 and 36 stream their H0 pair once each; class 40 is
+    # served from pair (24, 40), kept for class 24
+    assert sorted(w for w, _, _ in streamed) == [(28, 36), (28, 36), (32, 32)]
     assert {(k, n) for _, k, n in streamed} == {(15, 64)}  # the H0 basis: dim - 1 rows
     assert {r.k: r.lam for r in exhaustive} == {k: r.lam for k, r in ungated.items()}
     assert all(r.verified and r.match and not r.skipped for r in exhaustive)
@@ -318,9 +318,9 @@ def test_swept_rows_are_the_extended_classes(spec_args, f4, f6, monkeypatch):
     served = {}
     blocks = designs.blocks_of_weight
 
-    def spy(spec, field, weight, h0_rows=None, h0=None):
-        kept = h0_rows is not None and {weight, spec.length - weight} <= h0_rows.keys()
-        words = list(blocks(spec, field, weight, h0_rows, h0))
+    def spy(spec, field, weight, chunks=None):
+        kept = isinstance(chunks, list)  # a sweep's kept chunks, not a stream
+        words = list(blocks(spec, field, weight, chunks))
         served[weight] = words if kept else None
         return iter(words)
 
@@ -388,17 +388,17 @@ def test_export_blocks_prints_the_report_order(f4, capsys, monkeypatch):
 
 @pytest.mark.parametrize("k", [16, 32, 48])
 def test_cost_gate_boundary_serves_sweep_rows(k, f6, monkeypatch):
-    # a class costing exactly the gate is verified from the sweep's rows:
-    # the h = 0 caps, scaled by the share of the class off coordinate 0,
-    # keep both of its parts; one increment less and it is skipped
+    # a class costing exactly the gate is verified from the sweep's rows,
+    # since its pair's cap is at least its own; one increment less and it
+    # is skipped, and neither report streams
     spec = CodeSpec("c1", 3)
     b = C1_S3_ENUMERATOR[k]
     streamed = []
     stream = designs.stream_weight_class
 
-    def spy(basis, length, weight):
-        streamed.append(weight)
-        return stream(basis, length, weight)
+    def spy(basis, length, weights):
+        streamed.append(weights)
+        return stream(basis, length, weights)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
     monkeypatch.setattr(designs, "COST_GATE", b * comb(k, 2))
@@ -411,10 +411,36 @@ def test_cost_gate_boundary_serves_sweep_rows(k, f6, monkeypatch):
     by_k = {r.k: r for r in full_design_report(spec, f6, t=2, exhaustive=True)}
     assert by_k[k].lam == C1_S3_LAMBDAS[k]
     if k == 48:
-        # its H0 parts, 48 and 16, are kept for class 16: neither is streamed
-        assert not {16, 48} & set(streamed)
+        # its pair (16, 48) is kept for class 16, so it is not streamed
+        assert (16, 48) not in streamed
     else:
-        assert k in streamed
+        assert (k, 64 - k) in streamed
+
+
+@pytest.mark.parametrize("spec_args", [("c1", 3, None), ("c2", 3, 1)])
+def test_class_pairs_are_complements(spec_args, f6):
+    # block j of class v - w is block j of class w complemented, and class
+    # v/2 holds each H0 word of weight v/2 and its complement
+    spec = CodeSpec(*spec_args)
+    ones = (1 << 64) - 1
+    hist = codebuild.weight_histogram([row << 1 for row in codebuild.cyclic_generator_basis(spec, f6)], 64)
+    classes = weight_distribution(spec, f6).entries
+    for w in classes:
+        if 0 < w < 32:
+            blocks = list(blocks_of_weight(spec, f6, w))
+            assert list(blocks_of_weight(spec, f6, 64 - w)) == [block ^ ones for block in blocks]
+    middle = list(blocks_of_weight(spec, f6, 32))
+    assert len(middle) == classes[32] == 2 * hist[32]
+    assert {block ^ ones for block in middle} == set(middle)
+
+
+@pytest.mark.parametrize("weight", [5, -2, 18])
+def test_blocks_of_weight_rejects_before_streaming(weight, f4, monkeypatch):
+    streamed = []
+    monkeypatch.setattr(designs, "stream_weight_class", lambda *args: streamed.append(args) or iter(()))
+    with pytest.raises(EmptyWeightClass, match=f"^no codeword of weight {weight} in c1\\(s=2\\)$"):
+        next(blocks_of_weight(CodeSpec("c1", 2), f4, weight))
+    assert streamed == []
 
 
 def test_t3_witness_matches_naive_counter(f6):
