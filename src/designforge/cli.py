@@ -51,18 +51,6 @@ class Result(NamedTuple):
     ok: bool = True
 
 
-def _default_threads() -> int:
-    """DESIGN_FORGE_THREADS if it is set, else the CPU count; main() rejects
-    a value below 1."""
-    env = os.environ.get("DESIGN_FORGE_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"DESIGN_FORGE_THREADS must be an integer, got {env!r}") from None
-
-
 def _parse_poly(text: str) -> int:
     return int(text, 16)
 
@@ -222,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, family=False):
         p.add_argument("--poly", type=_parse_poly, default=None,
                        help="primitive polynomial as hex (LSB = constant term)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (env DESIGN_FORGE_THREADS)")
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="worker threads (default: the CPU count)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if family:
             p.add_argument("--family", choices=("c1", "c2"), required=True)
@@ -268,12 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; the only code that writes stdout or picks the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is None:
-            args.threads = _default_threads()
         if args.threads < 1:
-            raise ValueError(
-                f"threads must be >= 1 (--threads or DESIGN_FORGE_THREADS), got {args.threads}"
-            )
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         result = args.func(args)
         if not isinstance(result, Result):  # --export-blocks: a stream of block lines
             for line in result:

@@ -13,8 +13,8 @@ Family c2 (extended):  value at x is tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) +
 build_codeword is the one evaluator of these forms.  Coordinate 0 is
 x = 0, where every trace term vanishes, so the cyclic relative is the
 h = 0 subcode punctured at coordinate 0: its word at (a, b, c) is
-build_codeword(spec, field, a, b, c) >> 1, and its reduced basis is the
-reduced basis of the h = 0 words shifted the same way.
+build_codeword(spec, field, a, b, c) >> 1, and its reduced basis is
+h0_basis shifted the same way.
 
 Enumeration of a full code walks the span of a row-reduced basis in
 lexicographic order of the coefficient index, its words held only as
@@ -189,11 +189,13 @@ def membership_test(word: int, basis: list[int], length: int) -> bool:
     return word == 0
 
 
-def _slot_words(spec: CodeSpec, field: Field) -> list[int]:
-    """h = 0 words of every basis element of each coefficient slot a, b, c.
+def h0_basis(spec: CodeSpec, field: Field) -> list[int]:
+    """Row-reduced basis of the h = 0 subcode of the extended code.
 
-    Every such word has bit 0 clear: coordinate 0 is x = 0, where each
-    trace term vanishes.
+    The spanning set is the h = 0 word of every basis element of each
+    coefficient slot a, b, c.  Every such word has bit 0 clear: coordinate 0
+    is x = 0, where each trace term vanishes.  generator_basis and
+    cyclic_generator_basis are the two views of this one reduction.
     """
     full = [field.alpha_pow(j) for j in range(field.m)]
     if spec.family == "c1":
@@ -204,26 +206,27 @@ def _slot_words(spec: CodeSpec, field: Field) -> list[int]:
     words = [build_codeword(spec, field, a, 0, 0) for a in a_slot]
     words += [build_codeword(spec, field, 0, b, 0) for b in full]
     words += [build_codeword(spec, field, 0, 0, c) for c in full]
-    return words
+    return reduce_rows(words)
 
 
 def generator_basis(spec: CodeSpec, field: Field) -> list[int]:
     """Row-reduced basis of the extended code; its size is the dimension.
 
-    The spanning set is the slot words plus the all-one word (h = 1); the
-    rank is always computed, never assumed from a dimension formula.
+    The h = 0 basis plus the all-one word (h = 1), reduced again; the rank
+    is always computed, never assumed from a dimension formula.
     """
-    return reduce_rows(_slot_words(spec, field) + [(1 << spec.length) - 1])
+    return reduce_rows(h0_basis(spec, field) + [(1 << spec.length) - 1])
 
 
 def cyclic_generator_basis(spec: CodeSpec, field: Field) -> list[int]:
-    """Row-reduced basis of the length-n cyclic relative.
+    """Row-reduced basis of the length-n cyclic relative: the h = 0 basis
+    shifted right by one.
 
     The cyclic code is the h = 0 subcode punctured at coordinate 0.  No
-    slot word has bit 0 set, so the shift keeps every pivot in order and
+    h = 0 word has bit 0 set, so the shift keeps every pivot in order and
     maps the reduced basis onto the reduced basis.
     """
-    return [row >> 1 for row in reduce_rows(_slot_words(spec, field))]
+    return [row >> 1 for row in h0_basis(spec, field)]
 
 
 # -- span enumeration ---------------------------------------------------------

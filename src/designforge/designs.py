@@ -27,7 +27,7 @@ import numpy as np
 from .checks import CheckFailed, require
 from .codebuild import (
     CodeSpec,
-    cyclic_generator_basis,
+    h0_basis,
     pack_words,
     packed_rows_to_ints,
     row_weights,
@@ -134,8 +134,7 @@ def blocks_of_weight(
     if weight % 2 or not 0 <= weight <= v:  # every word has even weight, at most v
         raise EmptyWeightClass(f"no codeword of weight {weight} in {spec.label()}")
     if chunks is None:
-        h0 = [row << 1 for row in cyclic_generator_basis(spec, field)]
-        chunks = stream_weight_class(h0, v, _pair(weight, v))
+        chunks = stream_weight_class(h0_basis(spec, field), v, _pair(weight, v))
     ones = pack_words([(1 << v) - 1], v)
     count = 0
     for rows in chunks:
@@ -276,7 +275,7 @@ def full_design_report(
     full-support class are excluded as trivial.
     """
     v = spec.length
-    h0 = [row << 1 for row in cyclic_generator_basis(spec, field)]
+    h0 = h0_basis(spec, field)
     candidates = range(1, v) if weights is None else [w for w in weights if 0 < w < v]
     caps: dict[tuple[int, int], int] = {}
     for w in candidates:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -165,13 +166,20 @@ def test_designs_t3_m4(capsys):
 
 
 def test_designs_export_blocks(capsys):
-    code, out, _ = run_cli(
-        capsys, "designs", "--family", "c1", "--s", "2", "--weight", "4", "--export-blocks"
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 140
-    assert all(len(line.split()) == 4 for line in lines)
+    # one line per block, its k points; the raw order is the index order of
+    # the h = 0 basis's span
+    for s, weight, n_lines, digest in (
+        ("2", "4", 140, "7b83e070986d2371e287baaa6175b909cd237a491aa4add65f6c381c51094d65"),
+        ("3", "16", 252, "34ec07af188d1c7bc0ab70686b2a36bee1b1f857853d74501e70790d260b6ffd"),
+    ):
+        code, out, _ = run_cli(
+            capsys, "designs", "--family", "c1", "--s", s, "--weight", weight, "--export-blocks"
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == n_lines
+        assert all(len(line.split()) == int(weight) for line in lines)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("weight", ["0", "16", "-2", "18"])
@@ -340,18 +348,6 @@ def test_export_blocks_requires_weight(capsys):
     assert code == 2 and "InapplicableParameters" in err
 
 
-def test_threads_env_fallback(monkeypatch):
-    from designforge.cli import _default_threads
-
-    monkeypatch.setenv("DESIGN_FORGE_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("DESIGN_FORGE_THREADS", "junk")
-    with pytest.raises(ValueError, match="DESIGN_FORGE_THREADS"):
-        _default_threads()
-    monkeypatch.delenv("DESIGN_FORGE_THREADS")
-    assert _default_threads() >= 1
-
-
 def test_thread_count_does_not_change_output(capsys):
     outs = []
     for threads in ("1", "2", "8"):
@@ -363,21 +359,9 @@ def test_thread_count_does_not_change_output(capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_threads_must_be_positive(capsys, monkeypatch):
+def test_threads_must_be_positive(capsys):
     code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "2", "--threads", "0")
     assert code == 2 and out == "" and "threads" in err
-    monkeypatch.setenv("DESIGN_FORGE_THREADS", "-1")
-    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "2")
-    assert code == 2 and out == "" and "DESIGN_FORGE_THREADS" in err
-
-
-def test_threads_env_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("DESIGN_FORGE_THREADS", "abc")
-    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "2")
-    assert code == 2 and out == "" and "DESIGN_FORGE_THREADS" in err and "'abc'" in err
-    # an explicit --threads does not read the variable
-    code, _, _ = run_cli(capsys, "weights", "--family", "c1", "--s", "2", "--threads", "1")
-    assert code == 0
 
 
 def test_reproduce_rejects_poly(capsys):

@@ -34,6 +34,7 @@ from designforge.codebuild import (
     bits_to_ints,
     cyclic_generator_basis,
     enumerate_span,
+    h0_basis,
     pack_words,
     packed_rows_to_ints,
     reduce_rows,
@@ -176,9 +177,9 @@ def test_cyclic_c2_against_definition(f4):
     ("c2", 3, 2), ("c2", 4, 1), ("c2", 4, 3), ("c2", 5, 1),
 ])
 def test_bases_match_definition_routes(spec_args):
-    # the reduced echelon form is unique, so both bases equal the reduction of
-    # the definition words: extended at every element plus the all-one word,
-    # cyclic at alpha^i
+    # the reduced echelon form is unique, so each basis equals the reduction
+    # of the definition words: h = 0 at every element, extended with the
+    # all-one word added, cyclic at alpha^i
     spec = CodeSpec(*spec_args)
     f = Field(spec.m)
     full = [f.alpha_pow(j) for j in range(f.m)]
@@ -189,6 +190,7 @@ def test_bases_match_definition_routes(spec_args):
     coeffs = [(a, 0, 0) for a in a_slot] + [(0, b, 0) for b in full] + [(0, 0, c) for c in full]
     extended = [_definition_word(spec, f, *abc, _extended_points(f)) for abc in coeffs]
     cyclic = [_definition_word(spec, f, *abc, _cyclic_points(f)) for abc in coeffs]
+    assert h0_basis(spec, f) == reduce_rows(extended)
     assert generator_basis(spec, f) == reduce_rows(extended + [(1 << f.q) - 1])
     assert cyclic_generator_basis(spec, f) == reduce_rows(cyclic)
 

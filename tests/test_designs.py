@@ -423,7 +423,7 @@ def test_class_pairs_are_complements(spec_args, f6):
     # v/2 holds each H0 word of weight v/2 and its complement
     spec = CodeSpec(*spec_args)
     ones = (1 << 64) - 1
-    hist = codebuild.weight_histogram([row << 1 for row in codebuild.cyclic_generator_basis(spec, f6)], 64)
+    hist = codebuild.weight_histogram(codebuild.h0_basis(spec, f6), 64)
     classes = weight_distribution(spec, f6).entries
     for w in classes:
         if 0 < w < 32:

@@ -230,6 +230,13 @@ def test_pless_detects_perturbation(f6):
     assert res.first_failure[0] == 1  # sum A_i = 2^k is the first to break
 
 
+def test_pless_reads_the_macwilliams_dual():
+    # the [7,4] Hamming code's dual is the [7,3] simplex code, whose seven
+    # nonzero words have weight 4: identity 5 reads 2^4 * B_4 = 16 * 7
+    hamming = WeightDistribution({0: 1, 3: 7, 4: 7, 7: 1}, 7, 4)
+    assert pless_verify(hamming, 7, 4).first_failure == (5, 112, 0)
+
+
 def test_distribution_json_serialization(f4):
     d = weight_distribution(CodeSpec("c1", 2), f4)
     obj = d.to_json_obj()
