@@ -8,7 +8,9 @@ byte-identical JSON no matter how many worker threads run the enumeration.
 
 Each `cmd_*` computes and returns a Result, or, for --export-blocks, a lazy
 stream of block lines; main() is the one writer of stdout and the one map
-from verdicts and errors to exit codes.
+from verdicts and errors to exit codes.  A reader that closes stdout early
+ends the output, not the run's verdict: no traceback, and the exit code is
+the one the full output would have had.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterator, NamedTuple
 from . import golden
 from .checks import CheckFailed
 from .codebuild import CodeSpec, cyclic_generator_basis
-from .designs import EmptyWeightClass, blocks_of_weight, full_design_report
+from .designs import blocks_of_weight, full_design_report
 from .gf2m import Field
 from .invariance import affine_orbit_check, closure_check
 from .polyops import defining_set_of_family, poly_str
@@ -108,15 +110,11 @@ def cmd_designs(args) -> Result | Iterator[str]:
     if args.export_blocks:
         if args.weight is None:
             raise InapplicableParameters("--export-blocks needs --weight")
-        # the report's bound: weight 0 and the full support are trivial classes
-        if not 0 < args.weight < spec.length:
-            raise EmptyWeightClass(f"no nontrivial class at weights [{args.weight}]")
         # each block as its support, lazily: main prints one line per block
         return (" ".join(str(i) for i, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1")
                 for mask in blocks_of_weight(spec, f, args.weight))
-    weights = [args.weight] if args.weight is not None else None
     reports = full_design_report(
-        spec, f, t=args.t, threads=args.threads, exhaustive=args.exhaustive, weights=weights
+        spec, f, t=args.t, threads=args.threads, exhaustive=args.exhaustive, weight=args.weight
     )
     for r in reports:
         if r.skipped:
@@ -191,7 +189,7 @@ def cmd_reproduce(args) -> Result:
         else:
             _, s, n, k = next(c for c in golden.PLESS_CASES if c[0] == ex_id)
             dist = cyclic(CodeSpec("c1", s))
-            match = dist.length == n and dist.dimension == k and bool(pless_verify(dist, n, k))
+            match = dist.length == n and dist.dimension == k and bool(pless_verify(dist))
             code = f"[{n}, {k}]"
         results.append({"example": ex_id, "code": code, "match": match})
     all_match = all(r["match"] for r in results)
@@ -260,16 +258,23 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         result = args.func(args)
         if not isinstance(result, Result):  # --export-blocks: a stream of block lines
-            for line in result:
-                print(line)
-            return EXIT_OK
-        if args.format == "csv":
-            print(",".join(result.header))
-            for row in result.rows:
-                print(",".join("" if x is None else str(x) for x in row))
+            lines, code = result, EXIT_OK
         else:
-            print(json.dumps(result.obj, sort_keys=True))
-        return EXIT_OK if result.ok else EXIT_MISMATCH
+            code = EXIT_OK if result.ok else EXIT_MISMATCH
+            if args.format == "csv":
+                lines = [",".join(result.header)]
+                lines += [",".join("" if x is None else str(x) for x in row) for row in result.rows]
+            else:
+                lines = [json.dumps(result.obj, sort_keys=True)]
+        try:
+            for line in lines:
+                print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout, which ends the output but not the
+            # verdict; stdout goes to devnull so the exit flush cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except ValueError as exc:  # UnsupportedM, InapplicableParameters, TooLarge, ... subclass it
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

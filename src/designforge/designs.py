@@ -110,6 +110,14 @@ def lambda_from_identity(b: int, k: int, v: int, t: int) -> int:
     return lam
 
 
+def _require_class(weight: int, v: int, held: bool = True) -> None:
+    """The one check that weight names a nontrivial class: every codeword has
+    even weight, and weight 0 and the full support v are trivial classes;
+    held says whether a known distribution lists the weight."""
+    if weight % 2 or not 0 < weight < v or not held:
+        raise EmptyWeightClass(f"no nontrivial class at weights [{weight}]")
+
+
 def _pair(weight: int, v: int) -> tuple[int, int]:
     """The H0 weights whose words make up class weight (see blocks_of_weight)."""
     return min(weight, v - weight), max(weight, v - weight)
@@ -118,7 +126,9 @@ def _pair(weight: int, v: int) -> tuple[int, int]:
 def blocks_of_weight(
     spec: CodeSpec, field: Field, weight: int, chunks: Iterable[np.ndarray] | None = None
 ) -> Iterator[int]:
-    """Stream the supports of all weight-i codewords as bitmask ints.
+    """Stream the supports of all weight-i codewords as bitmask ints, for a
+    nontrivial class 0 < i < v of even weight i (else EmptyWeightClass,
+    raised before any stream starts).
 
     The extended code is its h = 0 subcode H0 plus the complements of H0,
     so class i is the H0 words of its pair (min(i, v-i), max(i, v-i)), each
@@ -131,8 +141,7 @@ def blocks_of_weight(
     enumeration never repeats a codeword, so the stream needs no dedup.
     """
     v = spec.length
-    if weight % 2 or not 0 <= weight <= v:  # every word has even weight, at most v
-        raise EmptyWeightClass(f"no codeword of weight {weight} in {spec.label()}")
+    _require_class(weight, v)
     if chunks is None:
         chunks = stream_weight_class(h0_basis(spec, field), v, _pair(weight, v))
     ones = pack_words([(1 << v) - 1], v)
@@ -261,9 +270,10 @@ def full_design_report(
     t: int = 2,
     threads: int = 1,
     exhaustive: bool = False,
-    weights: list[int] | None = None,
+    weight: int | None = None,
 ) -> list[DesignReport]:
-    """Verify every nontrivial weight class, cross-checked against theorem lambdas.
+    """Verify every nontrivial weight class, or only the class weight,
+    cross-checked against theorem lambdas.
 
     One sweep of the h = 0 subcode H0 gives the distribution and keeps the
     H0 words of each class's pair (see blocks_of_weight).  A pair's running
@@ -272,24 +282,26 @@ def full_design_report(
     so a class within the gate always finds its pair kept.  Classes above
     the gate are skipped unless exhaustive is set; a class whose pair was
     not kept streams it over the same H0 basis.  Weight 0 and the
-    full-support class are excluded as trivial.
+    full-support class are excluded as trivial.  A weight that names no
+    nontrivial class raises EmptyWeightClass: an odd or out-of-range one
+    before the sweep, one the distribution lacks after it.
     """
     v = spec.length
+    if weight is not None:
+        _require_class(weight, v)
     h0 = h0_basis(spec, field)
-    candidates = range(1, v) if weights is None else [w for w in weights if 0 < w < v]
     caps: dict[tuple[int, int], int] = {}
-    for w in candidates:
+    for w in range(2, v, 2) if weight is None else [weight]:
         pair = _pair(w, v)
         # a class with k < t has no t-subsets, so its cost is 0 and its cap never binds
         caps[pair] = max(caps.get(pair, 0), COST_GATE // max(1, comb(w, t)))
     hist, kept = weight_histogram(h0, v, threads, keep=caps)
     dist = extend_distribution(WeightDistribution(hist, spec.n, len(h0)))
-    targets = [w for w in dist.weights() if w not in (0, v)]
-    if weights is not None:
-        missing = set(weights) - set(targets)
-        if missing:
-            raise EmptyWeightClass(f"no nontrivial class at weights {sorted(missing)}")
-        targets = [w for w in targets if w in set(weights)]
+    if weight is None:
+        targets = [w for w in dist.weights() if w not in (0, v)]
+    else:
+        _require_class(weight, v, weight in dist.entries)
+        targets = [weight]
 
     reports = []
     for w in targets:

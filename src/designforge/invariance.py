@@ -18,7 +18,6 @@ from .codebuild import (
     CodeSpec,
     bits_to_ints,
     generator_basis,
-    membership_test,
     pack_words,
     reduce_rows,
     unpack_rows,
@@ -54,7 +53,9 @@ def orbit_invariant_basis(field: Field, basis: list[int]) -> bool:
 
     Each generator x -> alpha*x, x -> x + 1 moves the bit at coordinate i
     to the coordinate of its image; permuting coordinates is linear, so
-    the images of the basis words decide the whole span.
+    the images of the basis words decide the whole span.  They lie in it
+    exactly when adding them leaves the reduced echelon form, which is
+    unique to the span, unchanged.
     """
     q = field.q
     reduced = reduce_rows(basis)
@@ -71,9 +72,8 @@ def orbit_invariant_basis(field: Field, basis: list[int]) -> bool:
     image = np.empty_like(bits)
     for target in (scale, shift):
         image[:, target] = bits
-        for word in bits_to_ints(image):
-            if not membership_test(word, reduced, q):
-                return False
+        if reduce_rows(reduced + bits_to_ints(image)) != reduced:
+            return False
     return True
 
 

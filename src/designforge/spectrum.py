@@ -108,13 +108,17 @@ def _as_count(x: Fraction, row: str) -> int:
     return int(x)
 
 
-def _build(rows: dict[int, Fraction], length: int, dimension: int) -> WeightDistribution:
+def _build(rows: list[tuple[int, Fraction]], length: int, dimension: int) -> WeightDistribution:
+    """The distribution of the table's (weight, count) rows; a weight that two
+    rows write is a transcription slip and raises InapplicableParameters."""
     entries = {}
-    for w, count in rows.items():
+    seen = set()
+    for w, count in rows:
         if not 0 < w <= length:
             raise InapplicableParameters(f"weight {w} outside (0, {length}]")
-        if w in entries:
+        if w in seen:
             raise InapplicableParameters(f"weight {w} produced by two rows")
+        seen.add(w)
         c = _as_count(count, f"weight {w}")
         if c:
             entries[w] = c
@@ -129,19 +133,19 @@ def closed_form_c1(s: int) -> WeightDistribution:
     if s < 3:
         raise InapplicableParameters(f"closed form for family c1 needs s >= 3, got {s}")
     w0 = 1 << (2 * s - 1)
-    rows = {
-        w0: _p2(6 * s - 5) * 29 - _p2(4 * s - 5) * 33 + _p2(2 * s - 3) * 17 - 2,
-        1 << (2 * s): Fraction(1),
-    }
+    rows = [
+        (w0, _p2(6 * s - 5) * 29 - _p2(4 * s - 5) * 33 + _p2(2 * s - 3) * 17 - 2),
+        (1 << (2 * s), Fraction(1)),
+    ]
     mid = Fraction(2, 15) * _p2(2 * s) * (3 * _p2(4 * s) + 5 * _p2(2 * s) - 8)
-    rows[w0 - (1 << (s - 1))] = mid
-    rows[w0 + (1 << (s - 1))] = mid
+    rows.append((w0 - (1 << (s - 1)), mid))
+    rows.append((w0 + (1 << (s - 1)), mid))
     outer = Fraction(7, 3) * _p2(4 * s - 4) * (_p2(2 * s) - 1)
-    rows[w0 - (1 << s)] = outer
-    rows[w0 + (1 << s)] = outer
+    rows.append((w0 - (1 << s), outer))
+    rows.append((w0 + (1 << s), outer))
     tail = Fraction(1, 15) * _p2(2 * s - 4) * (_p2(4 * s - 2) - 5 * _p2(2 * s - 2) + 1)
-    rows[w0 - (1 << (s + 1))] = tail
-    rows[w0 + (1 << (s + 1))] = tail
+    rows.append((w0 - (1 << (s + 1)), tail))
+    rows.append((w0 + (1 << (s + 1)), tail))
     return _build(rows, 1 << (2 * s), 6 * s + 1)
 
 
@@ -157,36 +161,36 @@ def closed_form_c2_extended(s: int, l: int) -> WeightDistribution:
     spec = CodeSpec("c2", s, l)
     d, dp = spec.d, spec.dprime
     w0 = 1 << (2 * s - 1)
-    rows: dict[int, Fraction] = {1 << (2 * s): Fraction(1)}
+    rows = [(1 << (2 * s), Fraction(1))]
     if dp == d:
         k_term = (
             _p2(2 * (s + d)) - _p2(2 * s + d) - _p2(2 * s) + _p2(s + 2 * d) - _p2(s + d) + _p2(2 * d)
         )
         inner = _p2(2 * s) * (_p2(s) - 1) * k_term / (_p2(2 * d) - 1)
-        rows[w0 - (1 << (s - 1))] = inner
-        rows[w0 + (1 << (s - 1))] = inner
+        rows.append((w0 - (1 << (s - 1)), inner))
+        rows.append((w0 + (1 << (s - 1)), inner))
         outer = _p2(2 * (s - d)) * (_p2(s + d) - 1) * (_p2(2 * s) - 1) / (_p2(2 * d) - 1)
-        rows[w0 - (1 << (s + d - 1))] = outer
-        rows[w0 + (1 << (s + d - 1))] = outer
-        rows[w0] = 2 * (_p2(3 * s - d) - _p2(2 * (s - d)) + 1) * (_p2(2 * s) - 1)
+        rows.append((w0 - (1 << (s + d - 1)), outer))
+        rows.append((w0 + (1 << (s + d - 1)), outer))
+        rows.append((w0, 2 * (_p2(3 * s - d) - _p2(2 * (s - d)) + 1) * (_p2(2 * s) - 1)))
     elif dp == 2 * d:
         j_term = _p2(2 * s) - _p2(2 * (s - d)) - _p2(2 * s - 3 * d) + _p2(s) - _p2(s - d) + 1
         den = (_p2(2 * d) - 1) * (_p2(d) + 1)
         inner = _p2(2 * s + 3 * d) * (_p2(s) - 1) * j_term / den
-        rows[w0 - (1 << (s - 1))] = inner
-        rows[w0 + (1 << (s - 1))] = inner
+        rows.append((w0 - (1 << (s - 1)), inner))
+        rows.append((w0 + (1 << (s - 1)), inner))
         mid = (
             _p2(2 * s - d)
             * (_p2(2 * s) - 1)
             * (_p2(s) + _p2(s - d) + _p2(s - 2 * d) + 1)
             / (_p2(d) + 1) ** 2
         )
-        rows[w0 - (1 << (s + d - 1))] = mid
-        rows[w0 + (1 << (s + d - 1))] = mid
-        rows[w0] = 2 * (_p2(2 * s) - 1) * _c2_center_term(s, d)
+        rows.append((w0 - (1 << (s + d - 1)), mid))
+        rows.append((w0 + (1 << (s + d - 1)), mid))
+        rows.append((w0, 2 * (_p2(2 * s) - 1) * _c2_center_term(s, d)))
         outer = _p2(2 * s - 4 * d) * (_p2(s - d) - 1) * (_p2(2 * s) - 1) / den
-        rows[w0 - (1 << (s + 2 * d - 1))] = outer
-        rows[w0 + (1 << (s + 2 * d - 1))] = outer
+        rows.append((w0 - (1 << (s + 2 * d - 1)), outer))
+        rows.append((w0 + (1 << (s + 2 * d - 1)), outer))
     else:
         raise InapplicableParameters(f"d'={dp} is neither d nor 2d for (s, l)=({s}, {l})")
     return _build(rows, 1 << (2 * s), 5 * s + 1)
@@ -212,35 +216,35 @@ def closed_form_c2_cyclic(s: int, l: int) -> WeightDistribution:
     spec = CodeSpec("c2", s, l)
     d, dp = spec.d, spec.dprime
     w0 = 1 << (2 * s - 1)
-    rows: dict[int, Fraction] = {}
+    rows: list[tuple[int, Fraction]] = []
     if dp == d:
         k_term = (
             _p2(2 * (s + d)) - _p2(2 * s + d) - _p2(2 * s) + _p2(s + 2 * d) - _p2(s + d) + _p2(2 * d)
         )
         den = _p2(2 * d) - 1
-        rows[w0 - (1 << (s - 1))] = _p2(s - 1) * (_p2(2 * s) - 1) * k_term / den
-        rows[w0 + (1 << (s - 1))] = _p2(s - 1) * (_p2(s) - 1) ** 2 * k_term / den
+        rows.append((w0 - (1 << (s - 1)), _p2(s - 1) * (_p2(2 * s) - 1) * k_term / den))
+        rows.append((w0 + (1 << (s - 1)), _p2(s - 1) * (_p2(s) - 1) ** 2 * k_term / den))
         common = _p2(s - d - 1) * (_p2(s + d) - 1) * (_p2(2 * s) - 1) / den
-        rows[w0 - (1 << (s + d - 1))] = common * (_p2(s - d) + 1)
-        rows[w0 + (1 << (s + d - 1))] = common * (_p2(s - d) - 1)
-        rows[w0] = (_p2(3 * s - d) - _p2(2 * (s - d)) + 1) * (_p2(2 * s) - 1)
+        rows.append((w0 - (1 << (s + d - 1)), common * (_p2(s - d) + 1)))
+        rows.append((w0 + (1 << (s + d - 1)), common * (_p2(s - d) - 1)))
+        rows.append((w0, (_p2(3 * s - d) - _p2(2 * (s - d)) + 1) * (_p2(2 * s) - 1)))
     elif dp == 2 * d:
         j_term = _p2(2 * s) - _p2(2 * (s - d)) - _p2(2 * s - 3 * d) + _p2(s) - _p2(s - d) + 1
         den = (_p2(2 * d) - 1) * (_p2(d) + 1)
-        rows[w0 - (1 << (s - 1))] = _p2(s + 3 * d - 1) * (_p2(2 * s) - 1) * j_term / den
-        rows[w0 + (1 << (s - 1))] = _p2(s + 3 * d - 1) * (_p2(s) - 1) ** 2 * j_term / den
+        rows.append((w0 - (1 << (s - 1)), _p2(s + 3 * d - 1) * (_p2(2 * s) - 1) * j_term / den))
+        rows.append((w0 + (1 << (s - 1)), _p2(s + 3 * d - 1) * (_p2(s) - 1) ** 2 * j_term / den))
         mid = (
             _p2(s - 1)
             * (_p2(2 * s) - 1)
             * (_p2(s) + _p2(s - d) + _p2(s - 2 * d) + 1)
             / (_p2(d) + 1) ** 2
         )
-        rows[w0 - (1 << (s + d - 1))] = mid * (_p2(s - d) + 1)
-        rows[w0 + (1 << (s + d - 1))] = mid * (_p2(s - d) - 1)
-        rows[w0] = (_p2(2 * s) - 1) * _c2_center_term(s, d)
+        rows.append((w0 - (1 << (s + d - 1)), mid * (_p2(s - d) + 1)))
+        rows.append((w0 + (1 << (s + d - 1)), mid * (_p2(s - d) - 1)))
+        rows.append((w0, (_p2(2 * s) - 1) * _c2_center_term(s, d)))
         outer = _p2(s - 2 * d - 1) * (_p2(s - d) - 1) * (_p2(2 * s) - 1) / den
-        rows[w0 - (1 << (s + 2 * d - 1))] = outer * (_p2(s - 2 * d) + 1)
-        rows[w0 + (1 << (s + 2 * d - 1))] = outer * (_p2(s - 2 * d) - 1)
+        rows.append((w0 - (1 << (s + 2 * d - 1)), outer * (_p2(s - 2 * d) + 1)))
+        rows.append((w0 + (1 << (s + 2 * d - 1)), outer * (_p2(s - 2 * d) - 1)))
     else:
         raise InapplicableParameters(f"d'={dp} is neither d nor 2d for (s, l)=({s}, {l})")
     return _build(rows, (1 << (2 * s)) - 1, 5 * s)
@@ -321,9 +325,10 @@ class PlessResult:
         return self.ok
 
 
-def pless_verify(dist: WeightDistribution, n: int, k: int) -> PlessResult:
-    """Check that the dual of an [n, k] code with distribution dist has no
-    word of weight 1..6: the first seven power-moment identities.
+def pless_verify(dist: WeightDistribution) -> PlessResult:
+    """Check that the dual of the [n, k] code with distribution dist (n its
+    length, k its dimension) has no word of weight 1..6: the first seven
+    power-moment identities.
 
     By MacWilliams, sum_i A_i K_j(i) = 2^k B_j, with K_j the Krawtchouk
     polynomial K_j(i) = sum_h (-1)^h C(i, h) C(n - i, j - h) and B_j the
@@ -334,6 +339,7 @@ def pless_verify(dist: WeightDistribution, n: int, k: int) -> PlessResult:
     triple-error-correcting BCH codes; the cyclic c2 codes at s >= 3 fail
     identity 6.
     """
+    n, k = dist.length, dist.dimension
     for j in range(7):
         lhs = sum(
             a * sum((-1) ** h * comb(i, h) * comb(n - i, j - h) for h in range(j + 1))

@@ -122,11 +122,11 @@ def test_criterion_5_pless_suite(fields):
     for s, n, k in [(3, 63, 18), (4, 255, 24)]:
         dist = cyclic_weight_distribution(CodeSpec("c1", s), fields[2 * s], threads=4)
         assert (dist.length, dist.dimension) == (n, k)
-        assert bool(pless_verify(dist, n, k))
+        assert bool(pless_verify(dist))
         perturbed = dict(dist.entries)
         w = dist.min_distance()
         perturbed[w] += 1
-        assert not pless_verify(WeightDistribution(perturbed, n, k), n, k)
+        assert not pless_verify(WeightDistribution(perturbed, n, k))
     print("ACCEPTANCE 5: PASS - seven power moments hold for s=3, 4; perturbation detected")
 
 

@@ -210,8 +210,49 @@ def test_export_blocks_rejects_odd_weight_before_streaming(capsys, monkeypatch):
     code, out, err = run_cli(
         capsys, "designs", "--family", "c1", "--s", "2", "--weight", "5", "--export-blocks"
     )
-    assert (code, out, err) == (2, "", "EmptyWeightClass: no codeword of weight 5 in c1(s=2)\n")
+    assert (code, out, err) == (2, "", "EmptyWeightClass: no nontrivial class at weights [5]\n")
     assert streamed == []
+
+
+@pytest.mark.parametrize("s,weight", [
+    ("3", "97"), ("3", "300"), ("3", "-4"), ("3", "0"), ("3", "64"), ("3", "33"),
+    ("4", "97"), ("4", "0"), ("4", "256"),
+])
+def test_designs_rejects_a_weight_before_any_sweep(capsys, monkeypatch, s, weight):
+    import designforge.designs as designs
+
+    swept = []
+    for name in ("h0_basis", "weight_histogram"):
+        def spy(*args, _name=name, _original=getattr(designs, name), **kwargs):
+            swept.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(designs, name, spy)
+    code, out, err = run_cli(capsys, "designs", "--family", "c1", "--s", s, "--weight", weight)
+    assert (code, out, err) == (2, "", f"EmptyWeightClass: no nontrivial class at weights [{weight}]\n")
+    assert swept == []
+
+
+def test_closed_stdout_ends_the_export(tmp_path):
+    # a reader that stops after one line cuts the export short; the exit
+    # code stays the verdict, and no traceback reaches stderr
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["designs", "--family", "c1", "--s", "3", "--weight", "32", "--export-blocks"]
+    with open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "designforge.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=err, text=True)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err.seek(0)
+        assert (code, err.read()) == (0, "")
+    assert len(first.split()) == 32
 
 
 def test_export_blocks_is_a_lazy_stream(monkeypatch):

@@ -50,8 +50,6 @@ def test_blocks_of_weight_counts(f4, f6):
     assert all(b.bit_count() == 16 for b in blocks)
     assert len(set(blocks)) == 252  # distinct supports
     assert len(list(blocks_of_weight(CodeSpec("c2", 2, 1), f4, 4))) == 140
-    full = list(blocks_of_weight(CodeSpec("c1", 2), f4, 16))
-    assert full == [(1 << 16) - 1]
 
 
 def test_blocks_empty_class(f4):
@@ -103,7 +101,7 @@ def test_verify_not_constant_witness():
 
 def test_verify_trivial_design(f4):
     with pytest.raises(TrivialDesign):
-        verify_t_design(blocks_of_weight(CodeSpec("c1", 2), f4, 16), 16, 2)
+        verify_t_design([(1 << 16) - 1], 16, 2)
     # blocks smaller than t cover no t-subset, also when v < t
     with pytest.raises(TrivialDesign):
         verify_t_design([0b1, 0b10, 0b100], 4, 2)
@@ -223,10 +221,10 @@ def test_full_report_c2_s3(f6):
 
 
 def test_full_report_single_weight(f6):
-    rep = full_design_report(CodeSpec("c1", 3), f6, t=2, weights=[16])
+    rep = full_design_report(CodeSpec("c1", 3), f6, t=2, weight=16)
     assert len(rep) == 1 and rep[0].k == 16 and rep[0].lam == 15
     with pytest.raises(EmptyWeightClass):
-        full_design_report(CodeSpec("c1", 3), f6, t=2, weights=[17])
+        full_design_report(CodeSpec("c1", 3), f6, t=2, weight=17)
 
 
 def test_theorem_lambdas_integral_across_sweep():
@@ -259,7 +257,7 @@ def test_full_report_m8_gates_heavy_classes(f8):
 
 
 def test_report_json(f6):
-    rep = full_design_report(CodeSpec("c1", 3), f6, t=2, weights=[16])[0]
+    rep = full_design_report(CodeSpec("c1", 3), f6, t=2, weight=16)[0]
     obj = rep.to_json_obj()
     assert obj == {
         "t": 2, "v": 64, "k": 16, "b": "252", "lambda": "15",
@@ -373,7 +371,7 @@ def test_export_blocks_prints_the_report_order(f4, capsys, monkeypatch):
         return verify(passed, v, t, expected_b)
 
     monkeypatch.setattr(designs, "verify_t_design", spy)
-    full_design_report(spec, f4, t=2, weights=[4])
+    full_design_report(spec, f4, t=2, weight=4)
     assert main(["designs", "--family", "c1", "--s", "2", "--weight", "4", "--export-blocks"]) == 0
     lines = capsys.readouterr().out.splitlines()
 
@@ -438,7 +436,7 @@ def test_class_pairs_are_complements(spec_args, f6):
 def test_blocks_of_weight_rejects_before_streaming(weight, f4, monkeypatch):
     streamed = []
     monkeypatch.setattr(designs, "stream_weight_class", lambda *args: streamed.append(args) or iter(()))
-    with pytest.raises(EmptyWeightClass, match=f"^no codeword of weight {weight} in c1\\(s=2\\)$"):
+    with pytest.raises(EmptyWeightClass, match=f"^no nontrivial class at weights \\[{weight}\\]$"):
         next(blocks_of_weight(CodeSpec("c1", 2), f4, weight))
     assert streamed == []
 

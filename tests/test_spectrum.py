@@ -27,7 +27,7 @@ from designforge import (
     weight_from_sum,
 )
 from designforge.codebuild import weight_histogram
-from designforge.spectrum import _as_count
+from designforge.spectrum import _as_count, _build
 from ref_gf2 import ref_exp_sum
 
 M4_ENUMERATOR = {0: 1, 4: 140, 6: 448, 8: 870, 10: 448, 12: 140, 16: 1}
@@ -126,6 +126,15 @@ def test_non_integer_count_tripwire():
         _as_count(Fraction(-2), "negative row")
 
 
+@pytest.mark.parametrize("first", [Fraction(1), Fraction(0)])
+def test_repeated_weight_tripwire(first):
+    # a second row at one weight, e.g. closed_form_c1's tail row w0 + 2^(s+1)
+    # on the all-one row 16 at s = 2, is caught whatever the first row counts
+    rows = [(16, first), (8, Fraction(30)), (16, Fraction(1))]
+    with pytest.raises(InapplicableParameters, match="^weight 16 produced by two rows$"):
+        _build(rows, 16, 5)
+
+
 def test_extend_distribution_zero_code():
     ext = extend_distribution(WeightDistribution({0: 1}, 63, 0))
     assert ext.entries == {0: 1, 64: 1}
@@ -196,7 +205,7 @@ def test_weight_from_sum(f4):
 def test_pless_cyclic_c1_s3(f6):
     cyc = cyclic_weight_distribution(CodeSpec("c1", 3), f6)
     assert (cyc.length, cyc.dimension) == (63, 18)
-    assert bool(pless_verify(cyc, 63, 18))
+    assert bool(pless_verify(cyc))
 
 
 @pytest.mark.parametrize("spec,failing_identity", [
@@ -214,7 +223,7 @@ def test_pless_precondition_holds_for_c1_only(spec, failing_identity, f4, f6, f8
     # c2 beyond m = 4, so no c2 code belongs among golden.PLESS_CASES
     f = {4: f4, 6: f6, 8: f8}[spec.m]
     cyc = cyclic_weight_distribution(spec, f, threads=2)
-    res = pless_verify(cyc, cyc.length, cyc.dimension)
+    res = pless_verify(cyc)
     if failing_identity is None:
         assert res.ok and res.first_failure is None
     else:
@@ -225,7 +234,7 @@ def test_pless_detects_perturbation(f6):
     cyc = cyclic_weight_distribution(CodeSpec("c1", 3), f6)
     bad = dict(cyc.entries)
     bad[16] += 1
-    res = pless_verify(WeightDistribution(bad, 63, 18), 63, 18)
+    res = pless_verify(WeightDistribution(bad, 63, 18))
     assert not res
     assert res.first_failure[0] == 1  # sum A_i = 2^k is the first to break
 
@@ -234,7 +243,7 @@ def test_pless_reads_the_macwilliams_dual():
     # the [7,4] Hamming code's dual is the [7,3] simplex code, whose seven
     # nonzero words have weight 4: identity 5 reads 2^4 * B_4 = 16 * 7
     hamming = WeightDistribution({0: 1, 3: 7, 4: 7, 7: 1}, 7, 4)
-    assert pless_verify(hamming, 7, 4).first_failure == (5, 112, 0)
+    assert pless_verify(hamming).first_failure == (5, 112, 0)
 
 
 def test_distribution_json_serialization(f4):
