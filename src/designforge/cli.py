@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 from . import golden
 from .checks import CheckFailed
-from .codebuild import CodeSpec, cyclic_generator_basis
+from .codebuild import CodeSpec, cyclic_generator_basis, reduce_rows
 from .designs import blocks_of_weight, full_design_report
 from .gf2m import Field
 from .invariance import affine_orbit_check, closure_check
@@ -174,7 +174,7 @@ def cmd_reproduce(args) -> Result:
     @cache
     def cyclic(spec: CodeSpec) -> WeightDistribution:
         field = Field(spec.m)
-        key = tuple(cyclic_generator_basis(spec, field))
+        key = tuple(reduce_rows(cyclic_generator_basis(spec, field)))
         if key not in swept:
             swept[key] = cyclic_weight_distribution(spec, field, args.threads)
         return swept[key]

@@ -13,27 +13,31 @@ Family c2 (extended):  value at x is tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) +
 build_codeword is the one evaluator of these forms.  Coordinate 0 is
 x = 0, where every trace term vanishes, so the cyclic relative is the
 h = 0 subcode punctured at coordinate 0: its word at (a, b, c) is
-build_codeword(spec, field, a, b, c) >> 1, and its reduced basis is
+build_codeword(spec, field, a, b, c) >> 1, and its basis is
 h0_basis shifted the same way.
 
-Enumeration of a full code walks the span of a row-reduced basis in
-lexicographic order of the coefficient index, its words held only as
-packed uint64 rows; workers sweep disjoint slices of the high span table
-and merge additively, so every result is independent of worker count.
-pack_words, packed_rows_to_ints, unpack_rows, bits_to_ints and row_weights
-are the only code that knows the bit layout.
+Enumeration of a full code walks the span of a basis in lexicographic
+order of the coefficient index, its words held only as packed uint64 rows;
+workers sweep disjoint slices of the high span table and merge additively,
+so every result is independent of worker count.  pack_words,
+packed_rows_to_ints, unpack_rows, bits_to_ints and row_weights are the only
+code that knows the bit layout.
 
 The sweep never builds a word to weigh it.  The weight of the word at
 index c is (length - S(c))/2 with S(c) = sum_i (-1)^(c . g_i), where g_i
-is column i of the basis, so the weights of 2^16 consecutive indices are
-one Walsh-Hadamard transform of the basis column counts, signed by the
-word of the remaining high rows (see _SweepTables).  The transform runs in
-float32, exact for lengths below 2^24, as three stacked products with
-Sylvester matrices of order at most 64.  Each worker counts a batch by
-comparing the transform with the weights it has already seen, and
-recounts with bincount only a batch those leave short.  Only the words
+is column i of the basis.  h0_basis leads with the m words tr(alpha^j x),
+whose columns are the coordinates of the points x, all distinct; so for a
+fixed word of the a- and b-rows the weights of all 2^m words of its coset
+of the linear part are one Walsh-Hadamard transform of length 2^m, the
+exponential sum over c of the paper.  Each call transforms 2^(16 - m)
+such cosets at once: its input is a per-sweep sign table of their
+a/b-words times the +-1/2 bits of one high word (see _SweepTables).  The
+transform runs in float32, exact for lengths below 2^24, as two products
+with Sylvester matrices of order about 2^(m/2).  Each worker counts a
+batch by comparing the transform with the weights it has already seen,
+and recounts with bincount only a batch those leave short.  Only the words
 of a class that is kept or streamed are built, from the packed tables of
-the low and batch rows' spans and the batch's high word.
+the transform and batch rows' spans and the batch's high word.
 """
 
 from __future__ import annotations
@@ -54,11 +58,8 @@ from .gf2m import Field
 # Above this dimension a full sweep (2^dim codewords) is refused.
 MAX_ENUM_DIM = 26
 
-# Low basis rows whose span one transform covers: 2^12 words per high word.
-_LOW_BITS = 12
-
-# High words per transform batch, as index bits: a batch is 2^16 words.
-_BATCH_BITS = 4
+# Index bits of one transform batch: a batch is at most 2^16 words.
+_BATCH_BITS = 16
 
 # float32 holds every integer below 2^24 exactly.
 _MAX_LENGTH = 1 << 24
@@ -161,6 +162,11 @@ def build_codeword(spec: CodeSpec, field: Field, a: int, b: int, c: int, h: int 
 # -- GF(2) row space machinery ------------------------------------------------
 
 
+def _pivot(row: int) -> int:
+    """Lowest set bit of a nonzero row."""
+    return (row & -row).bit_length() - 1
+
+
 def reduce_rows(rows: list[int]) -> list[int]:
     """Reduced echelon basis of the span, rows sorted by pivot (lowest set bit)."""
     basis: dict[int, int] = {}  # pivot -> row
@@ -169,7 +175,7 @@ def reduce_rows(rows: list[int]) -> list[int]:
             if (row >> p) & 1:
                 row ^= r
         if row:
-            p = (row & -row).bit_length() - 1
+            p = _pivot(row)
             # back-substitute into existing rows to keep the form reduced
             for p2 in list(basis):
                 if (basis[p2] >> p) & 1:
@@ -183,19 +189,25 @@ def membership_test(word: int, basis: list[int], length: int) -> bool:
     if word < 0 or word.bit_length() > length:
         raise LengthMismatch(f"word has {word.bit_length()} bits, code length is {length}")
     for row in basis:
-        p = (row & -row).bit_length() - 1
+        p = _pivot(row)
         if (word >> p) & 1:
             word ^= row
     return word == 0
 
 
 def h0_basis(spec: CodeSpec, field: Field) -> list[int]:
-    """Row-reduced basis of the h = 0 subcode of the extended code.
+    """Basis of the h = 0 subcode of the extended code: the m words
+    tr(alpha^j x) of the linear part, j < m, then the rows of the reduced
+    basis of the whole span whose pivots the linear part lacks.
 
     The spanning set is the h = 0 word of every basis element of each
     coefficient slot a, b, c.  Every such word has bit 0 clear: coordinate 0
-    is x = 0, where each trace term vanishes.  generator_basis and
-    cyclic_generator_basis are the two views of this one reduction.
+    is x = 0, where each trace term vanishes.  At coordinate x the leading
+    m rows hold the coordinates of x in the trace-dual basis, distinct for
+    every x, which is what the sweep transforms over (see _SweepTables).
+    The pivots of a subspace are among those of the space, so the rows
+    kept after the linear part complete it to a basis.  generator_basis and
+    cyclic_generator_basis are the two views of this one basis.
     """
     full = [field.alpha_pow(j) for j in range(field.m)]
     if spec.family == "c1":
@@ -203,28 +215,29 @@ def h0_basis(spec: CodeSpec, field: Field) -> list[int]:
     else:
         sub_gen = field.alpha_pow((1 << field.s) + 1)  # primitive element of GF(2^s)
         a_slot = [field.pow(sub_gen, j) for j in range(field.s)]
+    linear = [build_codeword(spec, field, 0, 0, c) for c in full]
     words = [build_codeword(spec, field, a, 0, 0) for a in a_slot]
     words += [build_codeword(spec, field, 0, b, 0) for b in full]
-    words += [build_codeword(spec, field, 0, 0, c) for c in full]
-    return reduce_rows(words)
+    pivots = {_pivot(row) for row in reduce_rows(linear)}
+    return linear + [row for row in reduce_rows(linear + words) if _pivot(row) not in pivots]
 
 
 def generator_basis(spec: CodeSpec, field: Field) -> list[int]:
     """Row-reduced basis of the extended code; its size is the dimension.
 
-    The h = 0 basis plus the all-one word (h = 1), reduced again; the rank
-    is always computed, never assumed from a dimension formula.
+    The h = 0 basis plus the all-one word (h = 1), reduced; the rank is
+    always computed, never assumed from a dimension formula.
     """
     return reduce_rows(h0_basis(spec, field) + [(1 << spec.length) - 1])
 
 
 def cyclic_generator_basis(spec: CodeSpec, field: Field) -> list[int]:
-    """Row-reduced basis of the length-n cyclic relative: the h = 0 basis
-    shifted right by one.
+    """Basis of the length-n cyclic relative: the h = 0 basis shifted right
+    by one, in the same row order.
 
     The cyclic code is the h = 0 subcode punctured at coordinate 0.  No
-    h = 0 word has bit 0 set, so the shift keeps every pivot in order and
-    maps the reduced basis onto the reduced basis.
+    h = 0 word has bit 0 set, so the shift keeps the rows independent; the
+    leading m rows still hold distinct columns, now at the n nonzero points.
     """
     return [row >> 1 for row in h0_basis(spec, field)]
 
@@ -334,46 +347,66 @@ def _sweep_ranges(n_high: int, threads: int) -> list[tuple[int, int]]:
 class _SweepTables:
     """Read-only tables of one sweep, shared by its workers.
 
-    The basis splits into kl = min(k, _LOW_BITS) low rows, then up to
-    _BATCH_BITS batch rows, then the high rows.  With kb low and batch
-    rows, batch j covers the 2^kb indices from j * 2^kb: its word at local
-    index c is base ^ low[c], where base = high[j] is the span word of the
-    high rows at index j and low[c] the span word of the first kb rows at
-    c.  The high table has 2^(k - kb) <= 2^(MAX_ENUM_DIM - 16) = 1024 rows
+    The basis splits into kt = min(k, bit length of length - 1,
+    _BATCH_BITS) transform rows, then kb <= _BATCH_BITS - kt batch rows,
+    then the high rows.  Batch j covers the 2^(kt + kb) indices from
+    j * 2^(kt + kb): its word at local index i * 2^kt + c is
+    base ^ offsets[i] ^ low[c], where base = high[j], offsets[i] and low[c]
+    are the span words of the high, batch and transform rows at j, i and c.
+    The high table has 2^(k - kt - kb) <= 2^(MAX_ENUM_DIM - 16) = 1024 rows
     (64 KB for the 512 rows of length 1023 in the c2(5, 1) sweep).
 
-    Bit i of low[c] is the parity of c & col[i], where col[i] is the kb-bit
-    column of the first kb rows at coordinate i.  So with b_i = bit i of
-    base, the weight of the word at c is length/2 plus
-    sum_i (b_i - 1/2) (-1)^(c . col[i]): the Walsh-Hadamard transform of
-    the signed column counts F[u] = sum of b_i - 1/2 over the coordinates
-    i with col[i] = u.
+    Bit x of low[c] is the parity of c & col[x], where col[x] is the
+    kt-bit column of the transform rows at coordinate x.  So with b_x and
+    o_x the bits x of base and offsets[i], the weight of the word at
+    i * 2^kt + c is length/2 plus the Walsh-Hadamard transform at c of
+    F[u, i] = sum of (-1)^o_x (b_x - 1/2) over the coordinates x with
+    col[x] = u.  The signs (-1)^o_x are this table's; the halves b_x - 1/2
+    come with each high word.
+
+    A layer holds one coordinate of each column.  h0_basis leads with rows
+    whose columns are distinct, so its sweeps have one layer, whose signs
+    are held densely by column (zero at a column no coordinate has): each
+    batch's input is one product of them with the halves.  A basis whose
+    leading columns repeat adds the signed halves of its further layers,
+    summed per column by reduceat.
     """
 
-    def __init__(self, basis: list[int], length: int):
-        kl = min(len(basis), _LOW_BITS)
-        kb = min(len(basis), kl + _BATCH_BITS)
+    def __init__(self, basis: list[int], length: int, gathers: bool = True):
+        kt = min(len(basis), (length - 1).bit_length(), _BATCH_BITS)
+        kb = min(len(basis) - kt, _BATCH_BITS - kt)
         self.length = length
-        self.kl = kl
+        self.kt = kt
         self.n_words = (length + 63) // 64
-        self.low = _span_table(basis[:kl], length)
-        self.offsets = _span_table(basis[kl:kb], length)
-        self.high = _span_table(basis[kb:], length)
+        self.low = _span_table(basis[:kt], length)
+        self.offsets = _span_table(basis[kt : kt + kb], length)
+        self.high = _span_table(basis[kt + kb :], length)
         cols = np.zeros(length, dtype=np.intp)
-        for j, row in enumerate(unpack_rows(pack_words(basis[:kb], length), length)):
+        for j, row in enumerate(unpack_rows(pack_words(basis[:kt], length), length)):
             cols |= row.astype(np.intp) << j
-        # coordinates sorted by column, so that equal columns sum by reduceat
-        self.order = np.argsort(cols, kind="stable")
-        cols = cols[self.order]
-        self.starts = np.flatnonzero(np.diff(cols, prepend=-1))
-        self.columns = cols[self.starts]
-        # the transform as three stacked products of at most 64 x 64 factors
-        # (at kl = 12): OpenBLAS runs those on the calling thread, where one
+        # coordinates sorted by column: the first of each column is in layer 0
+        order = np.argsort(cols, kind="stable")
+        cols = cols[order]
+        starts = np.flatnonzero(np.diff(cols, prepend=-1))
+        self.layers = int(np.diff(starts, append=length).max())
+        signs = 1 - 2 * unpack_rows(self.offsets, length).T.astype(np.int8)
+        # the first coordinate of each column, 0 where none has it
+        self.first = np.zeros(1 << kt, dtype=np.intp)
+        self.first[cols[starts]] = order[starts]
+        self.signs = np.zeros((1 << kt, 1 << kb), dtype=np.float32)
+        self.signs[cols[starts]] = signs[order[starts]]
+        self.repeats = np.delete(order, starts)
+        self.repeat_signs = signs[self.repeats].astype(np.float32)
+        repeat_cols = np.delete(cols, starts)
+        self.repeat_starts = np.flatnonzero(np.diff(repeat_cols, prepend=-1))
+        self.repeat_columns = repeat_cols[self.repeat_starts]
+        # the transform as two stacked products with Sylvester factors of
+        # order 2^(kt - kt // 2) and 2^(kt // 2), each of at most 2^17
+        # multiply-adds: OpenBLAS runs those on the calling thread, where one
         # large product would start its own threads inside every worker
-        self.h_low = _hadamard(kl // 2)
-        self.h_high = _hadamard(kl - kl // 2)
-        self.h_batch = _hadamard(kb - kl)
-        self.indices = np.arange(1 << kb)
+        self.h_high = _hadamard(kt - kt // 2)
+        self.h_low = _hadamard(kt // 2)
+        self.indices = np.arange(self.signs.size) if gathers else None
 
 
 class _TransformStep:
@@ -381,34 +414,38 @@ class _TransformStep:
     gathers.
 
     Allocated in the thread that creates it, so the batch buffers never
-    come from a worker thread's own malloc arena.  Every partial sum of the
-    transform is a multiple of 1/2 of magnitude at most length/2, so
-    float32 is exact for lengths below 2^24 (_require_enumerable): the
-    transform of a word of weight w is exactly w - length/2.
+    come from a worker thread's own malloc arena, and the gather buffers
+    only for a sweep that gathers, so a sweep that only counts never
+    touches them.  Every partial sum of the transform is a multiple of 1/2
+    of magnitude at most length/2, so float32 is exact for lengths below
+    2^24 (_require_enumerable): the transform of a word of weight w is
+    exactly w - length/2.
     """
 
     def __init__(self, tables: _SweepTables):
         self.tables = tables
-        shape = (len(tables.h_batch), len(tables.h_high), len(tables.h_low))
-        self.bits = np.empty(tables.length, dtype=np.uint8)
-        self.halves = np.empty(tables.length, dtype=np.float32)
-        self.sums = np.empty(len(tables.starts), dtype=np.float32)
-        # columns that never occur stay 0
-        self.counts = np.zeros(shape, dtype=np.float32)
-        self.first = np.empty(shape, dtype=np.float32)
-        self.second = np.empty(shape, dtype=np.float32)
-        self.centred = self.first.reshape(-1)  # weight - length/2, by local index
-        self.mask = np.empty(self.counts.size, dtype=bool)
-        self.hit = np.empty(self.counts.size, dtype=bool)
+        size = tables.signs.size
+        self.bits = np.empty(len(tables.first), dtype=np.uint8)
+        self.halves = np.empty(len(tables.first), dtype=np.float32)
+        # the input by column, then weight - length/2 by local index
+        self.centred = np.empty(size, dtype=np.float32)
+        self.mask = np.empty(size, dtype=bool)
+        # the first product, then the recount's weights, then a gather's
+        # indices of the transform rows: a batch is done with each before
+        # it needs the next
+        self.scratch = np.empty(size, dtype=np.intp)
+        self.inner = self.scratch.view(np.float32)[:size]
         self.base = tables.high[0]
-        self.high_words = np.empty_like(tables.offsets)
         # the weights this worker has seen, most frequent first, with their
         # transform values, and its running count of each
         self.seen: list[tuple[int, np.float32]] = []
         self.tally: Counter[int] = Counter()
-        # gather buffers: only the rows a gather uses are ever touched
-        self.scratch = np.empty((2, self.counts.size), dtype=np.intp)
-        self.limbs = np.empty((self.counts.size, tables.n_words), dtype=np.uint64)
+        if tables.indices is not None:
+            # gather buffers: only the rows a gather uses are ever touched
+            self.hit = np.empty(size, dtype=bool)
+            self.batch = np.empty(size, dtype=np.intp)
+            self.limbs = np.empty((size, tables.n_words), dtype=np.uint64)
+            self.batch_words = np.empty_like(tables.offsets)
 
     def __call__(self, base: np.ndarray) -> None:
         """Transform the batch over base, a row of the high table, into centred.
@@ -416,14 +453,20 @@ class _TransformStep:
         Overwritten by the next call.
         """
         tb = self.tables
-        np.take(unpack_rows(base, tb.length), tb.order, out=self.bits)
+        bits = unpack_rows(base, tb.length)
+        np.take(bits, tb.first, out=self.bits)
         np.subtract(self.bits, np.float32(0.5), out=self.halves)
-        np.add.reduceat(self.halves, tb.starts, out=self.sums)
-        np.put(self.counts, tb.columns, self.sums)
-        np.matmul(self.counts, tb.h_low, out=self.first)
-        np.matmul(tb.h_high, self.first, out=self.second)
-        # the batch rows index axis 0: one product per middle index
-        np.matmul(tb.h_batch, self.second.transpose(1, 0, 2), out=self.first.transpose(1, 0, 2))
+        by_column = self.centred.reshape(tb.signs.shape)
+        np.multiply(tb.signs, self.halves[:, None], out=by_column)
+        if tb.layers > 1:
+            halves = bits[tb.repeats] - np.float32(0.5)
+            by_column[tb.repeat_columns] += np.add.reduceat(tb.repeat_signs * halves[:, None], tb.repeat_starts)
+        # column u = u_high * 2^(kt // 2) + u_low; the high part is summed
+        # first, one product per u_low, then the low part into index order
+        high, low = len(tb.h_high), len(tb.h_low)
+        inner = self.inner.reshape(high, low, -1)
+        np.matmul(tb.h_high, by_column.reshape(high, low, -1).transpose(1, 0, 2), out=inner.transpose(1, 0, 2))
+        np.matmul(inner.transpose(0, 2, 1), tb.h_low, out=self.centred.reshape(-1, high, low).transpose(1, 0, 2))
         self.base = base
 
     def count(self) -> list[tuple[int, int]]:
@@ -448,10 +491,8 @@ class _TransformStep:
                 if not left:
                     break
         if left:
-            weights = self.scratch[0]
-            np.add(self.centred, np.float32(length / 2), out=self.second.reshape(-1))
-            np.copyto(weights, self.second.reshape(-1), casting="unsafe")
-            counts = np.bincount(weights)
+            np.add(self.centred, np.float32(length / 2), out=self.scratch, casting="unsafe")
+            counts = np.bincount(self.scratch)
             found = [(w, int(counts[w])) for w in np.flatnonzero(counts).tolist()]
         self.tally.update(dict(found))
         if left:
@@ -473,18 +514,18 @@ class _TransformStep:
         listed = sorted(set(weights))
         self._mark(self.centred, [np.float32(w - tb.length / 2) for w in listed])
         count = int(np.count_nonzero(self.mask))
-        np.bitwise_xor(tb.offsets, self.base, out=self.high_words)
-        # indices into buffers allocated up front: a worker thread's own
-        # allocations fragment its malloc arena between the kept rows
-        at, high = self.scratch[0, :count], self.scratch[1, :count]
+        np.bitwise_xor(tb.offsets, self.base, out=self.batch_words)
+        # indices into buffers allocated once: a worker thread's allocations
+        # per batch fragment its malloc arena between the kept rows
+        at, batch = self.scratch[:count], self.batch[:count]
         np.compress(self.mask, tb.indices, out=at)
-        np.right_shift(at, tb.kl, out=high)
-        at &= (1 << tb.kl) - 1
+        np.right_shift(at, tb.kt, out=batch)
+        at &= (1 << tb.kt) - 1
         # every index is in range; "raise" would take into a temporary first
         rows = np.empty((count, tb.n_words), dtype=np.uint64)
         np.take(tb.low, at, axis=0, out=rows, mode="clip")
         limbs = self.limbs[:count]
-        np.take(self.high_words, high, axis=0, out=limbs, mode="clip")
+        np.take(self.batch_words, batch, axis=0, out=limbs, mode="clip")
         rows ^= limbs
         self._mark(row_weights(rows, out=limbs), listed)
         require(bool(self.mask[:count].all()), f"a word gathered for weights {listed} has another weight")
@@ -501,12 +542,13 @@ def _require_enumerable(basis: list[int], length: int) -> None:
 def weight_histogram(
     basis: list[int], length: int, threads: int = 1, keep: dict[tuple[int, ...], int] | None = None
 ) -> dict[int, int] | tuple[dict[int, int], dict[tuple[int, ...], list[np.ndarray]]]:
-    """Exact weight -> count map over the full span of a reduced basis, by
+    """Exact weight -> count map over the full span of a basis, by
     increasing weight.
 
-    The weights of every 2^16 consecutive span words come from one
-    Walsh-Hadamard transform of signed column counts (see _SweepTables),
-    with no word built.  Results are identical for any thread count.
+    The weights of each batch of up to 2^16 consecutive span words come
+    from Walsh-Hadamard transforms of signed column sums, one per coset of
+    the transform rows' span (see _SweepTables), with no word built.
+    Results are identical for any thread count.
 
     keep maps a group, a tuple of weights, to a cap on its running count,
     shared by the workers under a lock, to which a word adds once for each
@@ -522,7 +564,7 @@ def weight_histogram(
     """
     _require_enumerable(basis, length)
     caps = keep or {}
-    tables = _SweepTables(basis, length)
+    tables = _SweepTables(basis, length, gathers=bool(caps))
     ranges = _sweep_ranges(len(tables.high), threads)
     steps = [_TransformStep(tables) for _ in ranges]
     lock = threading.Lock()

@@ -127,8 +127,10 @@ def blocks_of_weight(
     spec: CodeSpec, field: Field, weight: int, chunks: Iterable[np.ndarray] | None = None
 ) -> Iterator[int]:
     """Stream the supports of all weight-i codewords as bitmask ints, for a
-    nontrivial class 0 < i < v of even weight i (else EmptyWeightClass,
-    raised before any stream starts).
+    nontrivial class 0 < i < v of even weight i.  Else EmptyWeightClass,
+    with the message of _require_class: raised before any stream starts
+    for an odd or out-of-range weight, and once the stream ends for one
+    the code lacks.
 
     The extended code is its h = 0 subcode H0 plus the complements of H0,
     so class i is the H0 words of its pair (min(i, v-i), max(i, v-i)), each
@@ -156,8 +158,7 @@ def blocks_of_weight(
             for block_rows in blocks:
                 yield from packed_rows_to_ints(block_rows)
                 count += len(block_rows)
-    if count == 0:
-        raise EmptyWeightClass(f"no codeword of weight {weight} in {spec.label()}")
+    _require_class(weight, v, held=count > 0)
 
 
 @lru_cache(maxsize=None)

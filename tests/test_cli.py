@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import reduce
+from operator import xor
 
 import pytest
 
 from designforge.cli import main
+from designforge.codebuild import cyclic_generator_basis
 
 
 def run_cli(capsys, *argv):
@@ -167,10 +170,13 @@ def test_designs_t3_m4(capsys):
 
 def test_designs_export_blocks(capsys):
     # one line per block, its k points; the raw order is the index order of
-    # the h = 0 basis's span
-    for s, weight, n_lines, digest in (
-        ("2", "4", 140, "7b83e070986d2371e287baaa6175b909cd237a491aa4add65f6c381c51094d65"),
-        ("3", "16", 252, "34ec07af188d1c7bc0ab70686b2a36bee1b1f857853d74501e70790d260b6ffd"),
+    # the h = 0 basis's span, and the sorted lines are the set of blocks,
+    # which no change of basis order may move
+    for s, weight, n_lines, digest, sorted_digest in (
+        ("2", "4", 140, "f16411288c2f296d814dcb0b19594557fed7cbc103fe6904c2eea79963f53e2f",
+         "7a10147d50ae9cc0fbac411128d9ce31f1ed75d7e2961214cfc8952a96294adc"),
+        ("3", "16", 252, "4dd46479fd0d5daf5c07d6618d59d35e02b2a6824fd15ee5f7385f7786b07fbf",
+         "9fa75c0f49524c2d76018950b9e009560f4b463901aae40d4e6393ef56eb4cb0"),
     ):
         code, out, _ = run_cli(
             capsys, "designs", "--family", "c1", "--s", s, "--weight", weight, "--export-blocks"
@@ -180,6 +186,7 @@ def test_designs_export_blocks(capsys):
         assert len(lines) == n_lines
         assert all(len(line.split()) == int(weight) for line in lines)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(("\n".join(sorted(lines)) + "\n").encode()).hexdigest() == sorted_digest
 
 
 @pytest.mark.parametrize("weight", ["0", "16", "-2", "18"])
@@ -233,6 +240,15 @@ def test_designs_rejects_a_weight_before_any_sweep(capsys, monkeypatch, s, weigh
     assert swept == []
 
 
+def test_missing_class_has_one_message_with_and_without_export(capsys):
+    # an even in-range weight the code lacks: the report finds it missing
+    # from the distribution, the export once its stream ends empty
+    argv = ("designs", "--family", "c1", "--s", "3", "--weight", "2")
+    expected = (2, "", "EmptyWeightClass: no nontrivial class at weights [2]\n")
+    assert run_cli(capsys, *argv) == expected
+    assert run_cli(capsys, *argv, "--export-blocks") == expected
+
+
 def test_closed_stdout_ends_the_export(tmp_path):
     # a reader that stops after one line cuts the export short; the exit
     # code stays the verdict, and no traceback reaches stderr
@@ -272,7 +288,7 @@ def test_export_blocks_is_a_lazy_stream(monkeypatch):
     )
     lines = cmd_designs(args)
     assert streamed == []
-    assert next(lines) == "1 11 13 15"
+    assert next(lines) == "5 11 14 15"
     assert streamed == [(4, 12)]  # class 4's pair: H0 weights 4 and 16 - 4
 
 
@@ -364,6 +380,32 @@ def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
     # pless-s4 share c1(4), and m4 and 3.6 name one code, c1(2) = c2(2, 1)
     assert sorted(length for _, length in swept) == [15, 63, 63, 63, 255]
     assert len(set(swept)) == len(swept)
+
+
+def test_reproduce_keys_each_code_by_its_span(capsys, monkeypatch):
+    # two bases of one code share a sweep: the c2 bases handed to the key
+    # are replaced by their prefix sums, another basis of the same span, so
+    # c1(2) and c2(2, 1) meet only through the reduced form
+    import designforge.cli as cli
+    import designforge.spectrum as spectrum
+
+    def mixed(spec, field):
+        rows = cyclic_generator_basis(spec, field)
+        return rows if spec.family == "c1" else [reduce(xor, rows[: j + 1]) for j in range(len(rows))]
+
+    original = spectrum.weight_histogram
+    swept = []
+
+    def spy(basis, length, *args, **kwargs):
+        swept.append(length)
+        return original(basis, length, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "cyclic_generator_basis", mixed)
+    monkeypatch.setattr(spectrum, "weight_histogram", spy)
+    code, out, _ = run_cli(capsys, "reproduce")
+    assert code == 0
+    assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
+    assert sorted(swept) == [15, 63, 63, 63, 255]
 
 
 def test_reproduce_reports_each_example_of_a_shared_sweep(capsys, monkeypatch):

@@ -30,6 +30,7 @@ from designforge import (
 import designforge.codebuild as codebuild
 from designforge.codebuild import (
     _span_table,
+    _SweepTables,
     _sweep_ranges,
     bits_to_ints,
     cyclic_generator_basis,
@@ -177,9 +178,11 @@ def test_cyclic_c2_against_definition(f4):
     ("c2", 3, 2), ("c2", 4, 1), ("c2", 4, 3), ("c2", 5, 1),
 ])
 def test_bases_match_definition_routes(spec_args):
-    # the reduced echelon form is unique, so each basis equals the reduction
-    # of the definition words: h = 0 at every element, extended with the
-    # all-one word added, cyclic at alpha^i
+    # the reduced echelon form is unique, so each basis spans the code of
+    # the definition words exactly when its reduction equals theirs: h = 0 at
+    # every element, extended with the all-one word added, cyclic at alpha^i;
+    # the h = 0 and cyclic bases lead with the m words tr(alpha^j x) and hold
+    # no more rows than the rank
     spec = CodeSpec(*spec_args)
     f = Field(spec.m)
     full = [f.alpha_pow(j) for j in range(f.m)]
@@ -187,12 +190,15 @@ def test_bases_match_definition_routes(spec_args):
         a_slot = full
     else:
         a_slot = [f.pow(f.alpha_pow((1 << f.s) + 1), j) for j in range(f.s)]
-    coeffs = [(a, 0, 0) for a in a_slot] + [(0, b, 0) for b in full] + [(0, 0, c) for c in full]
+    coeffs = [(0, 0, c) for c in full] + [(a, 0, 0) for a in a_slot] + [(0, b, 0) for b in full]
     extended = [_definition_word(spec, f, *abc, _extended_points(f)) for abc in coeffs]
     cyclic = [_definition_word(spec, f, *abc, _cyclic_points(f)) for abc in coeffs]
-    assert h0_basis(spec, f) == reduce_rows(extended)
+    h0, shifted = h0_basis(spec, f), cyclic_generator_basis(spec, f)
+    assert reduce_rows(h0) == reduce_rows(extended) and len(h0) == len(reduce_rows(extended))
+    assert h0[: f.m] == extended[: f.m]
     assert generator_basis(spec, f) == reduce_rows(extended + [(1 << f.q) - 1])
-    assert cyclic_generator_basis(spec, f) == reduce_rows(cyclic)
+    assert reduce_rows(shifted) == reduce_rows(cyclic) and len(shifted) == len(h0)
+    assert shifted[: f.m] == cyclic[: f.m]
 
 
 def test_dimensions_by_rank(f4, f6, f8):
@@ -382,9 +388,9 @@ def test_complement_sweep_matches_enumeration(route, drop, f6, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for low_bits, threads in product((16, 12, 8), (1, 2, 8)):
-            # at 8, batches of 2^12 words give every one of 8 workers several
-            monkeypatch.setattr(codebuild, "_LOW_BITS", low_bits)
+        for batch_bits, threads in product((16, 12, 10), (1, 2, 8)):
+            # at 10, batches of 2^10 words give every one of 8 workers several
+            monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
             assert weight_histogram(basis, length, threads) == {
                 w: len(words) for w, words in by_weight.items()
             }
@@ -418,7 +424,7 @@ def test_keep_groups_count_each_listed_weight(f6, monkeypatch):
 
     monkeypatch.setattr(codebuild._TransformStep, "gather", spy)
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(codebuild, "_LOW_BITS", 8)
+    monkeypatch.setattr(codebuild, "_BATCH_BITS", 12)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -462,8 +468,8 @@ def test_capped_class_gathers_stay_bounded(f6, monkeypatch):
     # update of the running count breaks this under frequent switches
     basis = generator_basis(CodeSpec("c1", 3), f6)
     hist = weight_histogram(basis, 64)
-    low_bits, threads = 4, 8
-    batch = 1 << (low_bits + codebuild._BATCH_BITS)
+    batch_bits, threads = 8, 8
+    batch = 1 << batch_bits
     caps = {(32,): hist[32] // 8, (24,): hist[24] // 8}
     assert min(caps.values()) > threads * batch  # every worker gathers before the drop
     gathered: list[tuple[tuple[int, ...], int]] = []
@@ -475,7 +481,7 @@ def test_capped_class_gathers_stay_bounded(f6, monkeypatch):
         return rows
 
     monkeypatch.setattr(codebuild._TransformStep, "gather", spy)
-    monkeypatch.setattr(codebuild, "_LOW_BITS", low_bits)
+    monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: threads)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -520,7 +526,7 @@ sys.exit(3)
 
 def _counting_basis() -> list[int]:
     """Eight rows of weight 2 on coordinates 0-15, then five dense rows on
-    16-63: the first batch (at most 8 rows) sees only weights 0-16, and
+    16-63: the first batch (at most 4 rows) sees only weights 0-8, and
     later batches bring weights it never saw."""
     rows = [1 << j | 1 << (j + 8) for j in range(8)]
     rows += [(0x9E3779B97F4A7C15 * (j + 1) & (1 << 48) - 1) << 16 for j in range(5)]
@@ -541,13 +547,13 @@ def _spy_bincount(monkeypatch) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("low_bits, threads", product((2, 3, 4), (1, 2, 8)))
-def test_counting_recounts_batches_with_new_weights(low_bits, threads, monkeypatch):
+@pytest.mark.parametrize("batch_bits, threads", product((2, 3, 4), (1, 2, 8)))
+def test_counting_recounts_batches_with_new_weights(batch_bits, threads, monkeypatch):
     basis = _counting_basis()
     by_weight = _by_weight(basis)
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(codebuild, "_LOW_BITS", low_bits)
-    workers = len(_sweep_ranges(1 << (len(basis) - low_bits - codebuild._BATCH_BITS), threads))
+    monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
+    workers = len(_sweep_ranges(1 << (len(basis) - batch_bits), threads))
     fallbacks = _spy_bincount(monkeypatch)
     hist, kept = weight_histogram(basis, 64, threads, keep={(w,): 1 << 13 for w in range(65)})
     assert hist == {w: len(words) for w, words in by_weight.items()}
@@ -564,7 +570,7 @@ def test_counting_fallbacks_stay_within_the_weights(f6, monkeypatch):
     basis = cyclic_generator_basis(CodeSpec("c1", 3), f6)
     hist = weight_histogram(basis, 63)
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(codebuild, "_LOW_BITS", 4)
+    monkeypatch.setattr(codebuild, "_BATCH_BITS", 8)
     for threads in (1, 2, 8):
         fallbacks = _spy_bincount(monkeypatch)
         assert weight_histogram(basis, 63, threads) == hist
@@ -586,29 +592,57 @@ def test_counting_recount_holds_under_optimize():
     assert f"\n{len(nodes)} passed" in proc.stdout, proc.stdout[-2000:]
 
 
+@pytest.mark.parametrize("m", [4, 6, 8, 10])
+def test_code_bases_sweep_in_one_layer(m):
+    # the leading m rows hold a distinct column at every coordinate, so each
+    # batch's input is one product of the dense sign table with the halves
+    f = Field(m)
+    s = m // 2
+    for spec in [CodeSpec("c1", s)] + [CodeSpec("c2", s, l) for l in range(1, s)]:
+        for basis, length in ((h0_basis(spec, f), spec.length), (cyclic_generator_basis(spec, f), spec.n)):
+            tables = _SweepTables(basis, length, gathers=False)
+            assert (tables.kt, tables.layers) == (m, 1), (spec, length)
+
+
+def test_repeated_leading_columns_sum_over_layers():
+    # the six leading rows of the counting basis share columns: coordinates
+    # j and j + 8 (j < 6) have column 2^j, and the other 52 have column 0;
+    # the further layers are summed onto the first, and every weight is exact
+    basis = _counting_basis()
+    tables = _SweepTables(basis, 64)
+    assert (tables.kt, tables.layers) == (6, 52)
+    by_weight = _by_weight(basis)
+    for threads in (1, 2):
+        assert weight_histogram(basis, 64, threads) == {w: len(words) for w, words in by_weight.items()}
+    for w in (0, 2, 16, max(by_weight)):
+        streamed = [word for chunk in stream_weight_class(basis, 64, (w,)) for word in packed_rows_to_ints(chunk)]
+        assert streamed == by_weight[w]
+
+
 @st.composite
 def span_cases(draw):
-    """Random rows (dependent or not) of a random length, a low-table size
-    small enough to give odd splits and many batches, and a thread count."""
+    """Random rows (dependent or not) of a random length, a batch size
+    small enough to give odd splits, repeated columns and many batches, and
+    a thread count."""
     length = draw(st.sampled_from([1, 63, 64, 65, 100, 128]))
     rows = draw(st.lists(st.integers(0, (1 << length) - 1), max_size=12))
     if rows and draw(st.booleans()):
         # rows that XOR to the all-one word: the span is closed under complement
         rows[-1] ^= reduce(xor, rows) ^ ((1 << length) - 1)
-    return rows, length, draw(st.integers(1, 5)), draw(st.sampled_from([1, 2]))
+    return rows, length, draw(st.integers(3, 9)), draw(st.sampled_from([1, 2]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(span_cases(), st.data())
 def test_transform_sweep_matches_bit_count_property(case, data):
-    rows, length, low_bits, threads = case
+    rows, length, batch_bits, threads = case
     by_weight = _by_weight(rows)
     hist = {w: len(words) for w, words in by_weight.items()}
     drop = data.draw(st.sets(st.sampled_from(sorted(by_weight))))
     caps = {(w,): len(words) - (w in drop) for w, words in by_weight.items()}
     streamed_weight = data.draw(st.sampled_from(sorted(by_weight)))
-    saved = codebuild._LOW_BITS
-    codebuild._LOW_BITS = low_bits
+    saved = codebuild._BATCH_BITS
+    codebuild._BATCH_BITS = batch_bits
     try:
         assert weight_histogram(rows, length, threads) == hist
         got, kept = weight_histogram(rows, length, threads, keep=caps)
@@ -618,7 +652,7 @@ def test_transform_sweep_matches_bit_count_property(case, data):
             for word in packed_rows_to_ints(chunk)
         ]
     finally:
-        codebuild._LOW_BITS = saved
+        codebuild._BATCH_BITS = saved
     assert got == hist
     assert {w for w, in kept} == set(by_weight) - drop
     for (w,), chunks in kept.items():
