@@ -29,15 +29,16 @@ is column i of the basis.  h0_basis leads with the m words tr(alpha^j x),
 whose columns are the coordinates of the points x, all distinct; so for a
 fixed word of the a- and b-rows the weights of all 2^m words of its coset
 of the linear part are one Walsh-Hadamard transform of length 2^m, the
-exponential sum over c of the paper.  Each call transforms 2^(16 - m)
+exponential sum over c of the paper.  Each call transforms 2^(17 - m)
 such cosets at once: its input is a per-sweep sign table of their
-a/b-words times the +-1/2 bits of one high word (see _SweepTables).  The
-transform runs in float32, exact for lengths below 2^24, as two products
-with Sylvester matrices of order about 2^(m/2).  Each worker counts a
-batch by comparing the transform with the weights it has already seen,
-and recounts with bincount only a batch those leave short.  Only the words
-of a class that is kept or streamed are built, from the packed tables of
-the transform and batch rows' spans and the batch's high word.
+a/b-words, and the +-1 bits of one high word scale the
+columns of the first of two Sylvester factors of order about 2^(m/2)
+(see _SweepTables).  The transform runs in float32, exact for lengths
+below 2^24, and gives 2w - length for a word of weight w.  Each worker
+counts a batch by casting the transform to integers, sorting them in
+place and reading the run of each weight off searchsorted.  Only the
+words of a class that is kept or streamed are built, from the packed
+tables of the transform and batch rows' spans and the batch's high word.
 """
 
 from __future__ import annotations
@@ -58,8 +59,11 @@ from .gf2m import Field
 # Above this dimension a full sweep (2^dim codewords) is refused.
 MAX_ENUM_DIM = 26
 
-# Index bits of one transform batch: a batch is at most 2^16 words.
-_BATCH_BITS = 16
+# Index bits of one transform batch: a batch is at most 2^17 words, and
+# each stacked product of its transform at most 2^17 multiply-adds.  On 2
+# cores a batch of 2^16 spends as long handing the interpreter lock to and
+# from each numpy call as in the call, so a second worker gained nothing.
+_BATCH_BITS = 17
 
 # float32 holds every integer below 2^24 exactly.
 _MAX_LENGTH = 1 << 24
@@ -348,33 +352,45 @@ class _SweepTables:
     """Read-only tables of one sweep, shared by its workers.
 
     The basis splits into kt = min(k, bit length of length - 1,
-    _BATCH_BITS) transform rows, then kb <= _BATCH_BITS - kt batch rows,
-    then the high rows.  Batch j covers the 2^(kt + kb) indices from
-    j * 2^(kt + kb): its word at local index i * 2^kt + c is
-    base ^ offsets[i] ^ low[c], where base = high[j], offsets[i] and low[c]
-    are the span words of the high, batch and transform rows at j, i and c.
-    The high table has 2^(k - kt - kb) <= 2^(MAX_ENUM_DIM - 16) = 1024 rows
-    (64 KB for the 512 rows of length 1023 in the c2(5, 1) sweep).
+    _BATCH_BITS rounded down to even) transform rows, then
+    kb <= _BATCH_BITS - kt - (kt % 2) batch rows, then the high rows.
+    Batch j covers the 2^(kt + kb) indices from j * 2^(kt + kb): its word
+    at local index i * 2^kt + c is base ^ offsets[i] ^ low[c], where
+    base = high[j], offsets[i] and low[c] are the span words of the high,
+    batch and transform rows at j, i and c.  The high table has
+    2^(k - kt - kb) <= 2^(MAX_ENUM_DIM - 16) = 1024 rows, 512 at even kt
+    (32 KB for the 256 rows of length 1023 in the c2(5, 1) sweep).
 
     Bit x of low[c] is the parity of c & col[x], where col[x] is the
     kt-bit column of the transform rows at coordinate x.  So with b_x and
-    o_x the bits x of base and offsets[i], the weight of the word at
-    i * 2^kt + c is length/2 plus the Walsh-Hadamard transform at c of
-    F[u, i] = sum of (-1)^o_x (b_x - 1/2) over the coordinates x with
-    col[x] = u.  The signs (-1)^o_x are this table's; the halves b_x - 1/2
-    come with each high word.
+    o_x the bits x of base and offsets[i], the weight w of the word at
+    i * 2^kt + c has 2w - length equal to the Walsh-Hadamard transform at
+    c of F[u, i] = sum of (-1)^o_x (2b_x - 1) over the coordinates x with
+    col[x] = u.  The signs (-1)^o_x are this table's; the bits b_x come
+    with each high word.
+
+    The transform is two stacked products with Sylvester factors of order
+    high = 2^(kt - kt // 2) and low = 2^(kt // 2), the first doubled, so
+    that the bits enter as b_x - 1/2: column u = u_high * low + u_low is
+    summed over u_high first, one product per u_low, so the tables hold
+    column u at slot u_low * high + u_high, and each product reads a
+    contiguous block of them.
 
     A layer holds one coordinate of each column.  h0_basis leads with rows
     whose columns are distinct, so its sweeps have one layer, whose signs
-    are held densely by column (zero at a column no coordinate has): each
-    batch's input is one product of them with the halves.  A basis whose
-    leading columns repeat adds the signed halves of its further layers,
-    summed per column by reduceat.
+    are held densely by slot (zero at a column no coordinate has), and
+    each batch's b_x - 1/2 scale the columns of the first factor.  A basis
+    whose leading columns repeat forms each batch's F by slot instead,
+    adding its further layers per slot by reduceat.
     """
 
     def __init__(self, basis: list[int], length: int, gathers: bool = True):
-        kt = min(len(basis), (length - 1).bit_length(), _BATCH_BITS)
-        kb = min(len(basis) - kt, _BATCH_BITS - kt)
+        # each stacked product of the transform is at most 2^(kt + kt % 2 + kb)
+        # multiply-adds: OpenBLAS runs a product of at most 2^17 on the
+        # calling thread, where a larger one starts its own threads inside
+        # every worker
+        kt = min(len(basis), (length - 1).bit_length(), _BATCH_BITS & ~1)
+        kb = min(len(basis) - kt, _BATCH_BITS - kt - kt % 2)
         self.length = length
         self.kt = kt
         self.n_words = (length + 63) // 64
@@ -384,65 +400,73 @@ class _SweepTables:
         cols = np.zeros(length, dtype=np.intp)
         for j, row in enumerate(unpack_rows(pack_words(basis[:kt], length), length)):
             cols |= row.astype(np.intp) << j
-        # coordinates sorted by column: the first of each column is in layer 0
-        order = np.argsort(cols, kind="stable")
-        cols = cols[order]
-        starts = np.flatnonzero(np.diff(cols, prepend=-1))
+        self.h_high = 2 * _hadamard(kt - kt // 2)
+        self.h_low = _hadamard(kt // 2)
+        slots = (cols & (len(self.h_low) - 1)) * len(self.h_high) + (cols >> kt // 2)
+        # coordinates sorted by slot: the first of each slot is in layer 0
+        order = np.argsort(slots, kind="stable")
+        slots = slots[order]
+        starts = np.flatnonzero(np.diff(slots, prepend=-1))
         self.layers = int(np.diff(starts, append=length).max())
         signs = 1 - 2 * unpack_rows(self.offsets, length).T.astype(np.int8)
-        # the first coordinate of each column, 0 where none has it
-        self.first = np.zeros(1 << kt, dtype=np.intp)
-        self.first[cols[starts]] = order[starts]
         self.signs = np.zeros((1 << kt, 1 << kb), dtype=np.float32)
-        self.signs[cols[starts]] = signs[order[starts]]
+        self.signs[slots[starts]] = signs[order[starts]]
+        # the first coordinate of each slot, 0 where none has it
+        self.first = np.zeros(1 << kt, dtype=np.intp)
+        self.first[slots[starts]] = order[starts]
         self.repeats = np.delete(order, starts)
         self.repeat_signs = signs[self.repeats].astype(np.float32)
-        repeat_cols = np.delete(cols, starts)
-        self.repeat_starts = np.flatnonzero(np.diff(repeat_cols, prepend=-1))
-        self.repeat_columns = repeat_cols[self.repeat_starts]
-        # the transform as two stacked products with Sylvester factors of
-        # order 2^(kt - kt // 2) and 2^(kt // 2), each of at most 2^17
-        # multiply-adds: OpenBLAS runs those on the calling thread, where one
-        # large product would start its own threads inside every worker
-        self.h_high = _hadamard(kt - kt // 2)
-        self.h_low = _hadamard(kt // 2)
+        repeat_slots = np.delete(slots, starts)
+        self.repeat_starts = np.flatnonzero(np.diff(repeat_slots, prepend=-1))
+        self.repeat_slots = repeat_slots[self.repeat_starts]
+        # the first factor is symmetric, so its copy for one u_low, scaled by
+        # the bits b of that u_low's slots and transposed, is the rows
+        # pairs[s] + b of scaled_rows: row 2u + b is row u times b - 1/2
+        high = len(self.h_high)
+        self.scaled_rows = np.repeat(self.h_high, 2, axis=0) * np.tile(np.float32([-0.5, 0.5]), high)[:, None]
+        self.pairs = np.tile(2 * np.arange(high), len(self.h_low))
+        # 2w - length of each weight w, in the count's integer dtype
+        self.value_dtype = np.int16 if length < 1 << 15 else np.int32
+        self.edges = np.arange(-length, length + 1, 2, dtype=self.value_dtype)
         self.indices = np.arange(self.signs.size) if gathers else None
 
 
 class _TransformStep:
-    """One worker's buffers for the transform of a batch, its counts and its
+    """One worker's buffers for the transform of a batch, its count and its
     gathers.
 
     Allocated in the thread that creates it, so the batch buffers never
     come from a worker thread's own malloc arena, and the gather buffers
     only for a sweep that gathers, so a sweep that only counts never
-    touches them.  Every partial sum of the transform is a multiple of 1/2
-    of magnitude at most length/2, so float32 is exact for lengths below
-    2^24 (_require_enumerable): the transform of a word of weight w is
-    exactly w - length/2.
+    touches them.  Each coordinate adds +-1 to each transform value, so
+    every partial sum is an integer of magnitude at most length, which
+    float32 holds exactly below 2^24 (_require_enumerable): the transform
+    of a word of weight w is exactly 2w - length.
     """
 
     def __init__(self, tables: _SweepTables):
         self.tables = tables
         size = tables.signs.size
+        high, low = len(tables.h_high), len(tables.h_low)
         self.bits = np.empty(len(tables.first), dtype=np.uint8)
-        self.halves = np.empty(len(tables.first), dtype=np.float32)
-        # the input by column, then weight - length/2 by local index
-        self.centred = np.empty(size, dtype=np.float32)
-        self.mask = np.empty(size, dtype=bool)
-        # the first product, then the recount's weights, then a gather's
-        # indices of the transform rows: a batch is done with each before
-        # it needs the next
-        self.scratch = np.empty(size, dtype=np.intp)
-        self.inner = self.scratch.view(np.float32)[:size]
+        self.rows = np.empty(len(tables.first), dtype=np.intp)
+        # the scaled first factor of each u_low, transposed, or F by slot
+        # (repeated columns only); then 2w - length by local index
+        held = np.empty(max(size, low * high * high), dtype=np.float32)
+        self.factor = held[: low * high * high].reshape(-1, high)
+        self.centred = held[:size]
+        # the first product, then the count's values: a batch is done with
+        # the one before it needs the other
+        self.inner = np.empty(size, dtype=np.float32)
+        self.values = self.inner.view(tables.value_dtype)[:size]
         self.base = tables.high[0]
-        # the weights this worker has seen, most frequent first, with their
-        # transform values, and its running count of each
-        self.seen: list[tuple[int, np.float32]] = []
+        # this worker's running count of each weight
         self.tally: Counter[int] = Counter()
         if tables.indices is not None:
             # gather buffers: only the rows a gather uses are ever touched
+            self.mask = np.empty(size, dtype=bool)
             self.hit = np.empty(size, dtype=bool)
+            self.at = np.empty(size, dtype=np.intp)
             self.batch = np.empty(size, dtype=np.intp)
             self.limbs = np.empty((size, tables.n_words), dtype=np.uint64)
             self.batch_words = np.empty_like(tables.offsets)
@@ -455,48 +479,49 @@ class _TransformStep:
         tb = self.tables
         bits = unpack_rows(base, tb.length)
         np.take(bits, tb.first, out=self.bits)
-        np.subtract(self.bits, np.float32(0.5), out=self.halves)
-        by_column = self.centred.reshape(tb.signs.shape)
-        np.multiply(tb.signs, self.halves[:, None], out=by_column)
-        if tb.layers > 1:
-            halves = bits[tb.repeats] - np.float32(0.5)
-            by_column[tb.repeat_columns] += np.add.reduceat(tb.repeat_signs * halves[:, None], tb.repeat_starts)
-        # column u = u_high * 2^(kt // 2) + u_low; the high part is summed
-        # first, one product per u_low, then the low part into index order
+        # the high part of the column is summed first, one product per
+        # u_low, then the low part into index order
         high, low = len(tb.h_high), len(tb.h_low)
-        inner = self.inner.reshape(high, low, -1)
-        np.matmul(tb.h_high, by_column.reshape(high, low, -1).transpose(1, 0, 2), out=inner.transpose(1, 0, 2))
-        np.matmul(inner.transpose(0, 2, 1), tb.h_low, out=self.centred.reshape(-1, high, low).transpose(1, 0, 2))
+        signs = tb.signs.reshape(low, high, -1)
+        inner = self.inner.reshape(low, high, -1)
+        if tb.layers == 1:
+            np.add(tb.pairs, self.bits, out=self.rows)
+            # every row is in range; "raise" would take into a temporary first
+            np.take(tb.scaled_rows, self.rows, axis=0, out=self.factor, mode="clip")
+            np.matmul(self.factor.reshape(low, high, high).transpose(0, 2, 1), signs, out=inner)
+        else:
+            by_slot = self.centred.reshape(signs.shape)
+            np.multiply(signs, self.bits.reshape(low, high, 1) - np.float32(0.5), out=by_slot)
+            repeats = bits[tb.repeats] - np.float32(0.5)
+            by_slot.reshape(tb.signs.shape)[tb.repeat_slots] += np.add.reduceat(
+                tb.repeat_signs * repeats[:, None], tb.repeat_starts
+            )
+            np.matmul(tb.h_high, by_slot, out=inner)
+        np.matmul(inner.transpose(1, 2, 0), tb.h_low, out=self.centred.reshape(-1, high, low).transpose(1, 0, 2))
         self.base = base
 
     def count(self) -> list[tuple[int, int]]:
         """(weight, count) of every weight of the last batch, added to tally.
 
-        The transform is compared with w - length/2 for each weight w seen
-        so far, most frequent first, until the counts reach the batch size.
-        The values compared are distinct, so no word is counted twice, and
-        the counts reach the batch size only when every word is counted.  A
-        batch that falls short is recounted by bincount, which adds its new
-        weights to those seen.
+        The transform is cast to integers and sorted in place: the run of
+        weight w starts at the first value not below 2w - length.  A value
+        has the parity of length, as a sum of length terms +-1, and the runs
+        cover the batch when every value lies in -length..length.
         """
-        length = self.tables.length
-        left = self.centred.size
-        found = []
-        for w, value in self.seen:
-            np.equal(self.centred, value, out=self.mask)
-            c = int(np.count_nonzero(self.mask))
-            if c:
-                found.append((w, c))
-                left -= c
-                if not left:
-                    break
-        if left:
-            np.add(self.centred, np.float32(length / 2), out=self.scratch, casting="unsafe")
-            counts = np.bincount(self.scratch)
-            found = [(w, int(counts[w])) for w in np.flatnonzero(counts).tolist()]
+        tb = self.tables
+        values = self.values
+        np.copyto(values, self.centred, casting="unsafe")
+        values.sort()
+        least, most = int(values[0]), int(values[-1])
+        require(
+            -tb.length <= least and most <= tb.length,
+            f"a transform value lies outside the weights 0..{tb.length}",
+        )
+        weights = range((least + tb.length) // 2, (most + tb.length) // 2 + 1)
+        starts = np.searchsorted(values, tb.edges[weights.start : weights.stop]).tolist()
+        starts.append(len(values))
+        found = [(w, end - start) for w, start, end in zip(weights, starts, starts[1:]) if end > start]
         self.tally.update(dict(found))
-        if left:
-            self.seen = [(w, np.float32(w - length / 2)) for w, _ in self.tally.most_common()]
         return found
 
     def _mark(self, values: np.ndarray, targets: list) -> None:
@@ -512,12 +537,12 @@ class _TransformStep:
         listed in weights, in index order, each checked against them."""
         tb = self.tables
         listed = sorted(set(weights))
-        self._mark(self.centred, [np.float32(w - tb.length / 2) for w in listed])
+        self._mark(self.centred, [np.float32(2 * w - tb.length) for w in listed])
         count = int(np.count_nonzero(self.mask))
         np.bitwise_xor(tb.offsets, self.base, out=self.batch_words)
         # indices into buffers allocated once: a worker thread's allocations
         # per batch fragment its malloc arena between the kept rows
-        at, batch = self.scratch[:count], self.batch[:count]
+        at, batch = self.at[:count], self.batch[:count]
         np.compress(self.mask, tb.indices, out=at)
         np.right_shift(at, tb.kt, out=batch)
         at &= (1 << tb.kt) - 1
@@ -545,7 +570,7 @@ def weight_histogram(
     """Exact weight -> count map over the full span of a basis, by
     increasing weight.
 
-    The weights of each batch of up to 2^16 consecutive span words come
+    The weights of each batch of up to 2^17 consecutive span words come
     from Walsh-Hadamard transforms of signed column sums, one per coset of
     the transform rows' span (see _SweepTables), with no word built.
     Results are identical for any thread count.

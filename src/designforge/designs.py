@@ -48,8 +48,12 @@ from .spectrum import (
 COST_GATE = 10**9
 
 # Blocks per counting chunk.  Every per-chunk count is at most _CHUNK < 2^24,
-# so the float32 Gram products below are exact integers.
+# so the float32 Gram sums below are exact integers.
 _CHUNK = 8192
+
+# Incidence rows converted to float32 at a time for the Gram product: 1 MB
+# at v = 256, where a whole chunk took 8 MB.
+_GRAM_ROWS = 1024
 
 
 # H0 rows per slice in blocks_of_weight: each slice's complements and bytes
@@ -175,8 +179,11 @@ def _subset_counts(bits: np.ndarray, t: int) -> np.ndarray:
         # the subsets with least point p, for p = 0, 1, ... in turn
         parts = [_subset_counts(bits[bits[:, p] == 1, p + 1 :], t - 1) for p in range(v - t + 1)]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    m = bits.astype(np.float32)
-    gram = m.T @ m
+    gram = np.zeros((v, v), dtype=np.float32)
+    product = np.empty_like(gram)
+    for i in range(0, len(bits), _GRAM_ROWS):
+        rows = bits[i : i + _GRAM_ROWS].astype(np.float32)
+        gram += np.matmul(rows.T, rows, out=product)
     require(
         np.array_equal(np.diagonal(gram), bits.sum(axis=0, dtype=np.int32)),
         "float32 Gram diagonal disagrees with the per-point block counts",

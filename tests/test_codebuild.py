@@ -28,10 +28,12 @@ from designforge import (
     weight_distribution,
 )
 import designforge.codebuild as codebuild
+from designforge.checks import CheckFailed
 from designforge.codebuild import (
     _span_table,
     _SweepTables,
     _sweep_ranges,
+    _TransformStep,
     bits_to_ints,
     cyclic_generator_basis,
     enumerate_span,
@@ -533,55 +535,42 @@ def _counting_basis() -> list[int]:
     return rows
 
 
-def _spy_bincount(monkeypatch) -> list[int]:
-    """Record the size of each bincount call: only a batch that the known
-    weights do not account for is recounted by bincount."""
-    original = codebuild.np.bincount
-    calls: list[int] = []
-
-    def spy(values, *args, **kwargs):
-        calls.append(len(values))
-        return original(values, *args, **kwargs)
-
-    monkeypatch.setattr(codebuild.np, "bincount", spy)
-    return calls
+# each count case: a basis, its length and the batch bits it sweeps at; c1(3)
+# sweeps its 2^18 words in batches of 2^6 and 2^8, not 4-16 words, to stay fast
+COUNT_CASES = [("counting", 2), ("counting", 3), ("counting", 4), ("c1(3)", 6), ("c1(3)", 8)]
 
 
-@pytest.mark.parametrize("batch_bits, threads", product((2, 3, 4), (1, 2, 8)))
-def test_counting_recounts_batches_with_new_weights(batch_bits, threads, monkeypatch):
-    basis = _counting_basis()
+@cache
+def _count_basis(name: str) -> tuple[list[int], int]:
+    if name == "counting":
+        return _counting_basis(), 64
+    return cyclic_generator_basis(CodeSpec("c1", 3), Field(6)), 63
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("name, batch_bits", COUNT_CASES)
+def test_count_matches_enumeration(name, batch_bits, threads, monkeypatch):
+    # each batch's sorted values, read off in runs, give the enumerated
+    # histogram and kept rows: the counting basis's batches bring weights
+    # in a different order, and c1(3) has odd length, so negative and odd
+    # transform values; more workers than cores split either
+    basis, length = _count_basis(name)
     by_weight = _by_weight(basis)
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
-    workers = len(_sweep_ranges(1 << (len(basis) - batch_bits), threads))
-    fallbacks = _spy_bincount(monkeypatch)
-    hist, kept = weight_histogram(basis, 64, threads, keep={(w,): 1 << 13 for w in range(65)})
+    hist, kept = weight_histogram(basis, length, threads, keep={(w,): 1 << 18 for w in range(length + 1)})
     assert hist == {w: len(words) for w, words in by_weight.items()}
     assert {w for w, in kept} == set(by_weight)
     for (w,), chunks in kept.items():
         assert packed_rows_to_ints(np.concatenate(chunks)) == by_weight[w]
-    # each worker recounts its first batch, and a later one with a new weight
-    assert len(fallbacks) >= 2 * workers
-    assert len(fallbacks) <= workers * len(by_weight)
 
 
-def test_counting_fallbacks_stay_within_the_weights(f6, monkeypatch):
-    # every recount adds a weight the worker had not seen
-    basis = cyclic_generator_basis(CodeSpec("c1", 3), f6)
-    hist = weight_histogram(basis, 63)
-    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(codebuild, "_BATCH_BITS", 8)
-    for threads in (1, 2, 8):
-        fallbacks = _spy_bincount(monkeypatch)
-        assert weight_histogram(basis, 63, threads) == hist
-        assert 1 <= len(fallbacks) <= threads * len(hist)
-
-
-def test_counting_recount_holds_under_optimize():
-    # the recount path with assert statements compiled away in the program
-    # under test; pytest still checks the test's own asserts under -O
+def test_count_holds_under_optimize():
+    # the count with assert statements compiled away in the program under
+    # test; pytest still checks the test's own asserts under -O
     here = Path(__file__).resolve()
-    nodes = [f"{here}::test_counting_recounts_batches_with_new_weights[2-2]"]
+    nodes = [f"{here}::test_count_matches_enumeration[counting-2-2]",
+             f"{here}::test_count_matches_enumeration[c1(3)-8-2]"]
     src = str(here.parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
@@ -590,6 +579,86 @@ def test_counting_recount_holds_under_optimize():
     )
     assert proc.returncode == 0, proc.stdout[-2000:]
     assert f"\n{len(nodes)} passed" in proc.stdout, proc.stdout[-2000:]
+
+
+@pytest.mark.parametrize("value", [65, -65, 127])
+def test_count_requires_every_value_in_range(value, f6):
+    # a transform value past +-length is the weight of no word: the runs of
+    # the weights 0..length would not cover the batch, and the count stops
+    basis = cyclic_generator_basis(CodeSpec("c1", 3), f6)
+    tables = _SweepTables(basis, 63, gathers=False)
+    step = _TransformStep(tables)
+    step(tables.high[0])
+    assert sum(c for _, c in step.count()) == tables.signs.size
+    step(tables.high[0])
+    step.centred[5] = value
+    with pytest.raises(CheckFailed, match="outside the weights"):
+        step.count()
+
+
+def test_thread_split_keeps_the_chunk_order(f8, monkeypatch):
+    # at 2^17-word batches a code of m <= 6 fits in one or two batches, so
+    # the split of the high table between two workers is pinned on the
+    # c1(4) h = 0 sweep: the same histogram and the same kept chunks, in
+    # the same order, at 1 and 2 threads
+    basis = h0_basis(CodeSpec("c1", 4), f8)
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 2)
+    tables = _SweepTables(basis, 256, gathers=False)
+    assert len(_sweep_ranges(len(tables.high), 2)) == 2
+    hist = weight_histogram(basis, 256)
+    keep = {(96, 160): hist[96] + hist[160]}
+    one, two = (weight_histogram(basis, 256, threads, keep=keep) for threads in (1, 2))
+    assert one[0] == two[0] == hist
+    chunks_one, chunks_two = one[1][(96, 160)], two[1][(96, 160)]
+    assert sum(map(len, chunks_one)) == keep[(96, 160)]
+    assert len(chunks_one) == len(chunks_two) > 2
+    for a, b in zip(chunks_one, chunks_two):
+        assert np.array_equal(a, b)
+
+
+def _spy_products(monkeypatch) -> list[int]:
+    """Record the multiply-adds of each product in every np.matmul stack."""
+    original = np.matmul
+    sizes: list[int] = []
+
+    def spy(a, b, *args, **kwargs):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10])
+def test_transform_products_stay_within_2_17(m, monkeypatch):
+    # OpenBLAS runs a product of at most 2^17 multiply-adds on the calling
+    # thread, where a larger one would start its own threads inside each
+    # worker; every batch of a sweep computes the same products, so one
+    # batch of each sweep a command runs shows them all
+    f = Field(m)
+    s = m // 2
+    sizes = _spy_products(monkeypatch)
+    for spec in [CodeSpec("c1", s)] + [CodeSpec("c2", s, l) for l in range(1, s)]:
+        for basis, length in ((h0_basis(spec, f), spec.length), (cyclic_generator_basis(spec, f), spec.n)):
+            if len(basis) > codebuild.MAX_ENUM_DIM:
+                continue  # c1(5): too large to sweep
+            sizes.clear()
+            tables = _SweepTables(basis, length, gathers=False)
+            _TransformStep(tables)(tables.high[0])
+            assert len(sizes) == 2 and max(sizes) <= 1 << 17, (spec, length, sizes)
+
+
+def test_odd_transform_rows_trim_the_batch(monkeypatch):
+    # at odd kt the first Sylvester factor has order 2^((kt + 1) / 2), so a
+    # batch of 2^17 words would make its products 2^18 multiply-adds
+    rng = Random(5)
+    basis = [rng.getrandbits(32) for _ in range(20)]
+    tables = _SweepTables(basis, 32, gathers=False)
+    assert tables.kt == 5 and tables.signs.shape == (1 << 5, 1 << 11)
+    sizes = _spy_products(monkeypatch)
+    hist = weight_histogram(basis, 32, 2)
+    assert sum(hist.values()) == 1 << 20
+    assert sizes and max(sizes) <= 1 << 17
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])
