@@ -535,9 +535,9 @@ def _counting_basis() -> list[int]:
     return rows
 
 
-# each count case: a basis, its length and the batch bits it sweeps at; c1(3)
-# sweeps its 2^18 words in batches of 2^6 and 2^8, not 4-16 words, to stay fast
-COUNT_CASES = [("counting", 2), ("counting", 3), ("counting", 4), ("c1(3)", 6), ("c1(3)", 8)]
+# c1(3) sweeps its 2^18 words in batches of 2^6 and 2^8, not 4-16 words as
+# the counting basis does, to stay fast
+COUNT_CASES = [("c1(3)", 6), ("c1(3)", 8)]
 
 
 @cache
@@ -547,13 +547,9 @@ def _count_basis(name: str) -> tuple[list[int], int]:
     return cyclic_generator_basis(CodeSpec("c1", 3), Field(6)), 63
 
 
-@pytest.mark.parametrize("threads", [1, 2, 8])
-@pytest.mark.parametrize("name, batch_bits", COUNT_CASES)
-def test_count_matches_enumeration(name, batch_bits, threads, monkeypatch):
-    # each batch's sorted values, read off in runs, give the enumerated
-    # histogram and kept rows: the counting basis's batches bring weights
-    # in a different order, and c1(3) has odd length, so negative and odd
-    # transform values; more workers than cores split either
+def _check_count(name: str, batch_bits: int, threads: int, monkeypatch) -> None:
+    """Histogram and kept rows of a sweep equal to enumerate_span's, with
+    8 cores patched in so that more workers than cores split the sweep."""
     basis, length = _count_basis(name)
     by_weight = _by_weight(basis)
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
@@ -565,12 +561,53 @@ def test_count_matches_enumeration(name, batch_bits, threads, monkeypatch):
         assert packed_rows_to_ints(np.concatenate(chunks)) == by_weight[w]
 
 
-def test_count_holds_under_optimize():
+@pytest.mark.parametrize("batch_bits, threads", product((2, 3, 4), (1, 2, 8)))
+def test_counting_recounts_batches_with_new_weights(batch_bits, threads, monkeypatch):
+    # each batch is counted afresh from its sorted values, read off in runs:
+    # the counting basis's later batches bring weights the first never saw,
+    # and every one of them is counted and kept
+    _check_count("counting", batch_bits, threads, monkeypatch)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("name, batch_bits", COUNT_CASES)
+def test_count_matches_enumeration(name, batch_bits, threads, monkeypatch):
+    # c1(3) has odd length, so negative and odd transform values
+    _check_count(name, batch_bits, threads, monkeypatch)
+
+
+def test_counting_fallbacks_stay_within_the_weights(f6, monkeypatch):
+    # every batch's runs name only weights of the code, and they cover the
+    # batch, on the c1(3) cyclic sweep at 1, 2 and 8 workers
+    basis = cyclic_generator_basis(CodeSpec("c1", 3), f6)
+    hist = weight_histogram(basis, 63)
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(codebuild, "_BATCH_BITS", 8)
+    original = codebuild._TransformStep.count
+    for threads in (1, 2, 8):
+        batches: list[tuple[list[tuple[int, int]], int]] = []
+
+        def spy(step):
+            found = original(step)
+            batches.append((found, step.values.size))
+            return found
+
+        monkeypatch.setattr(codebuild._TransformStep, "count", spy)
+        assert weight_histogram(basis, 63, threads) == hist
+        assert len(batches) == 1 << (len(basis) - 8)
+        for found, size in batches:
+            assert {w for w, _ in found} <= set(hist)
+            assert all(c > 0 for _, c in found)
+            assert sum(c for _, c in found) == size
+
+
+def test_counting_recount_holds_under_optimize():
     # the count with assert statements compiled away in the program under
     # test; pytest still checks the test's own asserts under -O
     here = Path(__file__).resolve()
-    nodes = [f"{here}::test_count_matches_enumeration[counting-2-2]",
-             f"{here}::test_count_matches_enumeration[c1(3)-8-2]"]
+    nodes = [f"{here}::test_counting_recounts_batches_with_new_weights[2-2]",
+             f"{here}::test_count_matches_enumeration[c1(3)-8-2]",
+             f"{here}::test_counting_fallbacks_stay_within_the_weights"]
     src = str(here.parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
