@@ -49,7 +49,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -67,6 +67,10 @@ _BATCH_BITS = 17
 
 # float32 holds every integer below 2^24 exactly.
 _MAX_LENGTH = 1 << 24
+
+# Rows of each gather buffer: a group with more words in a batch is
+# gathered in slices of the batch, each holding at most this many of them.
+_GATHER_ROWS = 1 << 13
 
 
 class CoefficientNotInSubfield(ValueError):
@@ -271,19 +275,20 @@ def enumerate_span(basis: list[int]) -> Iterator[int]:
 # -- transform weight sweep ---------------------------------------------------
 
 
-def pack_words(words: list[int], length: int) -> np.ndarray:
-    """Int words of the given length as (len(words), n_words) uint64 rows:
-    limb j holds bits 64j..64j+63.
+def pack_words(words: Iterable[int], length: int) -> np.ndarray:
+    """Int words of the given length as (count, n_words) uint64 rows:
+    limb j holds bits 64j..64j+63.  words is read once; at one limb it
+    goes straight into the array, at more as a transient list of bytes.
 
     ValueError on a negative word or one with a bit at or past length.
     """
     n_words = (length + 63) // 64
     try:
         if n_words == 1:
-            rows = np.array(words, dtype=np.uint64).reshape(len(words), 1)
+            rows = np.fromiter(words, dtype=np.uint64).reshape(-1, 1)
         else:
             buf = b"".join(w.to_bytes(8 * n_words, "little") for w in words)
-            rows = np.frombuffer(buf, dtype=np.uint64).reshape(len(words), n_words)
+            rows = np.frombuffer(buf, dtype=np.uint64).reshape(-1, n_words)
     except OverflowError:
         raise ValueError(f"a word is negative or has a point >= v = {length}") from None
     if length % 64 and (rows[:, -1] >> np.uint64(length % 64)).any():
@@ -438,10 +443,14 @@ class _TransformStep:
     Allocated in the thread that creates it, so the batch buffers never
     come from a worker thread's own malloc arena, and the gather buffers
     only for a sweep that gathers, so a sweep that only counts never
-    touches them.  Each coordinate adds +-1 to each transform value, so
-    every partial sum is an integer of magnitude at most length, which
-    float32 holds exactly below 2^24 (_require_enumerable): the transform
-    of a word of weight w is exactly 2w - length.
+    touches them.  The batch's mask is one bool per word; every other
+    gather buffer holds at most _GATHER_ROWS rows, whatever the batch size
+    and length (the word limbs 256 KB at length 256), since a gather
+    fills an over-size group a slice of the batch at a time.  Each
+    coordinate adds +-1 to each transform value, so every partial sum is
+    an integer of magnitude at most length, which float32 holds exactly
+    below 2^24 (_require_enumerable): the transform of a word of weight w
+    is exactly 2w - length.
     """
 
     def __init__(self, tables: _SweepTables):
@@ -463,12 +472,14 @@ class _TransformStep:
         # this worker's running count of each weight
         self.tally: Counter[int] = Counter()
         if tables.indices is not None:
-            # gather buffers: only the rows a gather uses are ever touched
+            # the batch's mask, then gather buffers of one slice's words
             self.mask = np.empty(size, dtype=bool)
             self.hit = np.empty(size, dtype=bool)
-            self.at = np.empty(size, dtype=np.intp)
-            self.batch = np.empty(size, dtype=np.intp)
-            self.limbs = np.empty((size, tables.n_words), dtype=np.uint64)
+            rows = min(size, _GATHER_ROWS)
+            self.at = np.empty(rows, dtype=np.intp)
+            self.batch = np.empty(rows, dtype=np.intp)
+            self.limbs = np.empty((rows, tables.n_words), dtype=np.uint64)
+            self.ok = np.empty(rows, dtype=bool)
             self.batch_words = np.empty_like(tables.offsets)
 
     def __call__(self, base: np.ndarray) -> None:
@@ -534,27 +545,59 @@ class _TransformStep:
 
     def gather(self, weights: tuple[int, ...]) -> np.ndarray:
         """(count, n_words) packed words of the last batch whose weight is
-        listed in weights, in index order, each checked against them."""
+        listed in weights, in index order, each checked against them.
+
+        Only the returned rows grow with the group.  A group with more than
+        _GATHER_ROWS words in the batch is filled one slice of the batch at a
+        time, in index order: runs of _GATHER_ROWS indices, consecutive runs
+        merged while their words fit in _GATHER_ROWS rows.  Each word's weight
+        is recounted by popcount as its slice is built.
+        """
         tb = self.tables
         listed = sorted(set(weights))
         self._mark(self.centred, [np.float32(2 * w - tb.length) for w in listed])
-        count = int(np.count_nonzero(self.mask))
         np.bitwise_xor(tb.offsets, self.base, out=self.batch_words)
+        allowed = np.zeros(64 * tb.n_words + 1, dtype=bool)
+        allowed[listed] = True
+        step, size = len(self.at), len(self.mask)
+        count = int(np.count_nonzero(self.mask))
+        # (end, words) of each run of the batch
+        if count <= step:
+            runs = [(size, count)]
+        else:
+            runs = [(i + step, int(np.count_nonzero(self.mask[i : i + step]))) for i in range(0, size, step)]
+        rows = np.empty((count, tb.n_words), dtype=np.uint64)
+        done = start = end = 0
+        for stop, words in runs:
+            if done + words > end + step:
+                self._fill(rows[end:done], slice(start, stop - step), allowed, listed)
+                start, end = stop - step, done
+            done += words
+        if done > end:
+            self._fill(rows[end:done], slice(start, size), allowed, listed)
+        return rows
+
+    def _fill(self, rows: np.ndarray, part: slice, allowed: np.ndarray, listed: list[int]) -> None:
+        """Build the marked words of the batch indices in part into rows, in
+        index order, and check that each one's weight is listed: allowed is
+        True at exactly the listed weights."""
+        tb = self.tables
+        count = len(rows)
         # indices into buffers allocated once: a worker thread's allocations
         # per batch fragment its malloc arena between the kept rows
         at, batch = self.at[:count], self.batch[:count]
-        np.compress(self.mask, tb.indices, out=at)
+        np.compress(self.mask[part], tb.indices[part], out=at)
         np.right_shift(at, tb.kt, out=batch)
         at &= (1 << tb.kt) - 1
         # every index is in range; "raise" would take into a temporary first
-        rows = np.empty((count, tb.n_words), dtype=np.uint64)
         np.take(tb.low, at, axis=0, out=rows, mode="clip")
         limbs = self.limbs[:count]
         np.take(self.batch_words, batch, axis=0, out=limbs, mode="clip")
         rows ^= limbs
-        self._mark(row_weights(rows, out=limbs), listed)
-        require(bool(self.mask[:count].all()), f"a word gathered for weights {listed} has another weight")
-        return rows
+        # a weight is at most 64 * n_words, the last entry of allowed
+        ok = self.ok[:count]
+        np.take(allowed, row_weights(rows, out=limbs), out=ok, mode="clip")
+        require(bool(ok.all()), f"a word gathered for weights {listed} has another weight")
 
 
 def _require_enumerable(basis: list[int], length: int) -> None:

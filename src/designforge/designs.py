@@ -5,9 +5,10 @@ alone: its words of weight w, and those of weight v - w complemented.
 Verification counts, for every t-subset of the 2^m points, how many blocks
 contain it; the class is a design exactly when that count is one constant
 lambda.  One kernel counts every t-subset in lex order: the pairs are the
-strict upper triangle of a Gram matrix over 0/1 block-incidence chunks,
-and the t-subsets with least point p are the (t-1)-subsets beyond p
-counted over the blocks that contain p.
+strict upper triangle of a Gram matrix over 0/1 block-incidence rows,
+unpacked from packed chunks of blocks a slice at a time, and the t-subsets
+with least point p are the (t-1)-subsets beyond p counted over the blocks
+that contain p.
 
 Enumerated lambdas are the ground truth; the closed-form lambdas derived
 from the distribution tables are cross-checked against them and mismatches
@@ -17,7 +18,6 @@ are flagged, never reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from math import comb
 from typing import Iterable, Iterator
@@ -47,12 +47,14 @@ from .spectrum import (
 # t-subset increments: blocks * C(k, t).
 COST_GATE = 10**9
 
-# Blocks per counting chunk.  Every per-chunk count is at most _CHUNK < 2^24,
-# so the float32 Gram sums below are exact integers.
+# Blocks per counting chunk, held packed: 256 KB at v = 256.  Every
+# per-chunk count is at most _CHUNK < 2^24, so the float32 Gram sums below
+# are exact integers.
 _CHUNK = 8192
 
-# Incidence rows converted to float32 at a time for the Gram product: 1 MB
-# at v = 256, where a whole chunk took 8 MB.
+# Packed rows unpacked and converted to float32 at a time for the Gram
+# product: 1 MB at v = 256, against 2 MB as uint8 and 8 MB as float32 for
+# a whole chunk's incidence rows.
 _GRAM_ROWS = 1024
 
 
@@ -165,30 +167,39 @@ def blocks_of_weight(
     _require_class(weight, v, held=count > 0)
 
 
-@lru_cache(maxsize=None)
-def _upper_mask(w: int) -> np.ndarray:
-    mask = np.triu(np.ones((w, w), dtype=bool), 1)
-    mask.flags.writeable = False
-    return mask
+def _subset_counts(rows: np.ndarray, v: int, t: int, first: int = 0) -> np.ndarray:
+    """Coverage of every t-subset of range(first, v) by the packed rows, in lex order.
 
-
-def _subset_counts(bits: np.ndarray, t: int) -> np.ndarray:
-    """Coverage of every t-subset of the v columns by the rows of bits, in lex order."""
-    v = bits.shape[1]
+    The pairs are the strict upper triangle of a float32 Gram matrix,
+    summed over slices of _GRAM_ROWS rows unpacked and converted one at a
+    time.  Its diagonal is checked against the point counts, the same
+    slices summed by column with add, not by any product: every count is
+    at most len(rows) < 2^24, so both are exact.  The t-subsets with least
+    point p are the (t-1)-subsets beyond p counted over the rows that
+    contain p.
+    """
     if t > 2:
-        # the subsets with least point p, for p = 0, 1, ... in turn
-        parts = [_subset_counts(bits[bits[:, p] == 1, p + 1 :], t - 1) for p in range(v - t + 1)]
+        parts = []
+        for p in range(first, v - t + 1):
+            holds = rows[:, p >> 6] & np.uint64(1 << (p & 63))
+            parts.append(_subset_counts(rows[holds != 0], v, t - 1, p + 1))
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    gram = np.zeros((v, v), dtype=np.float32)
+    width = v - first
+    gram = np.zeros((width, width), dtype=np.float32)
     product = np.empty_like(gram)
-    for i in range(0, len(bits), _GRAM_ROWS):
-        rows = bits[i : i + _GRAM_ROWS].astype(np.float32)
-        gram += np.matmul(rows.T, rows, out=product)
+    points = np.zeros(width, dtype=np.float32)
+    for i in range(0, len(rows), _GRAM_ROWS):
+        bits = unpack_rows(rows[i : i + _GRAM_ROWS], v)[:, first:].astype(np.float32)
+        gram += np.matmul(bits.T, bits, out=product)
+        points += bits.sum(axis=0)
     require(
-        np.array_equal(np.diagonal(gram), bits.sum(axis=0, dtype=np.int32)),
+        np.array_equal(np.diagonal(gram), points),
         "float32 Gram diagonal disagrees with the per-point block counts",
     )
-    return gram[_upper_mask(v)].astype(np.int64)
+    # a temporary mask of width^2 bytes, 64 KB at v = 256: masks cached
+    # between reports stayed resident, and raised the peak by up to 0.5 MB
+    at = np.arange(width)
+    return gram[np.less.outer(at, at)].astype(np.int64)
 
 
 def _subset_at(rank: int, v: int, t: int) -> tuple[int, ...]:
@@ -210,6 +221,10 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
 
     Returns a verified report with the constant lambda, or an unverified one
     whose witness holds two t-subsets covered a different number of times.
+    The stream is read _CHUNK blocks at a time, each chunk packed as it is
+    read and counted by _subset_counts a slice at a time, so besides the
+    C(v, t) counts no more than one packed chunk and one slice of its
+    incidence rows are held.
     Raises TrivialDesign when the block size k is at most t or equal to v
     (for k < t no t-subset is covered, so lambda = 0 says nothing), and
     CheckFailed when expected_b is given and the stream holds another
@@ -221,17 +236,16 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
     b = 0
     vals = np.zeros(comb(v, t), dtype=np.int64)
     blocks = iter(blocks)
-    # a chunk's ints are freed once packed, and its incidence rows are a
-    # temporary: rows kept alive while the next chunk is read raised the
-    # peak RSS of the c1(4) weight-96 report by 2 MB
-    while len(words := pack_words(list(islice(blocks, _CHUNK)), v)):
+    # each chunk stays packed, and is unpacked a slice at a time as it is
+    # counted: no chunk's incidence rows are ever held whole
+    while len(words := pack_words(islice(blocks, _CHUNK), v)):
         sizes = row_weights(words)
         if k is None:
             k = int(sizes[0])
         if not np.all(sizes == k):
             raise ValueError("blocks of unequal size in one weight class")
         b += len(words)
-        vals += _subset_counts(unpack_rows(words, v), t)
+        vals += _subset_counts(words, v, t)
 
     if b == 0:
         raise EmptyWeightClass("empty block stream")

@@ -499,7 +499,8 @@ def test_capped_class_gathers_stay_bounded(f6, monkeypatch):
 
 def test_wrong_transform_fails_the_gather_check(f6):
     # a Hadamard factor with two columns swapped computes wrong weights; the
-    # words gathered for a class are recounted by popcount, also under -O
+    # words gathered for a class are recounted by popcount, also under -O,
+    # and also when every class is gathered in slices of 2^6 words
     script = """
 import sys
 import designforge.codebuild as codebuild
@@ -514,16 +515,60 @@ def swapped(bits):
 
 basis = generator_basis(CodeSpec("c1", 3), Field(6))
 codebuild._hadamard = swapped
-try:
-    codebuild.weight_histogram(basis, 64, keep={(w,): 10**6 for w in range(65)})
-except CheckFailed:
-    sys.exit(0)
-sys.exit(3)
+for rows in (codebuild._GATHER_ROWS, 1 << 6):
+    codebuild._GATHER_ROWS = rows
+    try:
+        codebuild.weight_histogram(basis, 64, keep={(w,): 10**6 for w in range(65)})
+    except CheckFailed:
+        continue
+    sys.exit(3)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120)
     assert proc.returncode == 0
+
+
+def test_bounded_gather_matches_enumeration(f6, monkeypatch):
+    # with gather buffers of 2^6 rows, the larger pairs a design report keeps
+    # have more words in a batch than that, so they are filled one slice of
+    # the batch at a time; the kept words of every pair are still the span's,
+    # in index order, however many workers split the sweep
+    rows = 1 << 6
+    basis = h0_basis(CodeSpec("c1", 3), f6)
+    span = list(enumerate_span(basis))
+    caps = {(w, 64 - w): 1 << 18 for w in range(2, 34, 2)}
+    steps: list[_TransformStep] = []
+    fills: list[int] = []
+    init, fill = _TransformStep.__init__, _TransformStep._fill
+
+    def spy_init(self, tables):
+        init(self, tables)
+        steps.append(self)
+
+    def spy_fill(self, out, *args):
+        fills.append(len(out))
+        fill(self, out, *args)
+
+    monkeypatch.setattr(_TransformStep, "__init__", spy_init)
+    monkeypatch.setattr(_TransformStep, "_fill", spy_fill)
+    monkeypatch.setattr(codebuild, "_GATHER_ROWS", rows)
+    monkeypatch.setattr(codebuild, "_BATCH_BITS", 14)
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
+    for threads in (1, 2, 8):
+        steps.clear()
+        fills.clear()
+        hist, kept = weight_histogram(basis, 64, threads, keep=caps)
+        assert len(steps) == threads
+        assert set(kept) == {g for g in caps if any(w in hist for w in g)}
+        for group, chunks in kept.items():
+            assert packed_rows_to_ints(np.concatenate(chunks)) == [w for w in span if w.bit_count() in group]
+        sliced = {group for group, chunks in kept.items() if max(map(len, chunks)) > rows}
+        assert {(24, 40), (28, 36), (32, 32)} <= sliced
+        for step in steps:
+            assert len(step.at) == len(step.batch) == len(step.ok) == rows
+            assert step.limbs.shape == (rows, 1)
+        assert 0 < min(fills) and max(fills) <= rows
 
 
 def _counting_basis() -> list[int]:

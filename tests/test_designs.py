@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import designforge.codebuild as codebuild
@@ -25,7 +31,7 @@ from designforge import (
     weight_distribution,
 )
 from designforge.cli import main
-from designforge.codebuild import enumerate_span
+from designforge.codebuild import enumerate_span, pack_words, unpack_rows
 from ref_gf2 import naive_t_design_count
 
 C1_S3_ENUMERATOR = {16: 252, 24: 37632, 28: 107520, 32: 233478, 36: 107520, 40: 37632, 48: 252}
@@ -135,6 +141,89 @@ def test_verify_random_blocks_against_naive_counter(t):
             assert not rep.verified and rep.lam is None
             assert rep.witness == ((*first, lam), (*other[0], other[1]))
     assert rep.lam == comb(v - t, k - t)  # the complete design, checked last
+
+
+@pytest.mark.parametrize("v", [16, 64, 256])
+@pytest.mark.parametrize("t", [2, 3])
+def test_packed_subset_counts_match_unpacked_reference(t, v, monkeypatch):
+    # the counter unpacks its packed rows 64 at a time here, five slices and
+    # a part; its counts are those of the whole incidence matrix, in lex
+    # order, with each t-subset counted as a product of its t columns
+    rng = random.Random(10 * v + t)
+    rows = pack_words([rng.getrandbits(v) for _ in range(300)], v)
+    monkeypatch.setattr(designs, "_GRAM_ROWS", 64)
+    got = designs._subset_counts(rows, v, t)
+    bits = unpack_rows(rows, v).astype(np.float64)
+    upper = np.triu_indices(v, 1)
+    if t == 2:
+        expected = (bits.T @ bits)[upper]
+    else:
+        # the triples (p, j, k) with p < j < k, for p = 0, 1, ... in turn
+        triples = [((bits * bits[:, [p]]).T @ bits)[p + 1 :, p + 1 :] for p in range(v - 2)]
+        expected = np.concatenate([counts[np.triu_indices(len(counts), 1)] for counts in triples])
+    assert got.dtype == np.int64 and len(got) == comb(v, t)
+    assert np.array_equal(got, expected)
+
+
+def test_perturbed_gram_product_fails_under_optimize():
+    # one count off in a Gram product fails the diagonal check against the
+    # per-point counts, or on the upper triangle the conservation check,
+    # also under -O
+    script = """
+import sys
+import numpy as np
+from designforge import CodeSpec, Field, blocks_of_weight, verify_t_design
+from designforge.checks import CheckFailed
+
+blocks = list(blocks_of_weight(CodeSpec("c1", 3), Field(6), 16))
+if not verify_t_design(blocks, 64, 2).verified:
+    sys.exit(4)
+right = np.matmul
+for entry in ((0, 0), (0, 1)):
+    def perturbed(a, b, out=None, entry=entry):
+        product = right(a, b, out=out)
+        product[entry] += 1
+        return product
+    np.matmul = perturbed
+    try:
+        verify_t_design(blocks, 64, 2)
+    except CheckFailed as exc:
+        print(exc)
+        continue
+    finally:
+        np.matmul = right
+    sys.exit(3)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "float32 Gram diagonal disagrees with the per-point block counts",
+        "t-subset count conservation failed",
+    ]
+
+
+# Bounds on the traced allocation peak of a design report, in MiB: about
+# 20% above 5.42 and 6.71 MiB at 2 threads (3.87 and 5.11 at 1).  Before
+# gathers and counting took fixed-size slices they read 16.65 and 12.50
+# MiB at 2 threads, 9.37 and 8.22 at 1.
+REPORT_PEAK_MIB = {"c1_4_w96": 6.5, "c1_3": 8.0}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(REPORT_PEAK_MIB))
+def test_design_report_allocation_peak(case, threads, f6, f8):
+    spec, field, weight = (CodeSpec("c1", 4), f8, 96) if case == "c1_4_w96" else (CodeSpec("c1", 3), f6, None)
+    tracemalloc.start()
+    try:
+        reports = full_design_report(spec, field, 2, threads=threads, weight=weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.verified for r in reports)
+    assert peak <= REPORT_PEAK_MIB[case] * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_verify_rejects_mixed_sizes():
