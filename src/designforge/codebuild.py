@@ -10,10 +10,11 @@ Family c1 (extended):  value at x is tr(a*x^5 + b*x^3 + c*x) + h.
 Family c2 (extended):  value at x is tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) + h,
                        with a restricted to the subfield GF(2^s).
 
-build_codeword is the one evaluator of these forms.  Coordinate 0 is
-x = 0, where every trace term vanishes, so the cyclic relative is the
-h = 0 subcode punctured at coordinate 0: its word at (a, b, c) is
-build_codeword(spec, field, a, b, c) >> 1, and its basis is
+build_codeword is the one evaluator of these forms, and it, h0_basis and
+polyops.defining_set_of_family read them from one table, CodeSpec.terms.
+Coordinate 0 is x = 0, where every trace term vanishes, so the cyclic
+relative is the h = 0 subcode punctured at coordinate 0: its word at
+(a, b, c) is build_codeword(spec, field, a, b, c) >> 1, and its basis is
 h0_basis shifted the same way.
 
 Enumeration of a full code walks the span of a basis in lexicographic
@@ -138,6 +139,14 @@ class CodeSpec:
             raise ValueError("d' is defined for family c2 only")
         return gcd(self.s + self.l, 2 * self.l)
 
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """(e, d) of each term tr_d(coef * x^e), in coefficient order a, b, c,
+        a degree-d coefficient lying in GF(2^d); the last is the linear term."""
+        if self.family == "c1":
+            return (5, self.m), (3, self.m), (1, self.m)
+        return ((1 << self.s) + 1, self.s), ((1 << self.l) + 1, self.m), (1, self.m)
+
     def label(self) -> str:
         if self.family == "c1":
             return f"c1(s={self.s})"
@@ -148,23 +157,17 @@ class CodeSpec:
 
 
 def build_codeword(spec: CodeSpec, field: Field, a: int, b: int, c: int, h: int = 0) -> int:
-    """Extended word of spec at coefficients (a, b, c, h), bit i at x = field.element(i).
-
-    c1: tr(a*x^5 + b*x^3 + c*x) + h
-    c2: tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) + h, with a in GF(2^s)
-    """
+    """Extended word of spec at (a, b, c, h), bit i at x = field.element(i): h plus
+    tr_d(coef * x^e) over spec.terms; CoefficientNotInSubfield if coef is not in GF(2^d)."""
     if field.m != spec.m:
         raise LengthMismatch(f"field has m={field.m}, spec needs m={spec.m}")
-    if spec.family == "c1":
-        e_a, e_b, trace_a = 5, 3, field.trace_np
-    else:
-        if not field.in_subfield(a):
-            raise CoefficientNotInSubfield(f"a={a:#x} is not in GF(2^{field.s})")
-        e_a, e_b, trace_a = (1 << field.s) + 1, (1 << spec.l) + 1, field.sub_trace_np
-    v = field.scalar_mul_vec(b, field.power_table(e_b))
-    v ^= field.scalar_mul_vec(c, field.elements_in_order())
-    bits = trace_a[field.scalar_mul_vec(a, field.power_table(e_a))] ^ field.trace_np[v]
-    return bits_to_ints(bits[None] ^ (h & 1))[0]
+    bits = np.full(field.q, h & 1, dtype=np.uint8)
+    for name, coef, (e, d) in zip("abc", (a, b, c), spec.terms):
+        if d < field.m and not field.in_subfield(coef):
+            raise CoefficientNotInSubfield(f"{name}={coef:#x} is not in GF(2^{d})")
+        trace = field.trace_np if d == field.m else field.sub_trace_np
+        bits ^= trace[field.scalar_mul_vec(coef, field.power_table(e))]
+    return bits_to_ints(bits[None])[0]
 
 
 # -- GF(2) row space machinery ------------------------------------------------
@@ -209,25 +212,25 @@ def h0_basis(spec: CodeSpec, field: Field) -> list[int]:
     basis of the whole span whose pivots the linear part lacks.
 
     The spanning set is the h = 0 word of every basis element of each
-    coefficient slot a, b, c.  Every such word has bit 0 clear: coordinate 0
-    is x = 0, where each trace term vanishes.  At coordinate x the leading
-    m rows hold the coordinates of x in the trace-dual basis, distinct for
-    every x, which is what the sweep transforms over (see _SweepTables).
-    The pivots of a subspace are among those of the space, so the rows
-    kept after the linear part complete it to a basis.  generator_basis and
-    cyclic_generator_basis are the two views of this one basis.
+    coefficient slot of spec.terms, the powers below d of alpha^((q-1)/(2^d-1)),
+    a primitive element of GF(2^d), for a degree-d slot.  Every such word
+    has bit 0 clear: coordinate 0 is x = 0, where each trace term vanishes.
+    At coordinate x the leading m rows hold the coordinates of x in the
+    trace-dual basis, distinct for every x, which is what the sweep
+    transforms over (see _SweepTables).  The pivots of a subspace are among
+    those of the space, so the rows kept after the linear part complete it
+    to a basis.  generator_basis and cyclic_generator_basis are the two
+    views of this one basis.
     """
-    full = [field.alpha_pow(j) for j in range(field.m)]
-    if spec.family == "c1":
-        a_slot = full
-    else:
-        sub_gen = field.alpha_pow((1 << field.s) + 1)  # primitive element of GF(2^s)
-        a_slot = [field.pow(sub_gen, j) for j in range(field.s)]
-    linear = [build_codeword(spec, field, 0, 0, c) for c in full]
-    words = [build_codeword(spec, field, a, 0, 0) for a in a_slot]
-    words += [build_codeword(spec, field, 0, b, 0) for b in full]
+    words = []
+    for slot, (_, d) in enumerate(spec.terms):
+        for j in range(d):
+            coefs = [0, 0, 0]
+            coefs[slot] = field.alpha_pow(j * (field.n // ((1 << d) - 1)))
+            words.append(build_codeword(spec, field, *coefs))
+    linear = words[-field.m :]  # the last slot, tr(c x)
     pivots = {_pivot(row) for row in reduce_rows(linear)}
-    return linear + [row for row in reduce_rows(linear + words) if _pivot(row) not in pivots]
+    return linear + [row for row in reduce_rows(words) if _pivot(row) not in pivots]
 
 
 def generator_basis(spec: CodeSpec, field: Field) -> list[int]:
@@ -601,6 +604,8 @@ class _TransformStep:
 
 
 def _require_enumerable(basis: list[int], length: int) -> None:
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     if len(basis) > MAX_ENUM_DIM:
         raise TooLarge(f"dimension {len(basis)} exceeds the enumeration cap {MAX_ENUM_DIM}")
     if length >= _MAX_LENGTH:
@@ -679,8 +684,11 @@ def weight_histogram(
 
 def stream_weight_class(basis: list[int], length: int, weights: tuple[int, ...]) -> Iterator[np.ndarray]:
     """Stream the span words of every listed weight as (count, n_words)
-    packed-uint64 chunks, in index order."""
+    packed-uint64 chunks, in index order.  ValueError on the first next()
+    for an empty weights tuple or a length below 1."""
     _require_enumerable(basis, length)
+    if not weights:
+        raise ValueError("no weight to stream")
     tables = _SweepTables(basis, length)
     step = _TransformStep(tables)
     for base in tables.high:

@@ -124,6 +124,12 @@ def _require_class(weight: int, v: int, held: bool = True) -> None:
         raise EmptyWeightClass(f"no nontrivial class at weights [{weight}]")
 
 
+def _require_t(t: int) -> None:
+    """The one check of t: the counting kernel covers t = 2 and 3."""
+    if t not in (2, 3):
+        raise ValueError(f"t must be 2 or 3, got {t}")
+
+
 def _pair(weight: int, v: int) -> tuple[int, int]:
     """The H0 weights whose words make up class weight (see blocks_of_weight)."""
     return min(weight, v - weight), max(weight, v - weight)
@@ -230,8 +236,7 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
     CheckFailed when expected_b is given and the stream holds another
     number of blocks.
     """
-    if t not in (2, 3):
-        raise ValueError(f"t must be 2 or 3, got {t}")
+    _require_t(t)
     k = None
     b = 0
     vals = np.zeros(comb(v, t), dtype=np.int64)
@@ -306,8 +311,10 @@ def full_design_report(
     not kept streams it over the same H0 basis.  Weight 0 and the
     full-support class are excluded as trivial.  A weight that names no
     nontrivial class raises EmptyWeightClass: an odd or out-of-range one
-    before the sweep, one the distribution lacks after it.
+    before the sweep, one the distribution lacks after it; a t other than
+    2 or 3 raises ValueError before the sweep.
     """
+    _require_t(t)
     v = spec.length
     if weight is not None:
         _require_class(weight, v)

@@ -154,16 +154,11 @@ def bch_generator(delta: int, field: Field) -> int:
 
 
 def defining_set_of_family(spec) -> frozenset[int]:
-    """Defining set of the extended dual for a code family, as exponents mod n.
-
-    C1: C_1 | C_3 | C_5 | {0}.  C2: C_1 | C_{2^l+1} | C_{2^s+1} | {0}.
-    """
+    """Defining set of the extended dual for a code family, as exponents mod n:
+    {0} and the cyclotomic coset of each exponent of spec.terms, so
+    C1: C_1 | C_3 | C_5 | {0} and C2: C_1 | C_{2^l+1} | C_{2^s+1} | {0}."""
     n = (1 << spec.m) - 1
-    if spec.family == "c1":
-        seeds = (1, 3, 5)
-    else:
-        seeds = (1, (1 << spec.l) + 1, (1 << spec.s) + 1)
     out = {0}
-    for seed in seeds:
-        out |= cyclotomic_coset(seed % n, n).members
+    for e, _ in spec.terms:
+        out |= cyclotomic_coset(e % n, n).members
     return frozenset(out)

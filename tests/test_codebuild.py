@@ -23,6 +23,8 @@ from designforge import (
     TooLarge,
     build_codeword,
     cyclic_weight_distribution,
+    cyclotomic_coset,
+    defining_set_of_family,
     generator_basis,
     membership_test,
     weight_distribution,
@@ -203,6 +205,47 @@ def test_bases_match_definition_routes(spec_args):
     assert shifted[: f.m] == cyclic[: f.m]
 
 
+def _h0_oracle(spec: CodeSpec, f: Field) -> list[int]:
+    """h0_basis as each family built it before CodeSpec.terms, from
+    definition words: the linear slot, then the a slot (GF(2^m) for c1, the
+    powers below s of the primitive element of GF(2^s) for c2), then b."""
+    full = [f.alpha_pow(j) for j in range(f.m)]
+    if spec.family == "c1":
+        a_slot = full
+    else:
+        sub_gen = f.alpha_pow((1 << f.s) + 1)
+        a_slot = [f.pow(sub_gen, j) for j in range(f.s)]
+    points = _extended_points(f)
+    linear = [_definition_word(spec, f, 0, 0, c, points) for c in full]
+    words = [_definition_word(spec, f, a, 0, 0, points) for a in a_slot]
+    words += [_definition_word(spec, f, 0, b, 0, points) for b in full]
+    pivots = {row & -row for row in reduce_rows(linear)}
+    return linear + [row for row in reduce_rows(linear + words) if row & -row not in pivots]
+
+
+@pytest.mark.parametrize("spec_args", [("c1", s, None) for s in (2, 3, 4, 5)] + [
+    ("c2", s, l) for s in (2, 3, 4, 5) for l in range(1, 2 * s) if l != s
+])
+def test_terms_table_matches_the_family_formulas(spec_args):
+    # the table replaces per-family branches: every row of h0_basis, on
+    # which the --export-blocks order depends, and the defining set are
+    # those of the old per-family construction
+    spec = CodeSpec(*spec_args)
+    f = Field(spec.m)
+    m, s, l = spec.m, spec.s, spec.l
+    if spec.family == "c1":
+        assert spec.terms == ((5, m), (3, m), (1, m))
+        seeds = (1, 3, 5)
+    else:
+        assert spec.terms == (((1 << s) + 1, s), ((1 << l) + 1, m), (1, m))
+        seeds = (1, (1 << l) + 1, (1 << s) + 1)
+        with pytest.raises(CoefficientNotInSubfield, match=rf"^a=0x2 is not in GF\(2\^{s}\)$"):
+            build_codeword(spec, f, f.alpha_pow(1), 0, 0)
+    assert h0_basis(spec, f) == _h0_oracle(spec, f)
+    cosets = [cyclotomic_coset(seed, spec.n).members for seed in seeds]
+    assert defining_set_of_family(spec) == frozenset({0}.union(*cosets))
+
+
 def test_dimensions_by_rank(f4, f6, f8):
     assert len(generator_basis(CodeSpec("c1", 3), f6)) == 19
     assert len(generator_basis(CodeSpec("c2", 2, 1), f4)) == 11
@@ -303,6 +346,27 @@ def test_too_large_guard():
         weight_histogram([1], 1 << 24)
     with pytest.raises(TooLarge):
         next(stream_weight_class([1], 1 << 24, (1,)))
+
+
+def _no_tables(*args, **kwargs):
+    raise AssertionError("the sweep tables were built")
+
+
+def test_stream_rejects_an_empty_weight_tuple(monkeypatch):
+    # refused on the first next(), before any table is built or batch transformed
+    monkeypatch.setattr(codebuild, "_SweepTables", _no_tables)
+    stream = stream_weight_class(generator_basis(C1_M4, Field(4)), 16, ())
+    with pytest.raises(ValueError, match="no weight to stream"):
+        next(stream)
+
+
+def test_sweeps_reject_a_length_below_one(monkeypatch):
+    monkeypatch.setattr(codebuild, "_SweepTables", _no_tables)
+    for length in (0, -1):
+        with pytest.raises(ValueError, match=f"length must be >= 1, got {length}"):
+            weight_histogram([0], length)
+        with pytest.raises(ValueError, match=f"length must be >= 1, got {length}"):
+            next(stream_weight_class([0], length, (2,)))
 
 
 def test_sweep_ranges_capped_by_cores(monkeypatch):

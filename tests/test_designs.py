@@ -396,6 +396,21 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
     assert all(r.verified and r.match and not r.skipped for r in exhaustive)
 
 
+@pytest.mark.parametrize("t", [1, 4])
+def test_bad_t_is_rejected_before_any_sweep(t, f8, monkeypatch):
+    # one check of t serves both entry points; the report runs it before
+    # building H0, so c1(4) never starts its 2^24-word sweep
+    def no_call(*args, **kwargs):
+        raise AssertionError("the report built or swept a basis")
+
+    monkeypatch.setattr(designs, "h0_basis", no_call)
+    monkeypatch.setattr(designs, "weight_histogram", no_call)
+    with pytest.raises(ValueError, match=f"t must be 2 or 3, got {t}"):
+        full_design_report(CodeSpec("c1", 4), f8, t=t)
+    with pytest.raises(ValueError, match=f"t must be 2 or 3, got {t}"):
+        verify_t_design([0b1111], 8, t)
+
+
 @pytest.mark.parametrize("spec_args", [("c1", 2, None), ("c2", 2, 1), ("c1", 3, None), ("c2", 3, 1)])
 def test_swept_rows_are_the_extended_classes(spec_args, f4, f6, monkeypatch):
     # every class is assembled from h = 0 rows and complements, yet holds

@@ -1,0 +1,108 @@
+"""Run the same CLI invocations under two source trees and report every difference.
+
+Usage (from any directory):
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each invocation runs as `python -m designforge.cli ...` in a subprocess
+whose PYTHONPATH is one tree's src directory (the directory that holds the
+designforge package).  The invocations are:
+
+- the `spectra` and `designs` workloads of perfbench/workloads.py, each
+  with the built-in polynomial and with two polynomials of its degree drawn
+  by a fixed seed, at --threads 1 and 2;
+- the two --export-blocks cases pinned in tests/test_cli.py;
+- `weights --cyclic` and `invariance` for c1(2..4), c2(2,1), c2(3,1),
+  c2(3,2), c2(4,1) and c2(4,3);
+- bad inputs: an odd --weight, --l equal to --s, and `field --m 5`.
+
+Prints the unified diff of every stdout or stderr that differs and every
+pair of exit codes that differ, then one summary line.  Exits 1 if any
+invocation differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SEED = 24
+THREADS = (1, 2)
+CODES = [("c1", 2, None), ("c1", 3, None), ("c1", 4, None), ("c2", 2, 1),
+         ("c2", 3, 1), ("c2", 3, 2), ("c2", 4, 1), ("c2", 4, 3)]
+
+
+def invocations() -> list[list[str]]:
+    """Every argv the two trees are compared on, in a fixed order."""
+    from perfbench import workloads
+
+    rng = random.Random(SEED)
+    drawn: dict[int, list[int]] = {}
+    out = []
+    for name in ("spectra", "designs"):
+        for inv in workloads.build(name):
+            polys: list[list[str]] = [[]]
+            if inv.m is not None:
+                if inv.m not in drawn:
+                    drawn[inv.m] = rng.sample(workloads.primitive_polys(inv.m), 2)
+                polys += [["--poly", f"{p:#x}"] for p in drawn[inv.m]]
+            out += [inv.argv + poly + ["--threads", str(t)] for poly in polys for t in THREADS]
+    for s, weight in (("2", "4"), ("3", "16")):
+        out.append(["designs", "--family", "c1", "--s", s, "--weight", weight, "--export-blocks"])
+    for code in CODES:
+        out.append(["weights", *workloads._code_args(*code), "--cyclic"])
+        out.append(["invariance", *workloads._code_args(*code)])
+    out.append(["designs", "--family", "c1", "--s", "2", "--weight", "5"])
+    out.append(["weights", "--family", "c2", "--s", "3", "--l", "3"])
+    out.append(["field", "--m", "5"])
+    return out
+
+
+def run(src: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "designforge.cli", *argv], cwd=src, env=env,
+                          capture_output=True, text=True, check=False)
+
+
+def differences(old: subprocess.CompletedProcess, new: subprocess.CompletedProcess) -> list[str]:
+    """Lines describing how two runs of one argv differ; empty if they agree."""
+    out = []
+    if old.returncode != new.returncode:
+        out.append(f"exit code: {old.returncode} -> {new.returncode}")
+    for stream in ("stdout", "stderr"):
+        a, b = getattr(old, stream), getattr(new, stream)
+        if a != b:
+            out.append(f"{stream}:")
+            out += difflib.unified_diff(a.splitlines(), b.splitlines(), "parent", "change", lineterm="")
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="src directory of the parent tree")
+    parser.add_argument("change", type=Path, help="src directory of the changed tree")
+    args = parser.parse_args()
+    parent, change = args.parent.resolve(), args.change.resolve()
+    # workloads.py builds its expected outputs with designforge; the argv it
+    # yields is the same under either tree
+    sys.path[:0] = [str(REPO), str(change)]
+    argvs = invocations()
+    differing = 0
+    for argv in argvs:
+        diff = differences(run(parent, argv), run(change, argv))
+        if diff:
+            differing += 1
+            print("DIFFERS: designforge " + " ".join(argv))
+            print("\n".join(diff))
+    print(f"{len(argvs)} invocations, {differing} differ in stdout, stderr or exit code")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
