@@ -10,6 +10,7 @@ from .checks import CheckFailed
 from .codebuild import (
     CodeSpec,
     CoefficientNotInSubfield,
+    CoefficientOutOfRange,
     LengthMismatch,
     TooLarge,
     build_codeword,

@@ -36,6 +36,7 @@ from .spectrum import (
     cyclic_weight_distribution,
     extend_distribution,
     pless_verify,
+    span_distribution,
     weight_distribution,
 )
 
@@ -155,6 +156,8 @@ def cmd_invariance(args) -> Result:
 
 
 def cmd_reproduce(args) -> Result:
+    """The golden suite: each worked example's enumerator and each BCH-dual
+    power-moment case, from one cyclic basis and at most one sweep per code."""
     if args.poly is not None:
         raise InapplicableParameters(
             "reproduce runs the built-in polynomial of each m it covers (4, 6, 8); drop --poly"
@@ -168,15 +171,16 @@ def cmd_reproduce(args) -> Result:
         targets = [args.example]
     # one sweep per code, keyed by its reduced cyclic basis: an example
     # extends the distribution its moment case checks, and m4 and 3.6 name
-    # one code, c1(2) = c2(2, 1)
+    # one code, c1(2) = c2(2, 1); each CodeSpec's basis is built once, for
+    # both its key and its sweep
     swept: dict[tuple[int, ...], WeightDistribution] = {}
 
     @cache
     def cyclic(spec: CodeSpec) -> WeightDistribution:
-        field = Field(spec.m)
-        key = tuple(reduce_rows(cyclic_generator_basis(spec, field)))
+        basis = cyclic_generator_basis(spec, Field(spec.m))
+        key = tuple(reduce_rows(basis))
         if key not in swept:
-            swept[key] = cyclic_weight_distribution(spec, field, args.threads)
+            swept[key] = span_distribution(basis, spec.n, args.threads)
         return swept[key]
 
     results = []
@@ -198,6 +202,9 @@ def cmd_reproduce(args) -> Result:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree of every subcommand.  main() builds it once per
+    process, on its first call, and reuses it: --threads defaults to None,
+    which main() resolves to the CPU count of the moment on every call."""
     parser = argparse.ArgumentParser(
         prog="designforge",
         description="Exact weight distributions, affine invariance, and design "
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, family=False):
         p.add_argument("--poly", type=_parse_poly, default=None,
                        help="primitive polynomial as hex (LSB = constant term)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: the CPU count)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if family:
@@ -250,9 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only code that writes stdout or picks the exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.threads is None:
+        args.threads = os.cpu_count() or 1
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")

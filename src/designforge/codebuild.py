@@ -49,6 +49,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -76,6 +77,10 @@ _GATHER_ROWS = 1 << 13
 
 class CoefficientNotInSubfield(ValueError):
     """C2 coefficient a must lie in GF(2^s)."""
+
+
+class CoefficientOutOfRange(ValueError):
+    """A coefficient is not a field element, an int in 0..q-1."""
 
 
 class LengthMismatch(ValueError):
@@ -158,15 +163,20 @@ class CodeSpec:
 
 def build_codeword(spec: CodeSpec, field: Field, a: int, b: int, c: int, h: int = 0) -> int:
     """Extended word of spec at (a, b, c, h), bit i at x = field.element(i): h plus
-    tr_d(coef * x^e) over spec.terms; CoefficientNotInSubfield if coef is not in GF(2^d)."""
+    tr_d(coef * x^e) over spec.terms; CoefficientOutOfRange if a coefficient
+    is not in 0..q-1, CoefficientNotInSubfield if coef is not in GF(2^d)."""
     if field.m != spec.m:
         raise LengthMismatch(f"field has m={field.m}, spec needs m={spec.m}")
+    for name, coef in zip("abc", (a, b, c)):
+        if not 0 <= coef < field.q:
+            raise CoefficientOutOfRange(f"{name}={coef} is not in 0..{field.q - 1}")
     bits = np.full(field.q, h & 1, dtype=np.uint8)
     for name, coef, (e, d) in zip("abc", (a, b, c), spec.terms):
         if d < field.m and not field.in_subfield(coef):
             raise CoefficientNotInSubfield(f"{name}={coef:#x} is not in GF(2^{d})")
-        trace = field.trace_np if d == field.m else field.sub_trace_np
-        bits ^= trace[field.scalar_mul_vec(coef, field.power_table(e))]
+        if coef:  # a zero coefficient adds the zero word
+            trace = field.trace_np if d == field.m else field.sub_trace_np
+            bits ^= trace[field.scalar_mul_vec(coef, field.power_table(e))]
     return bits_to_ints(bits[None])[0]
 
 
@@ -341,11 +351,16 @@ def _span_table(basis: list[int], length: int) -> np.ndarray:
     return table
 
 
+@cache
 def _hadamard(bits: int) -> np.ndarray:
-    """Sylvester matrix of order 2^bits: entry (x, y) is (-1)^popcount(x & y)."""
+    """Sylvester matrix of order 2^bits: entry (x, y) is (-1)^popcount(x & y).
+
+    Built once per order and read-only; a sweep uses orders up to 2^8.
+    """
     h = np.ones((1, 1), dtype=np.float32)
     for _ in range(bits):
         h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
     return h
 
 

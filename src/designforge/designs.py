@@ -282,15 +282,6 @@ def theorem_lambda(spec: CodeSpec, i: int) -> int:
     return lambda_from_identity(dist.entries[i], i, v, 2)
 
 
-def _theorem_lambda(spec: CodeSpec, t: int, i: int) -> int | None:
-    if t != 2:
-        return None
-    try:
-        return theorem_lambda(spec, i)
-    except InapplicableParameters:
-        return None
-
-
 def full_design_report(
     spec: CodeSpec,
     field: Field,
@@ -300,7 +291,8 @@ def full_design_report(
     weight: int | None = None,
 ) -> list[DesignReport]:
     """Verify every nontrivial weight class, or only the class weight,
-    cross-checked against theorem lambdas.
+    cross-checked against theorem lambdas (at t = 2, all read from one
+    evaluation of closed_form(spec)).
 
     One sweep of the h = 0 subcode H0 gives the distribution and keeps the
     H0 words of each class's pair (see blocks_of_weight).  A pair's running
@@ -332,10 +324,17 @@ def full_design_report(
         _require_class(weight, v, weight in dist.entries)
         targets = [weight]
 
+    # every t = 2 theorem lambda comes from one closed-form table, if one covers spec
+    table: dict[int, int] = {}
+    if t == 2:
+        try:
+            table = closed_form(spec).entries
+        except InapplicableParameters:
+            pass
     reports = []
     for w in targets:
         b = dist.entries[w]
-        theorem = _theorem_lambda(spec, t, w)
+        theorem = lambda_from_identity(table[w], w, v, 2) if w in table else None
         if not exhaustive and b * comb(w, t) > COST_GATE:
             reports.append(
                 DesignReport(

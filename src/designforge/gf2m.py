@@ -71,7 +71,8 @@ class Field:
     Every table is a read-only numpy array indexed by element value:
     exp_np (alpha^i for 0 <= i < 2n), log_np, trace_np (trace to GF(2)),
     in_subfield_np (1 on GF(2^s)) and sub_trace_np (trace from GF(2^s) to
-    GF(2), 0 off the subfield).  The scalar methods return Python ints.
+    GF(2), 0 off the subfield), and power_table(e), built on first use.
+    The scalar methods return Python ints.
 
     Attributes:
         m, s: extension degrees (m = 2s)
@@ -128,6 +129,7 @@ class Field:
         self.trace_np = _read_only(trace.astype(np.uint8))
         self.in_subfield_np = _read_only(in_sub.astype(np.uint8))
         self.sub_trace_np = _read_only(np.where(in_sub, sub_trace, 0).astype(np.uint8))
+        self._powers: dict[int, np.ndarray] = {}  # power_table by exponent
 
     # -- arithmetic --------------------------------------------------------
 
@@ -184,11 +186,18 @@ class Field:
         return self.power_table(1)
 
     def power_table(self, e: int) -> np.ndarray:
-        """x^e for every x in coordinate order (0^e = 0 for e >= 1)."""
-        out = np.empty(self.q, dtype=np.int64)
-        out[0] = 0
-        out[1:] = self.exp_np[(np.arange(self.n, dtype=np.int64) * e) % self.n]
-        return out
+        """x^e for every x in coordinate order (0^e = 0 for e >= 1).
+
+        Built once per exponent and field, then the same read-only array
+        is returned: a basis of 3m words reads one table per trace term.
+        """
+        table = self._powers.get(e)
+        if table is None:
+            table = np.empty(self.q, dtype=np.int64)
+            table[0] = 0
+            table[1:] = self.exp_np[(np.arange(self.n, dtype=np.int64) * e) % self.n]
+            table = self._powers.setdefault(e, _read_only(table))
+        return table
 
     def scalar_mul_vec(self, a: int, xs: np.ndarray) -> np.ndarray:
         """a * x elementwise for a vector of field elements."""

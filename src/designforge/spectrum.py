@@ -85,9 +85,12 @@ def weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -> Weigh
 
 def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -> WeightDistribution:
     """Exact distribution of the length-n cyclic relative by full enumeration."""
-    basis = cyclic_generator_basis(spec, field)
-    counts = weight_histogram(basis, spec.n, threads)
-    dist = WeightDistribution(counts, spec.n, len(basis))
+    return span_distribution(cyclic_generator_basis(spec, field), spec.n, threads)
+
+
+def span_distribution(basis: list[int], length: int, threads: int = 1) -> WeightDistribution:
+    """Exact distribution of the span of independent rows by full enumeration."""
+    dist = WeightDistribution(weight_histogram(basis, length, threads), length, len(basis))
     dist.validate()
     return dist
 

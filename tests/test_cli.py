@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from functools import reduce
 from operator import xor
 
@@ -406,6 +407,67 @@ def test_reproduce_keys_each_code_by_its_span(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
     assert sorted(swept) == [15, 63, 63, 63, 255]
+
+
+def test_reproduce_builds_each_code_basis_once(capsys, monkeypatch):
+    # one cyclic basis per CodeSpec serves both its span key and its sweep
+    import designforge.codebuild as codebuild
+
+    original = codebuild.h0_basis
+    built = []
+
+    def spy(spec, field):
+        built.append(spec)
+        return original(spec, field)
+
+    monkeypatch.setattr(codebuild, "h0_basis", spy)
+    code, out, _ = run_cli(capsys, "reproduce")
+    assert code == 0
+    assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
+    assert len(built) == len(set(built)) == 6
+
+
+# one pass of commands whose outputs a parser, cache or sweep could carry
+# from one main() call into the next
+REPEATED = [
+    ("field", "--m", "4"),
+    ("weights", "--family", "c1", "--s", "3", "--closed-form"),
+    ("designs", "--family", "c1", "--s", "2", "--weight", "5"),
+    ("invariance", "--family", "c2", "--s", "3", "--l", "1"),
+    ("reproduce", "--example", "3.8"),
+    ("designs", "--family", "c1", "--s", "2", "--t", "3", "--format", "csv"),
+]
+
+
+def test_repeated_main_calls_share_nothing_but_the_parser(capsys):
+    import designforge.cli as cli
+
+    passes = [[run_cli(capsys, *argv) for argv in REPEATED] for _ in range(2)]
+    assert [code for code, _, _ in passes[0]] == [0, 0, 2, 0, 0, 0]
+    assert passes[1] == passes[0]
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_threads_default_follows_the_cpu_count_of_each_call(capsys, monkeypatch):
+    import designforge.spectrum as spectrum
+
+    original = spectrum.weight_histogram
+    threads = []
+
+    def spy(basis, length, threads_here=1, *args, **kwargs):
+        threads.append(threads_here)
+        return original(basis, length, 1, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "weight_histogram", spy)
+    argv = ("weights", "--family", "c1", "--s", "2")
+    outs = []
+    for count, extra in ((3, ()), (1, ()), (None, ()), (5, ("--threads", "2")), (4, ())):
+        monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        outs.append(out)
+    assert threads == [3, 1, 1, 2, 4]
+    assert len(set(outs)) == 1
 
 
 def test_reproduce_reports_each_example_of_a_shared_sweep(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from designforge import (
     CodeSpec,
     CoefficientNotInSubfield,
+    CoefficientOutOfRange,
     Field,
     LengthMismatch,
     NonPrimitivePolynomial,
@@ -126,6 +127,22 @@ def test_build_c2_subfield_guard(f4):
     with pytest.raises(CoefficientNotInSubfield):
         build_codeword(C2_M4, f4, f4.alpha_pow(1), 0, 0)
     assert build_codeword(C2_M4, f4, 0, 0, 0, 1) == (1 << 16) - 1
+
+
+@pytest.mark.parametrize("spec", [C1_M4, C2_M4], ids=["c1", "c2"])
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("coef", [-1, 16])
+def test_build_rejects_an_out_of_range_coefficient(monkeypatch, spec, slot, coef):
+    # -1 would read log_np[-1], a wrong word, and q an IndexError: both are
+    # refused before any table is read
+    field = Field(4)
+    for name in ("power_table", "in_subfield", "scalar_mul_vec"):
+        monkeypatch.setattr(field, name, lambda *args: pytest.fail("a table was read"))
+    coefs = [0, 0, 0]
+    coefs[slot] = coef
+    with pytest.raises(CoefficientOutOfRange, match=rf"^{'abc'[slot]}={coef} is not in 0\.\.15$"):
+        build_codeword(spec, field, *coefs)
+    assert issubclass(CoefficientOutOfRange, ValueError)
 
 
 def test_build_c2_against_definition(f4):
@@ -559,6 +576,24 @@ def test_capped_class_gathers_stay_bounded(f6, monkeypatch):
     held = {w: sum(n for g, n in gathered if g == w) for w in caps}
     for w, cap in caps.items():
         assert held[w] <= cap
+
+
+def _sylvester_oracle(bits: int) -> np.ndarray:
+    # the uncached construction: np.block doubling from order 1
+    h = np.ones((1, 1), dtype=np.float32)
+    for _ in range(bits):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def test_sylvester_factors_are_cached_read_only():
+    # a sweep's factors have orders 2^(kt - kt // 2) and 2^(kt // 2), kt <= 16
+    for bits in range(9):
+        h = codebuild._hadamard(bits)
+        assert codebuild._hadamard(bits) is h
+        assert h.dtype == np.float32 and np.array_equal(h, _sylvester_oracle(bits))
+        with pytest.raises(ValueError):
+            h[0, 0] = 0
 
 
 def test_wrong_transform_fails_the_gather_check(f6):

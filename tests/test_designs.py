@@ -345,6 +345,25 @@ def test_full_report_m8_gates_heavy_classes(f8):
         assert by_k[k].theorem_lambda is not None  # closed form still reported
 
 
+@pytest.mark.parametrize("t, calls", [(2, 1), (3, 0)])
+def test_report_evaluates_the_closed_form_once(f4, monkeypatch, t, calls):
+    # every class's theorem lambda comes from one table; t = 3 reads none
+    original = designs.closed_form
+    evaluated = []
+
+    def spy(spec):
+        evaluated.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(designs, "closed_form", spy)
+    spec = CodeSpec("c2", 2, 1)
+    reports = full_design_report(spec, f4, t=t)
+    assert len(evaluated) == calls
+    assert len(reports) == len(M4_T2)
+    for r in reports:
+        assert r.theorem_lambda == (theorem_lambda(spec, r.k) if t == 2 else None)
+
+
 def test_report_json(f6):
     rep = full_design_report(CodeSpec("c1", 3), f6, t=2, weight=16)[0]
     obj = rep.to_json_obj()

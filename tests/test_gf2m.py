@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from designforge import (
+    CodeSpec,
     Field,
     IndexOutOfRange,
     NonPrimitivePolynomial,
@@ -183,6 +184,30 @@ def test_tables_are_read_only(f4):
     for name in ("exp_np", "log_np", "trace_np", "in_subfield_np", "sub_trace_np"):
         with pytest.raises(ValueError):
             getattr(f4, name)[1] = 0
+
+
+def _power_table_oracle(field: Field, e: int) -> np.ndarray:
+    # the uncached construction: x^e for every x in coordinate order
+    out = np.empty(field.q, dtype=np.int64)
+    out[0] = 0
+    out[1:] = field.exp_np[(np.arange(field.n, dtype=np.int64) * e) % field.n]
+    return out
+
+
+@pytest.mark.parametrize("m", sorted(DEFAULT_PRIMITIVE_POLYS))
+def test_power_tables_are_cached_read_only(m):
+    f = Field(m)
+    s = m // 2
+    specs = [CodeSpec("c1", s)] + [CodeSpec("c2", s, l) for l in range(1, s)]
+    exponents = sorted({e for spec in specs for e, _ in spec.terms})
+    for e in exponents:
+        table = f.power_table(e)
+        assert f.power_table(e) is table
+        assert np.array_equal(table, _power_table_oracle(f, e))
+        with pytest.raises(ValueError):
+            table[1] = 0
+    assert f.elements_in_order() is f.power_table(1)
+    assert Field(m).power_table(exponents[0]) is not f.power_table(exponents[0])
 
 
 def test_scalar_results_are_python_ints(f4):

@@ -16,15 +16,21 @@ designforge package).  The invocations are:
   c2(3,2), c2(4,1) and c2(4,3);
 - bad inputs: an odd --weight, --l equal to --s, and `field --m 5`.
 
+A second pass runs every invocation again, in the same order, through
+one interpreter's `designforge.cli.main` per tree, as perfbench/worker.py
+does, and compares each with that tree's subprocess run: state that one
+call leaves behind for the next (a cached parser or table) shows up there.
+
 Prints the unified diff of every stdout or stderr that differs and every
-pair of exit codes that differ, then one summary line.  Exits 1 if any
-invocation differs, else 0.
+pair of exit codes that differ, then one summary line per pass.  Exits 1
+if any invocation differs in either pass, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import random
 import subprocess
@@ -64,13 +70,47 @@ def invocations() -> list[list[str]]:
     return out
 
 
+# Reads a JSON list of argvs on stdin, runs each through one main(), and
+# writes [exit code, stdout, stderr] of each as one JSON list.
+IN_PROCESS = """
+import contextlib, io, json, sys, traceback
+from designforge.cli import main
+
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code if isinstance(exc.code, int) else 2
+        except Exception:  # as an uncaught error ends `python -m`: exit 1, traceback on stderr
+            traceback.print_exc()
+            rc = 1
+    results.append([rc, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _env(src: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+
 def run(src: Path, argv: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-m", "designforge.cli", *argv], cwd=src, env=env,
+    return subprocess.run([sys.executable, "-m", "designforge.cli", *argv], cwd=src, env=_env(src),
                           capture_output=True, text=True, check=False)
 
 
-def differences(old: subprocess.CompletedProcess, new: subprocess.CompletedProcess) -> list[str]:
+def run_in_process(src: Path, argvs: list[list[str]]) -> list[subprocess.CompletedProcess]:
+    """Every argv in order through one interpreter's designforge.cli.main."""
+    proc = subprocess.run([sys.executable, "-c", IN_PROCESS], cwd=src, env=_env(src),
+                          input=json.dumps(argvs), capture_output=True, text=True, check=True)
+    return [subprocess.CompletedProcess(argv, rc, out, err)
+            for argv, (rc, out, err) in zip(argvs, json.loads(proc.stdout), strict=True)]
+
+
+def differences(old: subprocess.CompletedProcess, new: subprocess.CompletedProcess,
+                labels: tuple[str, str]) -> list[str]:
     """Lines describing how two runs of one argv differ; empty if they agree."""
     out = []
     if old.returncode != new.returncode:
@@ -79,8 +119,20 @@ def differences(old: subprocess.CompletedProcess, new: subprocess.CompletedProce
         a, b = getattr(old, stream), getattr(new, stream)
         if a != b:
             out.append(f"{stream}:")
-            out += difflib.unified_diff(a.splitlines(), b.splitlines(), "parent", "change", lineterm="")
+            out += difflib.unified_diff(a.splitlines(), b.splitlines(), *labels, lineterm="")
     return out
+
+
+def report(pairs, labels: tuple[str, str], where: str) -> int:
+    """Print the differences of each (argv, old, new); return how many differ."""
+    differing = 0
+    for argv, old, new in pairs:
+        diff = differences(old, new, labels)
+        if diff:
+            differing += 1
+            print(f"DIFFERS{where}: designforge " + " ".join(argv))
+            print("\n".join(diff))
+    return differing
 
 
 def main() -> int:
@@ -93,14 +145,18 @@ def main() -> int:
     # yields is the same under either tree
     sys.path[:0] = [str(REPO), str(change)]
     argvs = invocations()
-    differing = 0
+    trees = (parent, change)
+    runs: tuple[list, list] = ([], [])
     for argv in argvs:
-        diff = differences(run(parent, argv), run(change, argv))
-        if diff:
-            differing += 1
-            print("DIFFERS: designforge " + " ".join(argv))
-            print("\n".join(diff))
+        for tree, done in zip(trees, runs):
+            done.append(run(tree, argv))
+    differing = report(zip(argvs, *runs), ("parent", "change"), "")
     print(f"{len(argvs)} invocations, {differing} differ in stdout, stderr or exit code")
+    for name, tree, done in zip(("parent", "change"), trees, runs):
+        alone = report(zip(argvs, done, run_in_process(tree, argvs)),
+                       ("subprocess", "in-process"), f" in one process ({name})")
+        print(f"{name}: {len(argvs)} invocations in one process, {alone} differ from their subprocess runs")
+        differing += alone
     return 1 if differing else 0
 
 
