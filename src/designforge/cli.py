@@ -36,7 +36,6 @@ from .spectrum import (
     cyclic_weight_distribution,
     extend_distribution,
     pless_verify,
-    span_distribution,
     weight_distribution,
 )
 
@@ -157,7 +156,8 @@ def cmd_invariance(args) -> Result:
 
 def cmd_reproduce(args) -> Result:
     """The golden suite: each worked example's enumerator and each BCH-dual
-    power-moment case, from one cyclic basis and at most one sweep per code."""
+    power-moment case, from one cyclic basis and at most one distribution
+    per code."""
     if args.poly is not None:
         raise InapplicableParameters(
             "reproduce runs the built-in polynomial of each m it covers (4, 6, 8); drop --poly"
@@ -169,18 +169,18 @@ def cmd_reproduce(args) -> Result:
                 f"unknown example {args.example!r}; choose from {', '.join(targets)}"
             )
         targets = [args.example]
-    # one sweep per code, keyed by its reduced cyclic basis: an example
-    # extends the distribution its moment case checks, and m4 and 3.6 name
-    # one code, c1(2) = c2(2, 1); each CodeSpec's basis is built once, for
-    # both its key and its sweep
+    # one distribution per code, keyed by its reduced cyclic basis: an
+    # example extends the distribution its moment case checks, and m4 and
+    # 3.6 name one code, c1(2) = c2(2, 1); each CodeSpec's field and key
+    # basis are built once, and the distribution reads the same field
     swept: dict[tuple[int, ...], WeightDistribution] = {}
 
     @cache
     def cyclic(spec: CodeSpec) -> WeightDistribution:
-        basis = cyclic_generator_basis(spec, Field(spec.m))
-        key = tuple(reduce_rows(basis))
+        field = Field(spec.m)
+        key = tuple(reduce_rows(cyclic_generator_basis(spec, field)))
         if key not in swept:
-            swept[key] = span_distribution(basis, spec.n, args.threads)
+            swept[key] = cyclic_weight_distribution(spec, field, args.threads)
         return swept[key]
 
     results = []

@@ -10,7 +10,8 @@ Family c1 (extended):  value at x is tr(a*x^5 + b*x^3 + c*x) + h.
 Family c2 (extended):  value at x is tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) + h,
                        with a restricted to the subfield GF(2^s).
 
-build_codeword is the one evaluator of these forms, and it, h0_basis and
+build_codeword is the one evaluator of these forms, and it, slot_words,
+the fold of spectrum.cyclic_weight_distribution and
 polyops.defining_set_of_family read them from one table, CodeSpec.terms.
 Coordinate 0 is x = 0, where every trace term vanishes, so the cyclic
 relative is the h = 0 subcode punctured at coordinate 0: its word at
@@ -216,31 +217,46 @@ def membership_test(word: int, basis: list[int], length: int) -> bool:
     return word == 0
 
 
-def h0_basis(spec: CodeSpec, field: Field) -> list[int]:
-    """Basis of the h = 0 subcode of the extended code: the m words
-    tr(alpha^j x) of the linear part, j < m, then the rows of the reduced
-    basis of the whole span whose pivots the linear part lacks.
-
-    The spanning set is the h = 0 word of every basis element of each
-    coefficient slot of spec.terms, the powers below d of alpha^((q-1)/(2^d-1)),
-    a primitive element of GF(2^d), for a degree-d slot.  Every such word
-    has bit 0 clear: coordinate 0 is x = 0, where each trace term vanishes.
-    At coordinate x the leading m rows hold the coordinates of x in the
-    trace-dual basis, distinct for every x, which is what the sweep
-    transforms over (see _SweepTables).  The pivots of a subspace are among
-    those of the space, so the rows kept after the linear part complete it
-    to a basis.  generator_basis and cyclic_generator_basis are the two
-    views of this one basis.
-    """
-    words = []
+def slot_words(spec: CodeSpec, field: Field) -> list[dict[int, int]]:
+    """For each coefficient slot of spec.terms, the h = 0 word at each
+    element of the slot's basis, keyed by that element, in order: for a
+    degree-d slot, the powers below d of alpha^((q-1)/(2^d-1)), a primitive
+    element of GF(2^d).  Every such word has bit 0 clear: coordinate 0 is
+    x = 0, where each trace term vanishes."""
+    slots = []
     for slot, (_, d) in enumerate(spec.terms):
+        words = {}
         for j in range(d):
             coefs = [0, 0, 0]
             coefs[slot] = field.alpha_pow(j * (field.n // ((1 << d) - 1)))
-            words.append(build_codeword(spec, field, *coefs))
-    linear = words[-field.m :]  # the last slot, tr(c x)
+            words[coefs[slot]] = build_codeword(spec, field, *coefs)
+        slots.append(words)
+    return slots
+
+
+def linear_first(slots: list[dict[int, int]]) -> list[int]:
+    """Basis of the span of the words of slot_words slots: the words of the
+    last slot, the linear term tr(c x), then the rows of the reduced basis
+    of the whole span whose pivots the linear part lacks.
+
+    The linear words at the basis elements alpha^j, j < m, hold at
+    coordinate x the coordinates of x in the trace-dual basis, distinct for
+    every x, which is what the sweep transforms over (see _SweepTables).
+    The pivots of a subspace are among those of the space, so the rows
+    kept after the linear part complete it to a basis.
+    """
+    linear = list(slots[-1].values())
     pivots = {_pivot(row) for row in reduce_rows(linear)}
+    words = [word for words in slots for word in words.values()]
     return linear + [row for row in reduce_rows(words) if _pivot(row) not in pivots]
+
+
+def h0_basis(spec: CodeSpec, field: Field) -> list[int]:
+    """Basis of the h = 0 subcode of the extended code: linear_first of its
+    slot_words.  generator_basis and cyclic_generator_basis are the two
+    views of this one basis.
+    """
+    return linear_first(slot_words(spec, field))
 
 
 def generator_basis(spec: CodeSpec, field: Field) -> list[int]:
@@ -382,7 +398,8 @@ class _SweepTables:
     base = high[j], offsets[i] and low[c] are the span words of the high,
     batch and transform rows at j, i and c.  The high table has
     2^(k - kt - kb) <= 2^(MAX_ENUM_DIM - 16) = 1024 rows, 512 at even kt
-    (32 KB for the 256 rows of length 1023 in the c2(5, 1) sweep).
+    (32 KB for the 256 rows of length 1023 in the c2(5, 1) sweep).  A
+    sweep of the coset coset + span XORs coset into every high word.
 
     Bit x of low[c] is the parity of c & col[x], where col[x] is the
     kt-bit column of the transform rows at coordinate x.  So with b_x and
@@ -407,7 +424,7 @@ class _SweepTables:
     adding its further layers per slot by reduceat.
     """
 
-    def __init__(self, basis: list[int], length: int, gathers: bool = True):
+    def __init__(self, basis: list[int], length: int, gathers: bool = True, coset: int = 0):
         # each stacked product of the transform is at most 2^(kt + kt % 2 + kb)
         # multiply-adds: OpenBLAS runs a product of at most 2^17 on the
         # calling thread, where a larger one starts its own threads inside
@@ -420,6 +437,8 @@ class _SweepTables:
         self.low = _span_table(basis[:kt], length)
         self.offsets = _span_table(basis[kt : kt + kb], length)
         self.high = _span_table(basis[kt + kb :], length)
+        if coset:
+            self.high ^= pack_words([coset], length)[0]
         cols = np.zeros(length, dtype=np.intp)
         for j, row in enumerate(unpack_rows(pack_words(basis[:kt], length), length)):
             cols |= row.astype(np.intp) << j
@@ -451,7 +470,7 @@ class _SweepTables:
         # 2w - length of each weight w, in the count's integer dtype
         self.value_dtype = np.int16 if length < 1 << 15 else np.int32
         self.edges = np.arange(-length, length + 1, 2, dtype=self.value_dtype)
-        self.indices = np.arange(self.signs.size) if gathers else None
+        self.gathers = gathers
 
 
 class _TransformStep:
@@ -489,7 +508,7 @@ class _TransformStep:
         self.base = tables.high[0]
         # this worker's running count of each weight
         self.tally: Counter[int] = Counter()
-        if tables.indices is not None:
+        if tables.gathers:
             # the batch's mask, then gather buffers of one slice's words
             self.mask = np.empty(size, dtype=bool)
             self.hit = np.empty(size, dtype=bool)
@@ -602,9 +621,10 @@ class _TransformStep:
         tb = self.tables
         count = len(rows)
         # indices into buffers allocated once: a worker thread's allocations
-        # per batch fragment its malloc arena between the kept rows
+        # per batch fragment its malloc arena between the kept rows; the
+        # offsets within part are a transient of at most _GATHER_ROWS
         at, batch = self.at[:count], self.batch[:count]
-        np.compress(self.mask[part], tb.indices[part], out=at)
+        np.add(np.flatnonzero(self.mask[part]), part.start, out=at)
         np.right_shift(at, tb.kt, out=batch)
         at &= (1 << tb.kt) - 1
         # every index is in range; "raise" would take into a temporary first
@@ -628,10 +648,15 @@ def _require_enumerable(basis: list[int], length: int) -> None:
 
 
 def weight_histogram(
-    basis: list[int], length: int, threads: int = 1, keep: dict[tuple[int, ...], int] | None = None
+    basis: list[int],
+    length: int,
+    threads: int = 1,
+    keep: dict[tuple[int, ...], int] | None = None,
+    coset: int = 0,
 ) -> dict[int, int] | tuple[dict[int, int], dict[tuple[int, ...], list[np.ndarray]]]:
-    """Exact weight -> count map over the full span of a basis, by
-    increasing weight.
+    """Exact weight -> count map over the full span of a basis, or over the
+    coset coset + span for a word coset of the given length, by increasing
+    weight.
 
     The weights of each batch of up to 2^17 consecutive span words come
     from Walsh-Hadamard transforms of signed column sums, one per coset of
@@ -652,7 +677,7 @@ def weight_histogram(
     """
     _require_enumerable(basis, length)
     caps = keep or {}
-    tables = _SweepTables(basis, length, gathers=bool(caps))
+    tables = _SweepTables(basis, length, gathers=bool(caps), coset=coset)
     ranges = _sweep_ranges(len(tables.high), threads)
     steps = [_TransformStep(tables) for _ in ranges]
     lock = threading.Lock()

@@ -8,15 +8,18 @@ table formulas.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .checks import require
 from .codebuild import (
     CodeSpec,
     build_codeword,
-    cyclic_generator_basis,
+    linear_first,
+    reduce_rows,
+    slot_words,
     weight_histogram,
 )
 from .gf2m import Field
@@ -79,13 +82,83 @@ def weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -> Weigh
     """Exact distribution of the extended code: the h = 0 words (bit 0 clear,
     as x = 0 there) and their complements, the h = 1 words.  Puncturing bit 0
     maps the h = 0 words onto the cyclic relative, keeping weights, so this is
-    extend_distribution of the cyclic distribution, from one cyclic sweep."""
+    extend_distribution of cyclic_weight_distribution, whose enumeration is
+    folded over x -> alpha x and capped on each basis it sweeps."""
     return extend_distribution(cyclic_weight_distribution(spec, field, threads))
 
 
 def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -> WeightDistribution:
-    """Exact distribution of the length-n cyclic relative by full enumeration."""
-    return span_distribution(cyclic_generator_basis(spec, field), spec.n, threads)
+    """Exact distribution of the length-n cyclic relative by enumeration,
+    folded over the code's automorphism x -> alpha x.
+
+    That map moves bit i + 1 of a word to bit i and keeps its weight; it
+    sends the word at (a, b, c) to the word at (a alpha^e, b alpha^e',
+    c alpha), with e and e' the a- and b-term exponents.  So every a in one
+    orbit of a -> a alpha^e has one distribution of words over (b, c), that
+    of the coset word(a, 0, 0) + S of the a = 0 subcode S, whose basis leads
+    with the linear words, then the b-slot words.  The distribution is the
+    sweep of S plus, for each orbit, its size times the sweep of its
+    representative's coset: 1 + g sweeps of 2^dim(S) words in place of one
+    of 2^(dim(S) + d) for a degree-d a-slot, with g = 1 for c2, whose
+    alpha^(2^s+1) generates GF(2^s)*, and g = gcd(5, q - 1) for c1.
+
+    The premise is required of every basis word of every slot before any
+    sweep, and the counts must sum to 2^dimension (CheckFailed).  Where the
+    a-slot words are not independent of S (c1 at m = 4, as 5 divides 15)
+    the whole basis is swept instead.  Every sweep of the fold is of the
+    basis of S, so the enumeration cap (TooLarge) refuses it before the
+    first one runs.
+    """
+    n = spec.n
+    slots = [{coef: word >> 1 for coef, word in words.items()} for words in slot_words(spec, field)]
+    _require_shift_premise(spec, field, slots)
+    a_words = slots[0]
+    sub = linear_first(slots[1:])
+    dimension = len(reduce_rows(sub + list(a_words.values())))
+    if dimension < len(sub) + len(a_words):
+        return span_distribution(linear_first(slots), n, threads)
+    counts = Counter(weight_histogram(sub, n, threads))
+    for rep, size in _orbits(spec, field):
+        require(rep in a_words, f"orbit representative {rep:#x} is not an a-slot basis element")
+        for w, c in weight_histogram(sub, n, threads, coset=a_words[rep]).items():
+            counts[w] += size * c
+    dist = WeightDistribution(dict(sorted(counts.items())), n, dimension)
+    dist.validate()
+    return dist
+
+
+def _require_shift_premise(spec: CodeSpec, field: Field, slots: list[dict[int, int]]) -> None:
+    """Require, for each basis element coef of each slot (e, d) of
+    spec.terms, that x -> alpha x sends its cyclic word, slots[slot][coef],
+    to the word at coef * alpha^e: the word rotated by one bit, bit i + 1
+    to bit i, since coordinate i is alpha^i."""
+    n = spec.n
+    for slot, ((e, _), words) in enumerate(zip(spec.terms, slots)):
+        step = field.alpha_pow(e)
+        for coef, word in words.items():
+            image = field.mul(coef, step)
+            target = words.get(image)
+            if target is None:
+                coefs = [0, 0, 0]
+                coefs[slot] = image
+                target = build_codeword(spec, field, *coefs) >> 1
+            require(
+                (word >> 1 | (word & 1) << (n - 1)) == target,
+                f"x -> alpha x does not send the word at {'abc'[slot]} = {coef:#x} to the one at {image:#x}",
+            )
+
+
+def _orbits(spec: CodeSpec, field: Field) -> list[tuple[int, int]]:
+    """(representative, size) of each orbit of a -> a alpha^e on the nonzero
+    coefficients of the degree-d a-slot.  alpha^e generates the subgroup of
+    GF(2^d)* of its order r, so the orbits are the g = (2^d - 1)/r cosets of
+    that subgroup, represented by gamma^0, ..., gamma^(g-1), with gamma the
+    slot's primitive element alpha^((q-1)/(2^d-1))."""
+    e, d = spec.terms[0]
+    units = (1 << d) - 1
+    order = field.n // gcd(e, field.n)
+    require(units % order == 0, f"alpha^{e} does not lie in GF(2^{d})")
+    return [(field.alpha_pow(r * (field.n // units)), order) for r in range(units // order)]
 
 
 def span_distribution(basis: list[int], length: int, threads: int = 1) -> WeightDistribution:

@@ -9,7 +9,7 @@ from operator import xor
 import pytest
 
 from designforge.cli import main
-from designforge.codebuild import cyclic_generator_basis
+from designforge.codebuild import CodeSpec, cyclic_generator_basis
 
 
 def run_cli(capsys, *argv):
@@ -363,24 +363,34 @@ REPRODUCE_RESULTS = [
 ]
 
 
+# the lengths of reproduce's sweeps: c1(2) at m = 4 swept whole; c1(3),
+# c2(3, 1) and c2(3, 2) folded, each as its a = 0 subcode and one coset;
+# c1(4) as its subcode and five cosets, one per orbit of a -> a alpha^5
+REPRODUCE_SWEEPS = [15] + [63] * 6 + [255] * 6
+
+
 def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
     import designforge.spectrum as spectrum
 
     original = spectrum.weight_histogram
     swept = []
 
-    def spy(basis, length, *args, **kwargs):
-        swept.append((tuple(basis), length))
-        return original(basis, length, *args, **kwargs)
+    def spy(basis, length, threads=1, keep=None, coset=0):
+        swept.append((tuple(basis), length, coset))
+        return original(basis, length, threads, keep, coset)
 
     monkeypatch.setattr(spectrum, "weight_histogram", spy)
     code, out, _ = run_cli(capsys, "reproduce")
     assert code == 0
     assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
-    # one cyclic sweep per code: 3.3 and pless-s3 share c1(3), 3.4 and
+    # one distribution per code: 3.3 and pless-s3 share c1(3), 3.4 and
     # pless-s4 share c1(4), and m4 and 3.6 name one code, c1(2) = c2(2, 1)
-    assert sorted(length for _, length in swept) == [15, 63, 63, 63, 255]
-    assert len(set(swept)) == len(swept)
+    assert sorted(length for _, length, _ in swept) == REPRODUCE_SWEEPS
+    # c1(3) and c2(3, 1) share their a = 0 subcode, the span of the x and
+    # x^3 words, so its sweep is the one that runs twice
+    repeated = [sweep for sweep in set(swept) if swept.count(sweep) > 1]
+    assert [(len(basis), length, coset) for basis, length, coset in repeated] == [(12, 63, 0)]
+    assert sum(1 << len(basis) for basis, _, _ in swept) == 2**10 + 3 * 2 * 2**12 + 6 * 2**16
 
 
 def test_reproduce_keys_each_code_by_its_span(capsys, monkeypatch):
@@ -406,25 +416,35 @@ def test_reproduce_keys_each_code_by_its_span(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "reproduce")
     assert code == 0
     assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
-    assert sorted(swept) == [15, 63, 63, 63, 255]
+    assert sorted(swept) == REPRODUCE_SWEEPS
 
 
 def test_reproduce_builds_each_code_basis_once(capsys, monkeypatch):
-    # one cyclic basis per CodeSpec serves both its span key and its sweep
+    # one cyclic basis per CodeSpec serves as its span key, and the slot
+    # words the fold sweeps are built once per code it computes: all but
+    # c2(2, 1), which shares the distribution of c1(2)
     import designforge.codebuild as codebuild
+    import designforge.spectrum as spectrum
 
-    original = codebuild.h0_basis
-    built = []
+    built: dict[str, list] = {"key": [], "fold": []}
 
-    def spy(spec, field):
-        built.append(spec)
-        return original(spec, field)
+    def spy(name, module, use):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(codebuild, "h0_basis", spy)
+        def build(spec, field):
+            built[use].append(spec)
+            return original(spec, field)
+
+        monkeypatch.setattr(module, name, build)
+
+    spy("h0_basis", codebuild, "key")
+    spy("slot_words", spectrum, "fold")
     code, out, _ = run_cli(capsys, "reproduce")
     assert code == 0
     assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
-    assert len(built) == len(set(built)) == 6
+    assert len(built["key"]) == len(set(built["key"])) == 6
+    assert set(built["fold"]) == set(built["key"]) - {CodeSpec("c2", 2, 1)}
+    assert len(built["fold"]) == 5
 
 
 # one pass of commands whose outputs a parser, cache or sweep could carry
@@ -482,10 +502,22 @@ def test_reproduce_reports_each_example_of_a_shared_sweep(capsys, monkeypatch):
     assert json.loads(out) == {"results": expected, "all_match": False}
 
 
-def test_weights_too_large_caps_the_swept_cyclic_basis(capsys):
-    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "5")
+def test_weights_too_large_caps_the_swept_cyclic_basis(capsys, monkeypatch):
+    # the fold sweeps the a = 0 subcode S and cosets of it, so the cap
+    # applies to S: c1(5) at m = 10 (S of dimension 20) runs, and c1(7) at
+    # m = 14 (S of dimension 28) is refused before any sweep table is built
+    import designforge.codebuild as codebuild
+
+    code, out, _ = run_cli(capsys, "weights", "--family", "c1", "--s", "5", "--closed-form")
+    assert code == 0 and json.loads(out)["closed_form_match"] is True
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("the sweep tables were built")
+
+    monkeypatch.setattr(codebuild, "_SweepTables", no_tables)
+    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "7")
     assert code == 2 and out == ""
-    assert "TooLarge: dimension 30 exceeds the enumeration cap 26" in err
+    assert "TooLarge: dimension 28 exceeds the enumeration cap 26" in err
 
 
 def test_export_blocks_requires_weight(capsys):

@@ -333,6 +333,20 @@ def test_weight_histogram_thread_invariance(f6):
     assert h1 == h2 == h8
 
 
+@pytest.mark.parametrize("dim", [9, 19])
+def test_coset_sweep_matches_python_enumeration(dim):
+    # coset + span, with every high word shifted: 19 rows at length 64 leave
+    # 4 high words, 9 rows one batch of 2^9
+    rng = Random(dim)
+    basis = [rng.getrandbits(64) for _ in range(dim)]
+    coset = rng.getrandbits(64)
+    by_hand: dict[int, int] = {}
+    for w in enumerate_span(basis):
+        by_hand[(w ^ coset).bit_count()] = by_hand.get((w ^ coset).bit_count(), 0) + 1
+    for threads in (1, 2):
+        assert weight_histogram(basis, 64, threads, coset=coset) == dict(sorted(by_hand.items()))
+
+
 @pytest.mark.parametrize("spec_args", [("c1", 2, None), ("c1", 3, None), ("c2", 3, 1), ("c2", 3, 2)])
 def test_even_weights_and_complement_closure(spec_args, f4, f6):
     family, s, l = spec_args

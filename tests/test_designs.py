@@ -206,10 +206,11 @@ for entry in ((0, 0), (0, 1)):
 
 
 # Bounds on the traced allocation peak of a design report, in MiB: about
-# 20% above 5.42 and 6.71 MiB at 2 threads (3.87 and 5.11 at 1).  Before
-# gathers and counting took fixed-size slices they read 16.65 and 12.50
-# MiB at 2 threads, 9.37 and 8.22 at 1.
-REPORT_PEAK_MIB = {"c1_4_w96": 6.5, "c1_3": 8.0}
+# 20% above 4.42 and 5.59 MiB at 2 threads (3.89 and 4.05 at 1).  With a
+# per-sweep table of every batch index they read 5.42 and 6.71 MiB at 2
+# threads; before gathers and counting took fixed-size slices, 16.65 and
+# 12.50 MiB at 2 threads, 9.37 and 8.22 at 1.
+REPORT_PEAK_MIB = {"c1_4_w96": 5.3, "c1_3": 6.7}
 
 
 @pytest.mark.parametrize("threads", [1, 2])

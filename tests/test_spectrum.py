@@ -7,13 +7,16 @@ from operator import xor
 import pytest
 
 from designforge import (
+    CheckFailed,
     CodeSpec,
+    Field,
     InapplicableParameters,
     NonIntegerCount,
     OddSum,
     WeightCollision,
     WeightDistribution,
     ZeroForm,
+    closed_form,
     closed_form_c1,
     closed_form_c2_cyclic,
     closed_form_c2_extended,
@@ -26,8 +29,9 @@ from designforge import (
     weight_distribution,
     weight_from_sum,
 )
-from designforge.codebuild import weight_histogram
-from designforge.spectrum import _as_count, _build
+import designforge.spectrum as spectrum
+from designforge.codebuild import cyclic_generator_basis, slot_words, weight_histogram
+from designforge.spectrum import _as_count, _build, span_distribution
 from ref_gf2 import ref_exp_sum
 
 M4_ENUMERATOR = {0: 1, 4: 140, 6: 448, 8: 870, 10: 448, 12: 140, 16: 1}
@@ -65,6 +69,84 @@ def test_extended_distribution_routes_agree(spec, f4, f6, f8):
     dist = weight_distribution(spec, f)
     assert weight_histogram(basis, spec.length, threads=2) == dist.entries
     assert dist.dimension == len(basis)
+
+
+# alternates of the built-in polynomials: x^6+x^4+x^3+x+1,
+# x^8+x^6+x^5+x^3+1 and x^10+x^7+1
+ALT_POLYS = {6: 0x5B, 8: 0x169, 10: 0x481}
+
+
+def _spy_sweeps(monkeypatch) -> list[tuple[int, bool]]:
+    """(dimension, whether a coset) of every sweep the spectrum layer runs."""
+    swept = []
+
+    def spy(basis, length, threads=1, keep=None, coset=0):
+        swept.append((len(basis), coset != 0))
+        return weight_histogram(basis, length, threads, keep, coset)
+
+    monkeypatch.setattr(spectrum, "weight_histogram", spy)
+    return swept
+
+
+@pytest.mark.parametrize("poly", ["built-in", "alternate"])
+@pytest.mark.parametrize("spec", [
+    CodeSpec("c1", 3), CodeSpec("c1", 4), CodeSpec("c2", 3, 1), CodeSpec("c2", 3, 2),
+    CodeSpec("c2", 4, 1), CodeSpec("c2", 4, 3), *(CodeSpec("c2", 5, l) for l in range(1, 5)),
+], ids=CodeSpec.label)
+def test_fold_equals_the_plain_sweep(spec, poly, monkeypatch):
+    # the fold sweeps the a = 0 subcode S once and one coset of it per orbit
+    # of a -> a alpha^e: five for c1(4), where 5 divides 255, else one
+    field = Field(spec.m, ALT_POLYS[spec.m] if poly == "alternate" else None)
+    plain = span_distribution(cyclic_generator_basis(spec, field), spec.n, threads=2)
+    swept = _spy_sweeps(monkeypatch)
+    for threads in (1, 2):
+        swept.clear()
+        assert cyclic_weight_distribution(spec, field, threads) == plain
+        cosets = 5 if spec == CodeSpec("c1", 4) else 1
+        assert swept == [(plain.dimension - spec.terms[0][1], False)] + [(swept[0][0], True)] * cosets
+
+
+def test_fold_falls_back_where_the_a_slot_is_not_independent(f4, monkeypatch):
+    # at m = 4, 5 divides 15: c1's a-slot words span 2 dimensions, not 4, so
+    # c1(2) is swept whole; c2(2, 1), the same code, folds over its GF(4) a-slot
+    swept = _spy_sweeps(monkeypatch)
+    c1 = cyclic_weight_distribution(CodeSpec("c1", 2), f4)
+    assert swept == [(10, False)]
+    swept.clear()
+    assert cyclic_weight_distribution(CodeSpec("c2", 2, 1), f4) == c1
+    assert swept == [(8, False), (8, True)]
+
+
+@pytest.mark.parametrize("spec", [
+    CodeSpec("c1", 5), *(CodeSpec("c2", 6, l) for l in range(1, 6)), CodeSpec("c1", 6),
+], ids=CodeSpec.label)
+def test_fold_matches_the_closed_forms(spec):
+    dist = cyclic_weight_distribution(spec, Field(spec.m), threads=2)
+    assert extend_distribution(dist) == closed_form(spec)
+    if spec.family == "c2":
+        assert dist == closed_form_c2_cyclic(spec.s, spec.l)
+
+
+def test_fold_refuses_a_wrong_slot_exponent_before_any_sweep(f6, monkeypatch):
+    # a-slot words of x^3 where spec.terms names x^5: x -> alpha x multiplies
+    # their coefficients by alpha^3, not by the alpha^5 the fold reads
+    def swapped(spec, field):
+        a, b, c = slot_words(spec, field)
+        return [b, a, c]
+
+    monkeypatch.setattr(spectrum, "slot_words", swapped)
+    swept = _spy_sweeps(monkeypatch)
+    with pytest.raises(CheckFailed, match="x -> alpha x does not send the word at a = 0x1"):
+        cyclic_weight_distribution(CodeSpec("c1", 3), f6)
+    assert swept == []
+
+
+def test_fold_with_a_wrong_orbit_size_fails_validate(f6, monkeypatch):
+    original = spectrum._orbits
+    monkeypatch.setattr(spectrum, "_orbits",
+                        lambda spec, field: [(rep, size + 1) for rep, size in original(spec, field)])
+    with pytest.raises(CheckFailed, match="counts must sum to 2\\^dimension"):
+        cyclic_weight_distribution(CodeSpec("c2", 3, 1), f6)
 
 
 def test_palindrome_symmetry(f6):

@@ -13,7 +13,7 @@ designforge package).  The invocations are:
   by a fixed seed, at --threads 1 and 2;
 - the two --export-blocks cases pinned in tests/test_cli.py;
 - `weights --cyclic` and `invariance` for c1(2..4), c2(2,1), c2(3,1),
-  c2(3,2), c2(4,1) and c2(4,3);
+  c2(3,2), c2(4,1), c2(4,3) and c2(5,1..4);
 - bad inputs: an odd --weight, --l equal to --s, and `field --m 5`.
 
 A second pass runs every invocation again, in the same order, through
@@ -41,7 +41,8 @@ REPO = Path(__file__).resolve().parents[1]
 SEED = 24
 THREADS = (1, 2)
 CODES = [("c1", 2, None), ("c1", 3, None), ("c1", 4, None), ("c2", 2, 1),
-         ("c2", 3, 1), ("c2", 3, 2), ("c2", 4, 1), ("c2", 4, 3)]
+         ("c2", 3, 1), ("c2", 3, 2), ("c2", 4, 1), ("c2", 4, 3),
+         *(("c2", 5, l) for l in range(1, 5))]
 
 
 def invocations() -> list[list[str]]:
