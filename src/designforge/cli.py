@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 from . import golden
 from .checks import CheckFailed
-from .codebuild import CodeSpec, cyclic_generator_basis, reduce_rows
+from .codebuild import CodeSpec
 from .designs import blocks_of_weight, full_design_report
 from .gf2m import Field
 from .invariance import affine_orbit_check, closure_check
@@ -156,8 +156,7 @@ def cmd_invariance(args) -> Result:
 
 def cmd_reproduce(args) -> Result:
     """The golden suite: each worked example's enumerator and each BCH-dual
-    power-moment case, from one cyclic basis and at most one distribution
-    per code."""
+    power-moment case, from one folded distribution per CodeSpec."""
     if args.poly is not None:
         raise InapplicableParameters(
             "reproduce runs the built-in polynomial of each m it covers (4, 6, 8); drop --poly"
@@ -169,19 +168,11 @@ def cmd_reproduce(args) -> Result:
                 f"unknown example {args.example!r}; choose from {', '.join(targets)}"
             )
         targets = [args.example]
-    # one distribution per code, keyed by its reduced cyclic basis: an
-    # example extends the distribution its moment case checks, and m4 and
-    # 3.6 name one code, c1(2) = c2(2, 1); each CodeSpec's field and key
-    # basis are built once, and the distribution reads the same field
-    swept: dict[tuple[int, ...], WeightDistribution] = {}
-
+    # one distribution per code: an example extends the distribution its
+    # moment case checks
     @cache
     def cyclic(spec: CodeSpec) -> WeightDistribution:
-        field = Field(spec.m)
-        key = tuple(reduce_rows(cyclic_generator_basis(spec, field)))
-        if key not in swept:
-            swept[key] = cyclic_weight_distribution(spec, field, args.threads)
-        return swept[key]
+        return cyclic_weight_distribution(spec, Field(spec.m), args.threads)
 
     results = []
     for ex_id in targets:

@@ -31,11 +31,12 @@ is column i of the basis.  h0_basis leads with the m words tr(alpha^j x),
 whose columns are the coordinates of the points x, all distinct; so for a
 fixed word of the a- and b-rows the weights of all 2^m words of its coset
 of the linear part are one Walsh-Hadamard transform of length 2^m, the
-exponential sum over c of the paper.  Each call transforms 2^(17 - m)
-such cosets at once: its input is a per-sweep sign table of their
-a/b-words, and the +-1 bits of one high word scale the
-columns of the first of two Sylvester factors of order about 2^(m/2)
-(see _SweepTables).  The transform runs in float32, exact for lengths
+exponential sum over c of the paper.  The sweep takes only such bases:
+one whose leading rows repeat a column is refused.  Each call transforms
+2^(17 - m) such cosets at once: its input is a per-sweep sign table of
+their a/b-words, and the +-1 bits of one high word scale the columns of
+the first of two Sylvester factors of order about 2^(m/2) (see
+_SweepTables).  The transform runs in float32, exact for lengths
 below 2^24, and gives 2w - length for a word of weight w.  Each worker
 counts a batch by casting the transform to integers, sorting them in
 place and reading the run of each weight off searchsorted.  Only the
@@ -416,12 +417,11 @@ class _SweepTables:
     column u at slot u_low * high + u_high, and each product reads a
     contiguous block of them.
 
-    A layer holds one coordinate of each column.  h0_basis leads with rows
-    whose columns are distinct, so its sweeps have one layer, whose signs
-    are held densely by slot (zero at a column no coordinate has), and
-    each batch's b_x - 1/2 scale the columns of the first factor.  A basis
-    whose leading columns repeat forms each batch's F by slot instead,
-    adding its further layers per slot by reduceat.
+    h0_basis leads with rows whose columns are distinct, so each slot
+    holds at most one coordinate: the signs are held densely by slot (zero
+    at a column no coordinate has), and each batch's b_x - 1/2 scale the
+    columns of the first factor.  A basis whose kt leading rows repeat a
+    column is refused (ValueError) before any span table is built.
     """
 
     def __init__(self, basis: list[int], length: int, gathers: bool = True, coset: int = 0):
@@ -431,36 +431,28 @@ class _SweepTables:
         # every worker
         kt = min(len(basis), (length - 1).bit_length(), _BATCH_BITS & ~1)
         kb = min(len(basis) - kt, _BATCH_BITS - kt - kt % 2)
+        cols = np.zeros(length, dtype=np.intp)
+        for j, row in enumerate(unpack_rows(pack_words(basis[:kt], length), length)):
+            cols |= row.astype(np.intp) << j
+        if np.bincount(cols).max() > 1:
+            raise ValueError(f"the {kt} leading basis rows repeat a column")
         self.length = length
         self.kt = kt
         self.n_words = (length + 63) // 64
-        self.low = _span_table(basis[:kt], length)
+        # read only by gathers: 2^kt rows, 512 MiB at length 2^16
+        self.low = _span_table(basis[:kt], length) if gathers else None
         self.offsets = _span_table(basis[kt : kt + kb], length)
         self.high = _span_table(basis[kt + kb :], length)
         if coset:
             self.high ^= pack_words([coset], length)[0]
-        cols = np.zeros(length, dtype=np.intp)
-        for j, row in enumerate(unpack_rows(pack_words(basis[:kt], length), length)):
-            cols |= row.astype(np.intp) << j
         self.h_high = 2 * _hadamard(kt - kt // 2)
         self.h_low = _hadamard(kt // 2)
         slots = (cols & (len(self.h_low) - 1)) * len(self.h_high) + (cols >> kt // 2)
-        # coordinates sorted by slot: the first of each slot is in layer 0
-        order = np.argsort(slots, kind="stable")
-        slots = slots[order]
-        starts = np.flatnonzero(np.diff(slots, prepend=-1))
-        self.layers = int(np.diff(starts, append=length).max())
-        signs = 1 - 2 * unpack_rows(self.offsets, length).T.astype(np.int8)
         self.signs = np.zeros((1 << kt, 1 << kb), dtype=np.float32)
-        self.signs[slots[starts]] = signs[order[starts]]
-        # the first coordinate of each slot, 0 where none has it
+        self.signs[slots] = 1 - 2 * unpack_rows(self.offsets, length).T.astype(np.int8)
+        # the coordinate of each slot, 0 where none has it
         self.first = np.zeros(1 << kt, dtype=np.intp)
-        self.first[slots[starts]] = order[starts]
-        self.repeats = np.delete(order, starts)
-        self.repeat_signs = signs[self.repeats].astype(np.float32)
-        repeat_slots = np.delete(slots, starts)
-        self.repeat_starts = np.flatnonzero(np.diff(repeat_slots, prepend=-1))
-        self.repeat_slots = repeat_slots[self.repeat_starts]
+        self.first[slots] = np.arange(length)
         # the first factor is symmetric, so its copy for one u_low, scaled by
         # the bits b of that u_low's slots and transposed, is the rows
         # pairs[s] + b of scaled_rows: row 2u + b is row u times b - 1/2
@@ -496,8 +488,8 @@ class _TransformStep:
         high, low = len(tables.h_high), len(tables.h_low)
         self.bits = np.empty(len(tables.first), dtype=np.uint8)
         self.rows = np.empty(len(tables.first), dtype=np.intp)
-        # the scaled first factor of each u_low, transposed, or F by slot
-        # (repeated columns only); then 2w - length by local index
+        # the scaled first factor of each u_low, transposed; then
+        # 2w - length by local index
         held = np.empty(max(size, low * high * high), dtype=np.float32)
         self.factor = held[: low * high * high].reshape(-1, high)
         self.centred = held[:size]
@@ -525,26 +517,16 @@ class _TransformStep:
         Overwritten by the next call.
         """
         tb = self.tables
-        bits = unpack_rows(base, tb.length)
-        np.take(bits, tb.first, out=self.bits)
+        np.take(unpack_rows(base, tb.length), tb.first, out=self.bits)
         # the high part of the column is summed first, one product per
         # u_low, then the low part into index order
         high, low = len(tb.h_high), len(tb.h_low)
         signs = tb.signs.reshape(low, high, -1)
         inner = self.inner.reshape(low, high, -1)
-        if tb.layers == 1:
-            np.add(tb.pairs, self.bits, out=self.rows)
-            # every row is in range; "raise" would take into a temporary first
-            np.take(tb.scaled_rows, self.rows, axis=0, out=self.factor, mode="clip")
-            np.matmul(self.factor.reshape(low, high, high).transpose(0, 2, 1), signs, out=inner)
-        else:
-            by_slot = self.centred.reshape(signs.shape)
-            np.multiply(signs, self.bits.reshape(low, high, 1) - np.float32(0.5), out=by_slot)
-            repeats = bits[tb.repeats] - np.float32(0.5)
-            by_slot.reshape(tb.signs.shape)[tb.repeat_slots] += np.add.reduceat(
-                tb.repeat_signs * repeats[:, None], tb.repeat_starts
-            )
-            np.matmul(tb.h_high, by_slot, out=inner)
+        np.add(tb.pairs, self.bits, out=self.rows)
+        # every row is in range; "raise" would take into a temporary first
+        np.take(tb.scaled_rows, self.rows, axis=0, out=self.factor, mode="clip")
+        np.matmul(self.factor.reshape(low, high, high).transpose(0, 2, 1), signs, out=inner)
         np.matmul(inner.transpose(1, 2, 0), tb.h_low, out=self.centred.reshape(-1, high, low).transpose(1, 0, 2))
         self.base = base
 

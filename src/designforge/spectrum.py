@@ -96,33 +96,37 @@ def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -
     c alpha), with e and e' the a- and b-term exponents.  So every a in one
     orbit of a -> a alpha^e has one distribution of words over (b, c), that
     of the coset word(a, 0, 0) + S of the a = 0 subcode S, whose basis leads
-    with the linear words, then the b-slot words.  The distribution is the
-    sweep of S plus, for each orbit, its size times the sweep of its
-    representative's coset: 1 + g sweeps of 2^dim(S) words in place of one
-    of 2^(dim(S) + d) for a degree-d a-slot, with g = 1 for c2, whose
-    alpha^(2^s+1) generates GF(2^s)*, and g = gcd(5, q - 1) for c1.
+    with the linear words, then the b-slot words.  Summed over the 2^d
+    coefficients of a degree-d a-slot, the sweep of S plus, for each orbit,
+    its size times the sweep of its representative's coset counts every
+    codeword 2^(d + dim(S) - dimension) times, and is divided by that: 1 + g
+    sweeps of 2^dim(S) words in place of one of 2^dimension, with g = 1 for
+    c2, whose alpha^(2^s+1) generates GF(2^s)*, and g = gcd(5, q - 1) for
+    c1.  At m = 4, where 5 divides 15, c1's a-slot words span 2 dimensions
+    beyond S, not 4, and each word is counted 4 times.
 
     The premise is required of every basis word of every slot before any
-    sweep, and the counts must sum to 2^dimension (CheckFailed).  Where the
-    a-slot words are not independent of S (c1 at m = 4, as 5 divides 15)
-    the whole basis is swept instead.  Every sweep of the fold is of the
-    basis of S, so the enumeration cap (TooLarge) refuses it before the
-    first one runs.
+    sweep, and every count must divide by the repeat and the quotients sum
+    to 2^dimension (CheckFailed).  Every sweep of the fold is of the basis
+    of S, so the enumeration cap (TooLarge) refuses it before the first one
+    runs.
     """
     n = spec.n
     slots = [{coef: word >> 1 for coef, word in words.items()} for words in slot_words(spec, field)]
     _require_shift_premise(spec, field, slots)
-    a_words = slots[0]
     sub = linear_first(slots[1:])
-    dimension = len(reduce_rows(sub + list(a_words.values())))
-    if dimension < len(sub) + len(a_words):
-        return span_distribution(linear_first(slots), n, threads)
+    dimension = len(reduce_rows(sub + list(slots[0].values())))
+    repeats = 1 << (spec.terms[0][1] + len(sub) - dimension)
     counts = Counter(weight_histogram(sub, n, threads))
     for rep, size in _orbits(spec, field):
-        require(rep in a_words, f"orbit representative {rep:#x} is not an a-slot basis element")
-        for w, c in weight_histogram(sub, n, threads, coset=a_words[rep]).items():
+        coset = build_codeword(spec, field, rep, 0, 0) >> 1
+        for w, c in weight_histogram(sub, n, threads, coset=coset).items():
             counts[w] += size * c
-    dist = WeightDistribution(dict(sorted(counts.items())), n, dimension)
+    require(
+        all(c % repeats == 0 for c in counts.values()),
+        f"a count is not a multiple of {repeats}, the times the fold counts each word",
+    )
+    dist = WeightDistribution({w: c // repeats for w, c in sorted(counts.items())}, n, dimension)
     dist.validate()
     return dist
 
@@ -162,7 +166,10 @@ def _orbits(spec: CodeSpec, field: Field) -> list[tuple[int, int]]:
 
 
 def span_distribution(basis: list[int], length: int, threads: int = 1) -> WeightDistribution:
-    """Exact distribution of the span of independent rows by full enumeration."""
+    """Exact distribution of the span of independent rows by one plain sweep
+    of every span word: the unfolded reference the fold is tested against.
+    The sweep takes a basis whose leading rows hold distinct columns, such
+    as cyclic_generator_basis."""
     dist = WeightDistribution(weight_histogram(basis, length, threads), length, len(basis))
     dist.validate()
     return dist

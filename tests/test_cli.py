@@ -3,13 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from functools import reduce
-from operator import xor
 
 import pytest
 
 from designforge.cli import main
-from designforge.codebuild import CodeSpec, cyclic_generator_basis
+from designforge.codebuild import CodeSpec
 
 
 def run_cli(capsys, *argv):
@@ -363,10 +361,10 @@ REPRODUCE_RESULTS = [
 ]
 
 
-# the lengths of reproduce's sweeps: c1(2) at m = 4 swept whole; c1(3),
-# c2(3, 1) and c2(3, 2) folded, each as its a = 0 subcode and one coset;
-# c1(4) as its subcode and five cosets, one per orbit of a -> a alpha^5
-REPRODUCE_SWEEPS = [15] + [63] * 6 + [255] * 6
+# the lengths of reproduce's sweeps, each code folded as its a = 0 subcode
+# and one coset per orbit of its a-slot: c2(2, 1), c1(3), c2(3, 1) and
+# c2(3, 2) one coset; c1(2) and c1(4) five, one per orbit of a -> a alpha^5
+REPRODUCE_SWEEPS = [15] * 8 + [63] * 6 + [255] * 6
 
 
 def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
@@ -383,50 +381,29 @@ def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "reproduce")
     assert code == 0
     assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
-    # one distribution per code: 3.3 and pless-s3 share c1(3), 3.4 and
-    # pless-s4 share c1(4), and m4 and 3.6 name one code, c1(2) = c2(2, 1)
+    # one distribution per CodeSpec: 3.3 and pless-s3 share c1(3), and 3.4
+    # and pless-s4 share c1(4); m4 and 3.6 name one code, c1(2) = c2(2, 1),
+    # folded over the a-slot of each
     assert sorted(length for _, length, _ in swept) == REPRODUCE_SWEEPS
-    # c1(3) and c2(3, 1) share their a = 0 subcode, the span of the x and
-    # x^3 words, so its sweep is the one that runs twice
-    repeated = [sweep for sweep in set(swept) if swept.count(sweep) > 1]
-    assert [(len(basis), length, coset) for basis, length, coset in repeated] == [(12, 63, 0)]
-    assert sum(1 << len(basis) for basis, _, _ in swept) == 2**10 + 3 * 2 * 2**12 + 6 * 2**16
-
-
-def test_reproduce_keys_each_code_by_its_span(capsys, monkeypatch):
-    # two bases of one code share a sweep: the c2 bases handed to the key
-    # are replaced by their prefix sums, another basis of the same span, so
-    # c1(2) and c2(2, 1) meet only through the reduced form
-    import designforge.cli as cli
-    import designforge.spectrum as spectrum
-
-    def mixed(spec, field):
-        rows = cyclic_generator_basis(spec, field)
-        return rows if spec.family == "c1" else [reduce(xor, rows[: j + 1]) for j in range(len(rows))]
-
-    original = spectrum.weight_histogram
-    swept = []
-
-    def spy(basis, length, *args, **kwargs):
-        swept.append(length)
-        return original(basis, length, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "cyclic_generator_basis", mixed)
-    monkeypatch.setattr(spectrum, "weight_histogram", spy)
-    code, out, _ = run_cli(capsys, "reproduce")
-    assert code == 0
-    assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
-    assert sorted(swept) == REPRODUCE_SWEEPS
+    # c1(2) and c2(2, 1), and c1(3) and c2(3, 1), share their a = 0
+    # subcode, the span of the x and x^3 words; c1(2)'s a-slot word depends
+    # on a only through its trace to GF(4), so it sweeps the subcode once
+    # more for the orbit of a = 1, whose word is zero, and three of its
+    # cosets are the one coset of c2(2, 1)
+    repeated = {sweep: swept.count(sweep) for sweep in swept if swept.count(sweep) > 1}
+    assert sorted((len(basis), length, coset != 0, n) for (basis, length, coset), n in repeated.items()) == [
+        (8, 15, False, 3), (8, 15, True, 4), (12, 63, False, 2),
+    ]
+    assert sum(1 << len(basis) for basis, _, _ in swept) == 8 * 2**8 + 3 * 2 * 2**12 + 6 * 2**16
 
 
 def test_reproduce_builds_each_code_basis_once(capsys, monkeypatch):
-    # one cyclic basis per CodeSpec serves as its span key, and the slot
-    # words the fold sweeps are built once per code it computes: all but
-    # c2(2, 1), which shares the distribution of c1(2)
+    # the slot words the fold sweeps are built once per CodeSpec, and no
+    # whole basis of any code is built
     import designforge.codebuild as codebuild
     import designforge.spectrum as spectrum
 
-    built: dict[str, list] = {"key": [], "fold": []}
+    built: dict[str, list] = {"basis": [], "fold": []}
 
     def spy(name, module, use):
         original = getattr(module, name)
@@ -437,14 +414,14 @@ def test_reproduce_builds_each_code_basis_once(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, build)
 
-    spy("h0_basis", codebuild, "key")
+    spy("h0_basis", codebuild, "basis")
     spy("slot_words", spectrum, "fold")
     code, out, _ = run_cli(capsys, "reproduce")
     assert code == 0
     assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
-    assert len(built["key"]) == len(set(built["key"])) == 6
-    assert set(built["fold"]) == set(built["key"]) - {CodeSpec("c2", 2, 1)}
-    assert len(built["fold"]) == 5
+    assert built["basis"] == []
+    assert len(built["fold"]) == len(set(built["fold"])) == 6
+    assert CodeSpec("c2", 2, 1) in built["fold"]
 
 
 # one pass of commands whose outputs a parser, cache or sweep could carry
@@ -486,7 +463,8 @@ def test_threads_default_follows_the_cpu_count_of_each_call(capsys, monkeypatch)
         code, out, _ = run_cli(capsys, *argv, *extra)
         assert code == 0
         outs.append(out)
-    assert threads == [3, 1, 1, 2, 4]
+    # c1(2) folds in six sweeps: its a = 0 subcode and five cosets
+    assert threads == [n for n in (3, 1, 1, 2, 4) for _ in range(6)]
     assert len(set(outs)) == 1
 
 

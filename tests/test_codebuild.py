@@ -44,10 +44,12 @@ from designforge.codebuild import (
     pack_words,
     packed_rows_to_ints,
     reduce_rows,
+    row_weights,
     stream_weight_class,
     unpack_rows,
     weight_histogram,
 )
+from one_layer import one_layer_basis
 
 
 def test_codespec_validation():
@@ -160,7 +162,7 @@ def test_build_c2_against_definition(f4):
 def test_c2_weight4_count(f4):
     # every distinct codeword of the [16, 11, 4] code, 140 of weight 4
     spec = CodeSpec("c2", 2, 1)
-    hist = weight_histogram(generator_basis(spec, f4), 16)
+    hist = weight_histogram(one_layer_basis(spec, f4), 16)
     assert hist[4] == 140
 
 
@@ -286,7 +288,7 @@ def test_membership(f4, f6):
     basis = generator_basis(spec, f6)
     assert membership_test(0, basis, 64)
     assert membership_test((1 << 64) - 1, basis, 64)
-    w16 = next(iter(stream_weight_class(basis, 64, (16,))))
+    w16 = next(iter(stream_weight_class(one_layer_basis(spec, f6), 64, (16,))))
     word = packed_rows_to_ints(w16[:1])[0]
     assert membership_test(word, basis, 64)
     assert not membership_test(word ^ 1, basis, 64)  # one flipped bit leaves the code
@@ -318,7 +320,7 @@ def test_enumerate_span_lexicographic_order():
 
 def test_weight_histogram_matches_python_enumeration(f4):
     spec = CodeSpec("c2", 2, 1)
-    basis = generator_basis(spec, f4)
+    basis = one_layer_basis(spec, f4)
     by_hand: dict[int, int] = {}
     for w in enumerate_span(basis):
         by_hand[w.bit_count()] = by_hand.get(w.bit_count(), 0) + 1
@@ -326,7 +328,7 @@ def test_weight_histogram_matches_python_enumeration(f4):
 
 
 def test_weight_histogram_thread_invariance(f6):
-    basis = generator_basis(CodeSpec("c1", 3), f6)
+    basis = one_layer_basis(CodeSpec("c1", 3), f6)
     h1 = weight_histogram(basis, 64, threads=1)
     h2 = weight_histogram(basis, 64, threads=2)
     h8 = weight_histogram(basis, 64, threads=8)
@@ -338,7 +340,7 @@ def test_coset_sweep_matches_python_enumeration(dim):
     # coset + span, with every high word shifted: 19 rows at length 64 leave
     # 4 high words, 9 rows one batch of 2^9
     rng = Random(dim)
-    basis = [rng.getrandbits(64) for _ in range(dim)]
+    basis = one_layer_basis([rng.getrandbits(64) for _ in range(dim - 6)], 64)
     coset = rng.getrandbits(64)
     by_hand: dict[int, int] = {}
     for w in enumerate_span(basis):
@@ -352,14 +354,14 @@ def test_even_weights_and_complement_closure(spec_args, f4, f6):
     family, s, l = spec_args
     spec = CodeSpec(family, s, l)
     field = f4 if spec.m == 4 else f6
-    hist = weight_histogram(generator_basis(spec, field), spec.length)
+    hist = weight_histogram(one_layer_basis(spec, field), spec.length)
     assert all(w % 2 == 0 for w in hist)
     assert all(hist[w] == hist[spec.length - w] for w in hist)
 
 
 def test_stream_weight_class_matches_filter(f4):
     spec = CodeSpec("c1", 2)
-    basis = generator_basis(spec, f4)
+    basis = one_layer_basis(spec, f4)
     got = sorted(
         word
         for chunk in stream_weight_class(basis, 16, (4,))
@@ -435,7 +437,7 @@ def test_incidence_rows_round_trip(length):
 def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):
     # more workers than cores, with frequent thread switches: a lost update
     # of the shared running counts would keep the class that passes its cap
-    basis = generator_basis(CodeSpec("c1", 3), f6)
+    basis = one_layer_basis(CodeSpec("c1", 3), f6)
     hist = weight_histogram(basis, 64)
     by_weight: dict[int, list[int]] = {}
     for w in enumerate_span(basis):
@@ -474,9 +476,9 @@ def test_complement_sweep_matches_enumeration(route, drop, f6, monkeypatch):
     if route == "cyclic":
         basis, length = cyclic_generator_basis(spec, f6), 63
     else:
-        basis, length = generator_basis(spec, f6), 64
+        basis, length = one_layer_basis(spec, f6), 64
         if route == "row_removed":
-            basis = basis[:5] + basis[6:]
+            basis = basis[:6] + basis[7:]
     by_weight = _by_weight(basis)
     assert route != "extended" or 32 in by_weight
     caps = {(w,): len(words) - (w in drop) for w, words in by_weight.items()}
@@ -506,7 +508,7 @@ def test_keep_groups_count_each_listed_weight(f6, monkeypatch):
     # counts against its cap once for each time its weight is listed; with
     # more workers than cores and frequent switches, a lost update of the
     # shared running counts would keep (32, 32), one word over its cap
-    basis = generator_basis(CodeSpec("c1", 3), f6)
+    basis = one_layer_basis(CodeSpec("c1", 3), f6)
     by_weight = _by_weight(basis)
     b = {w: len(words) for w, words in by_weight.items()}
     caps = {(24, 40): b[24] + b[40], (32, 32): 2 * b[32] - 1, (16, 16): 2 * b[16],
@@ -552,7 +554,7 @@ def test_one_call_is_one_sweep(f6, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(codebuild, "weight_histogram", spy)
-    basis = generator_basis(CodeSpec("c1", 3), f6)
+    basis = one_layer_basis(CodeSpec("c1", 3), f6)
     original(basis, 64, 2, keep={(16,): 252})
     assert calls == []
 
@@ -563,7 +565,7 @@ def test_capped_class_gathers_stay_bounded(f6, monkeypatch):
     # class over its cap ever holds more than cap words (tighter than the
     # cap + workers * batch of a sweep that gathers before it counts); a lost
     # update of the running count breaks this under frequent switches
-    basis = generator_basis(CodeSpec("c1", 3), f6)
+    basis = one_layer_basis(CodeSpec("c1", 3), f6)
     hist = weight_histogram(basis, 64)
     batch_bits, threads = 8, 8
     batch = 1 << batch_bits
@@ -617,8 +619,9 @@ def test_wrong_transform_fails_the_gather_check(f6):
     script = """
 import sys
 import designforge.codebuild as codebuild
-from designforge import CodeSpec, Field, generator_basis
+from designforge import CodeSpec, Field
 from designforge.checks import CheckFailed
+from one_layer import one_layer_basis
 
 right = codebuild._hadamard
 
@@ -626,7 +629,7 @@ def swapped(bits):
     h = right(bits)
     return h[:, [1, 0, *range(2, len(h))]] if len(h) > 1 else h
 
-basis = generator_basis(CodeSpec("c1", 3), Field(6))
+basis = one_layer_basis(CodeSpec("c1", 3), Field(6))
 codebuild._hadamard = swapped
 for rows in (codebuild._GATHER_ROWS, 1 << 6):
     codebuild._GATHER_ROWS = rows
@@ -636,9 +639,9 @@ for rows in (codebuild._GATHER_ROWS, 1 << 6):
         continue
     sys.exit(3)
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120)
+    here = Path(__file__).resolve()
+    path = os.pathsep.join([str(here.parents[1] / "src"), str(here.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0
 
 
@@ -684,13 +687,14 @@ def test_bounded_gather_matches_enumeration(f6, monkeypatch):
         assert 0 < min(fills) and max(fills) <= rows
 
 
-def _counting_basis() -> list[int]:
-    """Eight rows of weight 2 on coordinates 0-15, then five dense rows on
-    16-63: the first batch (at most 4 rows) sees only weights 0-8, and
-    later batches bring weights it never saw."""
-    rows = [1 << j | 1 << (j + 8) for j in range(8)]
-    rows += [(0x9E3779B97F4A7C15 * (j + 1) & (1 << 48) - 1) << 16 for j in range(5)]
-    return rows
+def _counting_basis(length: int) -> list[int]:
+    """The coordinate rows of length, then rows of weight 2 on its first
+    half and five dense rows on its second: the span of the coordinate
+    rows, the first batch at batch bits 2 and 4, holds only weights 0 and
+    length / 2, and later batches bring weights it never saw."""
+    rows = [1 << j | 1 << (j + length // 4) for j in range(length // 4)]
+    rows += [(0x9E3779B97F4A7C15 * (j + 1) & (1 << length // 2) - 1) << length // 2 for j in range(5)]
+    return one_layer_basis(rows, length)
 
 
 # c1(3) sweeps its 2^18 words in batches of 2^6 and 2^8, not 4-16 words as
@@ -699,16 +703,19 @@ COUNT_CASES = [("c1(3)", 6), ("c1(3)", 8)]
 
 
 @cache
-def _count_basis(name: str) -> tuple[list[int], int]:
+def _count_basis(name: str, batch_bits: int) -> tuple[list[int], int]:
     if name == "counting":
-        return _counting_basis(), 64
+        # batches of 2^batch_bits words transform 2 or 4 rows, so a one-layer
+        # basis has length 4 or 16
+        length = 1 << (batch_bits & ~1)
+        return _counting_basis(length), length
     return cyclic_generator_basis(CodeSpec("c1", 3), Field(6)), 63
 
 
 def _check_count(name: str, batch_bits: int, threads: int, monkeypatch) -> None:
     """Histogram and kept rows of a sweep equal to enumerate_span's, with
     8 cores patched in so that more workers than cores split the sweep."""
-    basis, length = _count_basis(name)
+    basis, length = _count_basis(name, batch_bits)
     by_weight = _by_weight(basis)
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
@@ -847,7 +854,7 @@ def test_odd_transform_rows_trim_the_batch(monkeypatch):
     # at odd kt the first Sylvester factor has order 2^((kt + 1) / 2), so a
     # batch of 2^17 words would make its products 2^18 multiply-adds
     rng = Random(5)
-    basis = [rng.getrandbits(32) for _ in range(20)]
+    basis = one_layer_basis([rng.getrandbits(32) for _ in range(15)], 32)
     tables = _SweepTables(basis, 32, gathers=False)
     assert tables.kt == 5 and tables.signs.shape == (1 << 5, 1 << 11)
     sizes = _spy_products(monkeypatch)
@@ -858,42 +865,54 @@ def test_odd_transform_rows_trim_the_batch(monkeypatch):
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])
 def test_code_bases_sweep_in_one_layer(m):
-    # the leading m rows hold a distinct column at every coordinate, so each
-    # batch's input is one product of the dense sign table with the halves
+    # the leading m rows hold a distinct column at every coordinate, so the
+    # sweep tables build, and each batch's input is one product of the
+    # dense sign table with the halves
     f = Field(m)
     s = m // 2
     for spec in [CodeSpec("c1", s)] + [CodeSpec("c2", s, l) for l in range(1, s)]:
         for basis, length in ((h0_basis(spec, f), spec.length), (cyclic_generator_basis(spec, f), spec.n)):
             tables = _SweepTables(basis, length, gathers=False)
-            assert (tables.kt, tables.layers) == (m, 1), (spec, length)
+            assert tables.kt == m, (spec, length)
 
 
-def test_repeated_leading_columns_sum_over_layers():
-    # the six leading rows of the counting basis share columns: coordinates
-    # j and j + 8 (j < 6) have column 2^j, and the other 52 have column 0;
-    # the further layers are summed onto the first, and every weight is exact
-    basis = _counting_basis()
-    tables = _SweepTables(basis, 64)
-    assert (tables.kt, tables.layers) == (6, 52)
-    by_weight = _by_weight(basis)
-    for threads in (1, 2):
-        assert weight_histogram(basis, 64, threads) == {w: len(words) for w, words in by_weight.items()}
-    for w in (0, 2, 16, max(by_weight)):
-        streamed = [word for chunk in stream_weight_class(basis, 64, (w,)) for word in packed_rows_to_ints(chunk)]
-        assert streamed == by_weight[w]
+@pytest.mark.parametrize("basis, length", [
+    (generator_basis(C1_M4, Field(4)), 16),  # reduced: its leading rows are pivots
+    ([(1 << 64) - 1], 64),  # kt = 1: every coordinate has column 1
+    (one_layer_basis([], 64)[1:], 64),  # five coordinate rows: each column twice
+    (one_layer_basis([], 65537), 65537),  # 17 coordinate rows, of which kt = 16 lead
+], ids=["reduced", "one_row", "five_coordinates", "past_2_16"])
+def test_a_basis_whose_leading_rows_repeat_a_column_is_refused(basis, length, monkeypatch):
+    # refused before any span table is built, batch transformed or word
+    # streamed, by a count, a keep and a stream alike
+    def no_table(*args):
+        raise AssertionError("a span table was built")
+
+    monkeypatch.setattr(codebuild, "_span_table", no_table)
+    monkeypatch.setattr(_TransformStep, "__call__", no_table)
+    with pytest.raises(ValueError, match="leading basis rows repeat a column"):
+        weight_histogram(basis, length)
+    with pytest.raises(ValueError, match="leading basis rows repeat a column"):
+        weight_histogram(basis, length, keep={(2,): 10})
+    stream = stream_weight_class(basis, length, (2,))
+    with pytest.raises(ValueError, match="leading basis rows repeat a column"):
+        next(stream)
 
 
 @st.composite
 def span_cases(draw):
-    """Random rows (dependent or not) of a random length, a batch size
-    small enough to give odd splits, repeated columns and many batches, and
-    a thread count."""
+    """The coordinate rows of a random length, then random rows (dependent
+    or not), 12 rows at most; a batch size small enough to give odd splits
+    and many batches, but large enough to transform every coordinate row;
+    and a thread count."""
     length = draw(st.sampled_from([1, 63, 64, 65, 100, 128]))
-    rows = draw(st.lists(st.integers(0, (1 << length) - 1), max_size=12))
+    bits = (length - 1).bit_length()
+    rows = draw(st.lists(st.integers(0, (1 << length) - 1), max_size=12 - bits))
+    basis = one_layer_basis(rows, length)
     if rows and draw(st.booleans()):
         # rows that XOR to the all-one word: the span is closed under complement
-        rows[-1] ^= reduce(xor, rows) ^ ((1 << length) - 1)
-    return rows, length, draw(st.integers(3, 9)), draw(st.sampled_from([1, 2]))
+        basis[-1] ^= reduce(xor, basis) ^ ((1 << length) - 1)
+    return basis, length, draw(st.integers(max(3, bits + bits % 2), 9)), draw(st.sampled_from([1, 2]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -925,15 +944,21 @@ def test_transform_sweep_matches_bit_count_property(case, data):
 
 
 def test_weight_dtype_at_2_16():
+    # at length 2^16 the 16 coordinate rows lead and the count holds
+    # 2w - length in int32; both spans hold a word of weight 2^16 itself,
+    # which a uint16 weight wraps to 0
     ones = (1 << 65536) - 1
-    assert weight_histogram([ones], 65536) == {0: 1, 65536: 1}
-    assert weight_histogram([(1 << 65535) - 1, 1 << 65535], 65536) == {
-        0: 1, 1: 1, 65535: 1, 65536: 1,
+    coordinates = one_layer_basis([], 65536)
+    # the nonzero linear functions L_c and their complements have weight 2^15
+    assert weight_histogram(coordinates + [ones], 65536) == {0: 1, 32768: 2**17 - 2, 65536: 1}
+    # L_c + e, with e the last coordinate, has weight 2^15 - 1 where L_c
+    # holds e (c of odd parity) and 2^15 + 1 where it does not, and its
+    # complement L_c + (ones - e) the other
+    assert weight_histogram(coordinates + [ones >> 1, 1 << 65535], 65536) == {
+        0: 1, 1: 1, 32767: 2**16 - 1, 32768: 2**17 - 2, 32769: 2**16 - 1, 65535: 1, 65536: 1,
     }
-    # both sweep a word of weight 2^16 itself, which a uint16 weight wraps to 0
-    assert weight_histogram([ones], 65537) == {0: 1, 65536: 1}
-    chunks = list(stream_weight_class([ones], 65536, (65536,)))
-    assert [w for chunk in chunks for w in packed_rows_to_ints(chunk)] == [ones]
+    # a gathered word is recounted by limb counts summed in uint64
+    assert row_weights(pack_words([ones, ones >> 1, 0], 65536)).tolist() == [65536, 65535, 0]
 
 
 # -- properties of the evaluator under random primitive polynomials ---------------

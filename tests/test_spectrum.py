@@ -29,9 +29,11 @@ from designforge import (
     weight_distribution,
     weight_from_sum,
 )
+from designforge import golden
 import designforge.spectrum as spectrum
 from designforge.codebuild import cyclic_generator_basis, slot_words, weight_histogram
 from designforge.spectrum import _as_count, _build, span_distribution
+from one_layer import one_layer_basis
 from ref_gf2 import ref_exp_sum
 
 M4_ENUMERATOR = {0: 1, 4: 140, 6: 448, 8: 870, 10: 448, 12: 140, 16: 1}
@@ -61,14 +63,14 @@ def test_golden_enumerators_small(f4, f6):
     CodeSpec("c2", 3, 1), CodeSpec("c2", 3, 2), CodeSpec("c2", 4, 1), CodeSpec("c2", 4, 3),
 ])
 def test_extended_distribution_routes_agree(spec, f4, f6, f8):
-    # a sweep of the whole extended basis against the cyclic sweep extended
+    # a sweep of the whole extended code against the cyclic sweep extended
     # by complements (the route weight_distribution and designs take)
     f = {4: f4, 6: f6, 8: f8}[spec.m]
     basis = generator_basis(spec, f)
     assert reduce(xor, basis) == (1 << spec.length) - 1  # the span holds the all-one word
     dist = weight_distribution(spec, f)
-    assert weight_histogram(basis, spec.length, threads=2) == dist.entries
-    assert dist.dimension == len(basis)
+    assert weight_histogram(one_layer_basis(spec, f), spec.length, threads=2) == dist.entries
+    assert dist.dimension == len(basis) == len(one_layer_basis(spec, f))
 
 
 # alternates of the built-in polynomials: x^6+x^4+x^3+x+1,
@@ -106,15 +108,41 @@ def test_fold_equals_the_plain_sweep(spec, poly, monkeypatch):
         assert swept == [(plain.dimension - spec.terms[0][1], False)] + [(swept[0][0], True)] * cosets
 
 
-def test_fold_falls_back_where_the_a_slot_is_not_independent(f4, monkeypatch):
-    # at m = 4, 5 divides 15: c1's a-slot words span 2 dimensions, not 4, so
-    # c1(2) is swept whole; c2(2, 1), the same code, folds over its GF(4) a-slot
+def test_fold_divides_where_the_a_slot_is_not_independent(monkeypatch):
+    # at m = 4, 5 divides 15: c1's a-slot words span 2 dimensions beyond the
+    # a = 0 subcode S, not 4, so the 16 coefficients a count each word of
+    # c1(2) 4 times: S (dimension 8) and 5 cosets of orbits of size 3,
+    # divided by 4; the orbit of 1, where the trace to GF(4) vanishes, has
+    # the zero word, so its coset is S; c2(2, 1), the same code, folds over
+    # its GF(4) a-slot
+    spec = CodeSpec("c1", 2)
     swept = _spy_sweeps(monkeypatch)
-    c1 = cyclic_weight_distribution(CodeSpec("c1", 2), f4)
-    assert swept == [(10, False)]
-    swept.clear()
-    assert cyclic_weight_distribution(CodeSpec("c2", 2, 1), f4) == c1
-    assert swept == [(8, False), (8, True)]
+    for poly in (None, 0x19):
+        field = Field(4, poly)
+        plain = span_distribution(cyclic_generator_basis(spec, field), 15)
+        assert plain.dimension == 10
+        assert extend_distribution(plain).entries == golden.EXAMPLES["m4"]["enumerator"]
+        orbits = spectrum._orbits(spec, field)
+        assert [size for _, size in orbits] == [3] * 5
+        assert 2**8 * (1 + 3 * 5) == 4 * 2**plain.dimension
+        for threads in (1, 2):
+            swept.clear()
+            assert cyclic_weight_distribution(spec, field, threads) == plain
+            assert swept == [(8, False)] * 2 + [(8, True)] * 4
+            swept.clear()
+            assert cyclic_weight_distribution(CodeSpec("c2", 2, 1), field, threads) == plain
+            assert swept == [(8, False), (8, True)]
+
+
+@pytest.mark.parametrize("spec", [CodeSpec("c1", 2), CodeSpec("c2", 3, 1)], ids=CodeSpec.label)
+def test_fold_with_a_wrong_divisor_fails(spec, monkeypatch):
+    # one rank too few doubles the times the fold takes each word to be
+    # counted: 8 for c1(2), 2 for c2(3, 1), neither of which divides the
+    # zero word's count
+    original = spectrum.reduce_rows
+    monkeypatch.setattr(spectrum, "reduce_rows", lambda rows: original(rows)[:-1])
+    with pytest.raises(CheckFailed, match="is not a multiple of"):
+        cyclic_weight_distribution(spec, Field(spec.m))
 
 
 @pytest.mark.parametrize("spec", [

@@ -14,6 +14,8 @@ designforge package).  The invocations are:
 - the two --export-blocks cases pinned in tests/test_cli.py;
 - `weights --cyclic` and `invariance` for c1(2..4), c2(2,1), c2(3,1),
   c2(3,2), c2(4,1), c2(4,3) and c2(5,1..4);
+- `reproduce --example m4` and `--example 3.6`, one code, c1(2) = c2(2,1),
+  folded over the a-slot of each;
 - bad inputs: an odd --weight, --l equal to --s, and `field --m 5`.
 
 A second pass runs every invocation again, in the same order, through
@@ -65,6 +67,8 @@ def invocations() -> list[list[str]]:
     for code in CODES:
         out.append(["weights", *workloads._code_args(*code), "--cyclic"])
         out.append(["invariance", *workloads._code_args(*code)])
+    for example in ("m4", "3.6"):
+        out.append(["reproduce", "--example", example])
     out.append(["designs", "--family", "c1", "--s", "2", "--weight", "5"])
     out.append(["weights", "--family", "c2", "--s", "3", "--l", "3"])
     out.append(["field", "--m", "5"])
