@@ -36,18 +36,19 @@ one whose leading rows repeat a column is refused.  Each call transforms
 2^(17 - m) such cosets at once: its input is a per-sweep sign table of
 their a/b-words, and the +-1 bits of one high word scale the columns of
 the first of two Sylvester factors of order about 2^(m/2) (see
-_SweepTables).  The transform runs in float32, exact for lengths
-below 2^24, and gives 2w - length for a word of weight w.  Each worker
-counts a batch by casting the transform to integers, sorting them in
-place and reading the run of each weight off searchsorted.  Only the
-words of a class that is kept or streamed are built, from the packed
-tables of the transform and batch rows' spans and the batch's high word.
+_SweepTables).  The transform runs in float32, exact at every length
+the sweep takes (at most 2^16), and gives 2w - length for a word of
+weight w.  Each worker counts a batch by casting the transform to
+integers, sorting them in place and reading the run of each weight off
+searchsorted.  weight_histogram only counts; stream_weight_class is the
+one path that builds words, those of the listed weights only, from the
+packed tables of the transform and batch rows' spans and the batch's
+high word.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,8 +70,10 @@ MAX_ENUM_DIM = 26
 # from each numpy call as in the call, so a second worker gained nothing.
 _BATCH_BITS = 17
 
-# float32 holds every integer below 2^24 exactly.
-_MAX_LENGTH = 1 << 24
+# At most 16 transform rows lead a basis, and they hold at most 2^16
+# distinct columns: a longer basis cannot lead with distinct columns (see
+# _SweepTables).
+_MAX_LENGTH = 1 << (_BATCH_BITS & ~1)
 
 # Rows of each gather buffer: a group with more words in a batch is
 # gathered in slices of the batch, each holding at most this many of them.
@@ -471,15 +474,15 @@ class _TransformStep:
 
     Allocated in the thread that creates it, so the batch buffers never
     come from a worker thread's own malloc arena, and the gather buffers
-    only for a sweep that gathers, so a sweep that only counts never
-    touches them.  The batch's mask is one bool per word; every other
-    gather buffer holds at most _GATHER_ROWS rows, whatever the batch size
-    and length (the word limbs 256 KB at length 256), since a gather
-    fills an over-size group a slice of the batch at a time.  Each
+    only for a stream, so a sweep that only counts never touches them.
+    The batch's mask is one bool per word; every other gather buffer holds
+    at most _GATHER_ROWS rows, whatever the batch size and length (the
+    word limbs 256 KB at length 256), since a gather fills an over-size
+    group a slice of the batch at a time.  Each
     coordinate adds +-1 to each transform value, so every partial sum is
-    an integer of magnitude at most length, which float32 holds exactly
-    below 2^24 (_require_enumerable): the transform of a word of weight w
-    is exactly 2w - length.
+    an integer of magnitude at most length <= 2^16 (require_enumerable),
+    which float32 holds exactly: the transform of a word of weight w is
+    exactly 2w - length.
     """
 
     def __init__(self, tables: _SweepTables):
@@ -530,8 +533,8 @@ class _TransformStep:
         np.matmul(inner.transpose(1, 2, 0), tb.h_low, out=self.centred.reshape(-1, high, low).transpose(1, 0, 2))
         self.base = base
 
-    def count(self) -> list[tuple[int, int]]:
-        """(weight, count) of every weight of the last batch, added to tally.
+    def count(self) -> None:
+        """Add the count of every weight of the last batch to tally.
 
         The transform is cast to integers and sorted in place: the run of
         weight w starts at the first value not below 2w - length.  A value
@@ -550,9 +553,7 @@ class _TransformStep:
         weights = range((least + tb.length) // 2, (most + tb.length) // 2 + 1)
         starts = np.searchsorted(values, tb.edges[weights.start : weights.stop]).tolist()
         starts.append(len(values))
-        found = [(w, end - start) for w, start, end in zip(weights, starts, starts[1:]) if end > start]
-        self.tally.update(dict(found))
-        return found
+        self.tally.update({w: end - start for w, start, end in zip(weights, starts, starts[1:]) if end > start})
 
     def _mark(self, values: np.ndarray, targets: list) -> None:
         """Set mask[:len(values)] where a value equals one of targets."""
@@ -602,9 +603,8 @@ class _TransformStep:
         True at exactly the listed weights."""
         tb = self.tables
         count = len(rows)
-        # indices into buffers allocated once: a worker thread's allocations
-        # per batch fragment its malloc arena between the kept rows; the
-        # offsets within part are a transient of at most _GATHER_ROWS
+        # indices into buffers allocated once, not per batch; the offsets
+        # within part are a transient of at most _GATHER_ROWS
         at, batch = self.at[:count], self.batch[:count]
         np.add(np.flatnonzero(self.mask[part]), part.start, out=at)
         np.right_shift(at, tb.kt, out=batch)
@@ -620,22 +620,19 @@ class _TransformStep:
         require(bool(ok.all()), f"a word gathered for weights {listed} has another weight")
 
 
-def _require_enumerable(basis: list[int], length: int) -> None:
+def require_enumerable(basis: list[int], length: int) -> None:
+    """The size checks of every sweep and stream, made before any table is
+    built: ValueError for a length below 1, TooLarge above the dimension
+    cap or past length 2^16."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if len(basis) > MAX_ENUM_DIM:
         raise TooLarge(f"dimension {len(basis)} exceeds the enumeration cap {MAX_ENUM_DIM}")
-    if length >= _MAX_LENGTH:
-        raise TooLarge(f"length {length} is not below 2^24, where float32 sums stop being exact")
+    if length > _MAX_LENGTH:
+        raise TooLarge(f"length {length} exceeds 2^16, the most coordinates 16 transform rows tell apart")
 
 
-def weight_histogram(
-    basis: list[int],
-    length: int,
-    threads: int = 1,
-    keep: dict[tuple[int, ...], int] | None = None,
-    coset: int = 0,
-) -> dict[int, int] | tuple[dict[int, int], dict[tuple[int, ...], list[np.ndarray]]]:
+def weight_histogram(basis: list[int], length: int, threads: int = 1, coset: int = 0) -> dict[int, int]:
     """Exact weight -> count map over the full span of a basis, or over the
     coset coset + span for a word coset of the given length, by increasing
     weight.
@@ -643,72 +640,33 @@ def weight_histogram(
     The weights of each batch of up to 2^17 consecutive span words come
     from Walsh-Hadamard transforms of signed column sums, one per coset of
     the transform rows' span (see _SweepTables), with no word built.
-    Results are identical for any thread count.
-
-    keep maps a group, a tuple of weights, to a cap on its running count,
-    shared by the workers under a lock, to which a word adds once for each
-    time its weight is listed.  The packed rows of every listed weight of
-    a group are collected during the same sweep, in coefficient-index
-    order, and a group is dropped as soon as its count passes its cap;
-    a batch's words are gathered only once counted, so a group never holds
-    more words than its cap.  Each kept word is built from the span tables
-    at its index and checked against the group's weights.  With keep the
-    result is (hist, kept), where kept maps every group whose count is
-    positive and within its cap to the list of (count, n_words) uint64
-    chunks of its words.
+    Workers sweep disjoint slices of the high table and each keeps its own
+    tally, so the result is identical for any thread count.
     """
-    _require_enumerable(basis, length)
-    caps = keep or {}
-    tables = _SweepTables(basis, length, gathers=bool(caps), coset=coset)
+    require_enumerable(basis, length)
+    tables = _SweepTables(basis, length, gathers=False, coset=coset)
     ranges = _sweep_ranges(len(tables.high), threads)
     steps = [_TransformStep(tables) for _ in ranges]
-    lock = threading.Lock()
-    running: dict[tuple[int, ...], int] = {}
-    groups_of: dict[int, list[tuple[int, ...]]] = {}
-    for group in caps:
-        for w in group:
-            groups_of.setdefault(w, []).append(group)
 
-    def run(i: int) -> dict[tuple[int, ...], list[np.ndarray]]:
-        parts: dict[tuple[int, ...], list[np.ndarray]] = {}
+    def run(i: int) -> None:
         step = steps[i]
         for base in tables.high[slice(*ranges[i])]:
             step(base)
-            added: dict[tuple[int, ...], int] = {}
-            for w, c in step.count():
-                for group in groups_of.get(w, ()):
-                    added[group] = added.get(group, 0) + c
-            for group, c in added.items():
-                # running counts only grow: once past its cap a group stays dropped
-                with lock:
-                    running[group] = running.get(group, 0) + c
-                    live = running[group] <= caps[group]
-                if live:
-                    parts.setdefault(group, []).append(step.gather(group))
-                else:
-                    parts.pop(group, None)
-        return parts
+            step.count()
 
     if len(ranges) == 1:
-        results = [run(0)]
+        run(0)
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(pool.map(run, range(len(ranges))))
-    hist = dict(sorted(sum((step.tally for step in steps), Counter()).items()))
-    if keep is None:
-        return hist
-    chunks: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for parts in results:
-        for group, part in parts.items():
-            chunks.setdefault(group, []).extend(part)
-    return hist, {g: chunks[g] for g in caps if 0 < sum(hist.get(w, 0) for w in g) <= caps[g]}
+            list(pool.map(run, range(len(ranges))))
+    return dict(sorted(sum((step.tally for step in steps), Counter()).items()))
 
 
 def stream_weight_class(basis: list[int], length: int, weights: tuple[int, ...]) -> Iterator[np.ndarray]:
     """Stream the span words of every listed weight as (count, n_words)
     packed-uint64 chunks, in index order.  ValueError on the first next()
     for an empty weights tuple or a length below 1."""
-    _require_enumerable(basis, length)
+    require_enumerable(basis, length)
     if not weights:
         raise ValueError("no weight to stream")
     tables = _SweepTables(basis, length)

@@ -30,18 +30,13 @@ from .codebuild import (
     h0_basis,
     pack_words,
     packed_rows_to_ints,
+    require_enumerable,
     row_weights,
     stream_weight_class,
     unpack_rows,
-    weight_histogram,
 )
 from .gf2m import Field
-from .spectrum import (
-    InapplicableParameters,
-    WeightDistribution,
-    closed_form,
-    extend_distribution,
-)
+from .spectrum import InapplicableParameters, closed_form, weight_distribution
 
 # A weight class is skipped (unless exhaustive is set) above this many
 # t-subset increments: blocks * C(k, t).
@@ -147,8 +142,8 @@ def blocks_of_weight(
     The extended code is its h = 0 subcode H0 plus the complements of H0,
     so class i is the H0 words of its pair (min(i, v-i), max(i, v-i)), each
     of weight v - i complemented.  chunks holds the pair's packed
-    (count, n_words) H0 rows in index order, as a sweep kept them (see
-    full_design_report); by default the pair is streamed over the H0 basis.
+    (count, n_words) H0 rows in index order, as full_design_report gathers
+    them; by default the pair is streamed over the H0 basis.
     So block j of class v - i is block j of class i complemented, and class
     v/2 gives each slice of rows, then their complements.  Distinct
     codewords of a binary code have distinct supports, and span
@@ -282,6 +277,28 @@ def theorem_lambda(spec: CodeSpec, i: int) -> int:
     return lambda_from_identity(dist.entries[i], i, v, 2)
 
 
+def _gather_pairs(h0: list[int], v: int, pairs: set[tuple[int, int]]) -> dict[tuple[int, int], list[np.ndarray]]:
+    """The packed H0 rows of each pair, in index order, from one stream of
+    all their weights.  Each streamed chunk is split into one chunk per
+    pair, the one a stream of that pair alone gives, so a class's blocks
+    come in one order by either route.  The row weights are read _CHUNK
+    rows at a time: only the pairs' masks and copies are held with a chunk.
+    """
+    gathered: dict[tuple[int, int], list[np.ndarray]] = {pair: [] for pair in pairs}
+    if not pairs:
+        return gathered
+    for rows in stream_weight_class(h0, v, tuple(sorted({w for pair in pairs for w in pair}))):
+        masks = {pair: np.empty(len(rows), dtype=bool) for pair in pairs}
+        for i in range(0, len(rows), _CHUNK):
+            sizes = row_weights(rows[i : i + _CHUNK])
+            for (low, high), mask in masks.items():
+                np.logical_or(sizes == low, sizes == high, out=mask[i : i + _CHUNK])
+        for pair, mask in masks.items():
+            if mask.any():
+                gathered[pair].append(rows[mask])
+    return gathered
+
+
 def full_design_report(
     spec: CodeSpec,
     field: Field,
@@ -294,35 +311,35 @@ def full_design_report(
     cross-checked against theorem lambdas (at t = 2, all read from one
     evaluation of closed_form(spec)).
 
-    One sweep of the h = 0 subcode H0 gives the distribution and keeps the
-    H0 words of each class's pair (see blocks_of_weight).  A pair's running
-    count is the class size b (the pair of class v/2 lists its weight
-    twice), and its cap is the larger of its classes' COST_GATE // C(k, t),
-    so a class within the gate always finds its pair kept.  Classes above
-    the gate are skipped unless exhaustive is set; a class whose pair was
-    not kept streams it over the same H0 basis.  Weight 0 and the
-    full-support class are excluded as trivial.  A weight that names no
-    nontrivial class raises EmptyWeightClass: an odd or out-of-range one
-    before the sweep, one the distribution lacks after it; a t other than
-    2 or 3 raises ValueError before the sweep.
+    The class sizes b come from weight_distribution, the fold that the
+    weights and reproduce commands run, before any word is read.  A class
+    whose cost b*C(k, t) is above COST_GATE is skipped unless exhaustive
+    is set.  The H0 words of every class within the gate (see
+    blocks_of_weight) are gathered by one stream of the h = 0 subcode H0,
+    split by pair; a class above the gate verified under exhaustive reads
+    its pair from there when its partner v - k is within the gate, else
+    streams it over the same H0 basis.  Weight 0 and the full-support class
+    are excluded as trivial.  A weight that names no nontrivial class
+    raises EmptyWeightClass: an odd or out-of-range one before any sweep,
+    one the distribution lacks after the fold; a t other than 2 or 3
+    raises ValueError, and an H0 above the enumeration cap TooLarge,
+    before any sweep.
     """
     _require_t(t)
     v = spec.length
     if weight is not None:
         _require_class(weight, v)
     h0 = h0_basis(spec, field)
-    caps: dict[tuple[int, int], int] = {}
-    for w in range(2, v, 2) if weight is None else [weight]:
-        pair = _pair(w, v)
-        # a class with k < t has no t-subsets, so its cost is 0 and its cap never binds
-        caps[pair] = max(caps.get(pair, 0), COST_GATE // max(1, comb(w, t)))
-    hist, kept = weight_histogram(h0, v, threads, keep=caps)
-    dist = extend_distribution(WeightDistribution(hist, spec.n, len(h0)))
+    # the fold sweeps a smaller subcode, but the gather and every stream sweep H0
+    require_enumerable(h0, v)
+    dist = weight_distribution(spec, field, threads)
     if weight is None:
         targets = [w for w in dist.weights() if w not in (0, v)]
     else:
         _require_class(weight, v, weight in dist.entries)
         targets = [weight]
+    in_gate = {w for w in targets if dist.entries[w] * comb(w, t) <= COST_GATE}
+    gathered = _gather_pairs(h0, v, {_pair(w, v) for w in in_gate})
 
     # every t = 2 theorem lambda comes from one closed-form table, if one covers spec
     table: dict[int, int] = {}
@@ -335,7 +352,7 @@ def full_design_report(
     for w in targets:
         b = dist.entries[w]
         theorem = lambda_from_identity(table[w], w, v, 2) if w in table else None
-        if not exhaustive and b * comb(w, t) > COST_GATE:
+        if not exhaustive and w not in in_gate:
             reports.append(
                 DesignReport(
                     t=t, v=v, k=w, b=b, lam=None, verified=False,
@@ -344,7 +361,7 @@ def full_design_report(
             )
             continue
         pair = _pair(w, v)
-        chunks = kept[pair] if pair in kept else stream_weight_class(h0, v, pair)
+        chunks = gathered[pair] if pair in gathered else stream_weight_class(h0, v, pair)
         blocks = blocks_of_weight(spec, field, w, chunks)
         report = verify_t_design(blocks, v, t, expected_b=b)
         report.theorem_lambda = theorem

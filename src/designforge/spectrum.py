@@ -99,11 +99,15 @@ def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -
     with the linear words, then the b-slot words.  Summed over the 2^d
     coefficients of a degree-d a-slot, the sweep of S plus, for each orbit,
     its size times the sweep of its representative's coset counts every
-    codeword 2^(d + dim(S) - dimension) times, and is divided by that: 1 + g
-    sweeps of 2^dim(S) words in place of one of 2^dimension, with g = 1 for
-    c2, whose alpha^(2^s+1) generates GF(2^s)*, and g = gcd(5, q - 1) for
-    c1.  At m = 4, where 5 divides 15, c1's a-slot words span 2 dimensions
-    beyond S, not 4, and each word is counted 4 times.
+    codeword 2^(d + dim(S) - dimension) times, and is divided by that: at
+    most 1 + g sweeps of 2^dim(S) words in place of one of 2^dimension,
+    with g = 1 for c2, whose alpha^(2^s+1) generates GF(2^s)*, and
+    g = gcd(5, q - 1) for c1.  Each distinct coset word is swept once,
+    weighted by the summed sizes of the orbits that give it; a zero word
+    adds to the weight of S itself.  At m = 4, where 5 divides 15, c1's
+    a-slot words span 2 dimensions beyond S, not 4, and each word is
+    counted 4 times: its word depends on a only through the trace of a to
+    GF(4), so its five orbits give S and two distinct cosets.
 
     The premise is required of every basis word of every slot before any
     sweep, and every count must divide by the repeat and the quotients sum
@@ -117,10 +121,15 @@ def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -
     sub = linear_first(slots[1:])
     dimension = len(reduce_rows(sub + list(slots[0].values())))
     repeats = 1 << (spec.terms[0][1] + len(sub) - dimension)
-    counts = Counter(weight_histogram(sub, n, threads))
+    # the times each distinct coset word is swept: S itself once, and each
+    # orbit's size added to its representative's word, zero or not
+    times = {0: 1}
     for rep, size in _orbits(spec, field):
         coset = build_codeword(spec, field, rep, 0, 0) >> 1
-        for w, c in weight_histogram(sub, n, threads, coset=coset).items():
+        times[coset] = times.get(coset, 0) + size
+    counts: Counter[int] = Counter()
+    for coset, size in times.items():
+        for w, c in weight_histogram(sub, n, threads, coset).items():
             counts[w] += size * c
     require(
         all(c % repeats == 0 for c in counts.values()),

@@ -1,8 +1,9 @@
 """The benchmark harness under perfbench/ patches and imports library names
 by attribute; this fails when one of them is removed or renamed.  Its traced
 run also requires every verified block to pass through
-`designs.blocks_of_weight`, one int at a time, no class to be streamed, and
-every field to be built inside `Field.__init__`, which the tracer counts."""
+`designs.blocks_of_weight`, one int at a time, the words each workload
+sweeps and streams to be the counts pinned below, and every field to be
+built inside `Field.__init__`, which the tracer counts."""
 
 from __future__ import annotations
 
@@ -26,10 +27,14 @@ tracer = Tracer()
 tracer.install()
 counters = tracer.counters
 # Fields built per workload: reproduce builds one per CodeSpec it names (6),
-# every other invocation one.  Words swept per workload: reproduce sweeps
-# each code once (c1(2) and c2(2, 1) are one code), designs each H0 once.
-for name, fields, words in (("spectra", 10, 2516992), ("designs", 7, 17139712)):
-    before = counters["gf2m.fields_built"], len(built), counters["codebuild.sweep_words"]
+# every other invocation one.  Words swept per workload: every distribution
+# is folded, its a = 0 subcode swept once and once more per distinct coset
+# word (c1(2) and c2(2, 1) are one code, folded over the a-slot of each).
+# Words streamed: designs gathers each code's classes by one stream of its
+# H0, and spectra streams nothing.
+for name, fields, words, streamed in (("spectra", 10, 2516224, 0), ("designs", 7, 427264, 17139712)):
+    before = (counters["gf2m.fields_built"], len(built), counters["codebuild.sweep_words"],
+              counters["codebuild.stream_words"])
     invocations = workloads.build(name)
     assert invocations, name
     for inv in invocations:
@@ -42,8 +47,9 @@ for name, fields, words in (("spectra", 10, 2516992), ("designs", 7, 17139712)):
     assert built_here == (fields, fields), (name, built_here)
     swept = counters["codebuild.sweep_words"] - before[2]
     assert swept == words, (name, swept)
+    streamed_here = counters["codebuild.stream_words"] - before[3]
+    assert streamed_here == streamed, (name, streamed_here)
 assert counters["designs.blocks"] == sum(inv.blocks for inv in invocations), dict(counters)
-assert counters["codebuild.stream_words"] == 0, dict(counters)
 """
 
 

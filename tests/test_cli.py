@@ -228,7 +228,7 @@ def test_designs_rejects_a_weight_before_any_sweep(capsys, monkeypatch, s, weigh
     import designforge.designs as designs
 
     swept = []
-    for name in ("h0_basis", "weight_histogram"):
+    for name in ("h0_basis", "weight_distribution", "stream_weight_class"):
         def spy(*args, _name=name, _original=getattr(designs, name), **kwargs):
             swept.append(_name)
             return _original(*args, **kwargs)
@@ -362,9 +362,11 @@ REPRODUCE_RESULTS = [
 
 
 # the lengths of reproduce's sweeps, each code folded as its a = 0 subcode
-# and one coset per orbit of its a-slot: c2(2, 1), c1(3), c2(3, 1) and
-# c2(3, 2) one coset; c1(2) and c1(4) five, one per orbit of a -> a alpha^5
-REPRODUCE_SWEEPS = [15] * 8 + [63] * 6 + [255] * 6
+# and one coset per distinct coset word of the orbits of its a-slot:
+# c2(2, 1), c1(3), c2(3, 1) and c2(3, 2) one coset; c1(4) five, one per
+# orbit of a -> a alpha^5; c1(2) two, as its five orbits give the zero word
+# and two distinct others
+REPRODUCE_SWEEPS = [15] * 5 + [63] * 6 + [255] * 6
 
 
 def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
@@ -373,9 +375,9 @@ def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
     original = spectrum.weight_histogram
     swept = []
 
-    def spy(basis, length, threads=1, keep=None, coset=0):
+    def spy(basis, length, threads=1, coset=0):
         swept.append((tuple(basis), length, coset))
-        return original(basis, length, threads, keep, coset)
+        return original(basis, length, threads, coset)
 
     monkeypatch.setattr(spectrum, "weight_histogram", spy)
     code, out, _ = run_cli(capsys, "reproduce")
@@ -387,14 +389,14 @@ def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
     assert sorted(length for _, length, _ in swept) == REPRODUCE_SWEEPS
     # c1(2) and c2(2, 1), and c1(3) and c2(3, 1), share their a = 0
     # subcode, the span of the x and x^3 words; c1(2)'s a-slot word depends
-    # on a only through its trace to GF(4), so it sweeps the subcode once
-    # more for the orbit of a = 1, whose word is zero, and three of its
-    # cosets are the one coset of c2(2, 1)
+    # on a only through its trace to GF(4), so the orbit of a = 1, whose
+    # word is zero, adds to the subcode's own sweep, and of its two distinct
+    # coset words one is the one coset word of c2(2, 1)
     repeated = {sweep: swept.count(sweep) for sweep in swept if swept.count(sweep) > 1}
     assert sorted((len(basis), length, coset != 0, n) for (basis, length, coset), n in repeated.items()) == [
-        (8, 15, False, 3), (8, 15, True, 4), (12, 63, False, 2),
+        (8, 15, False, 2), (8, 15, True, 2), (12, 63, False, 2),
     ]
-    assert sum(1 << len(basis) for basis, _, _ in swept) == 8 * 2**8 + 3 * 2 * 2**12 + 6 * 2**16
+    assert sum(1 << len(basis) for basis, _, _ in swept) == 5 * 2**8 + 3 * 2 * 2**12 + 6 * 2**16
 
 
 def test_reproduce_builds_each_code_basis_once(capsys, monkeypatch):
@@ -463,8 +465,8 @@ def test_threads_default_follows_the_cpu_count_of_each_call(capsys, monkeypatch)
         code, out, _ = run_cli(capsys, *argv, *extra)
         assert code == 0
         outs.append(out)
-    # c1(2) folds in six sweeps: its a = 0 subcode and five cosets
-    assert threads == [n for n in (3, 1, 1, 2, 4) for _ in range(6)]
+    # c1(2) folds in three sweeps: its a = 0 subcode and two distinct cosets
+    assert threads == [n for n in (3, 1, 1, 2, 4) for _ in range(3)]
     assert len(set(outs)) == 1
 
 
@@ -496,6 +498,20 @@ def test_weights_too_large_caps_the_swept_cyclic_basis(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "7")
     assert code == 2 and out == ""
     assert "TooLarge: dimension 28 exceeds the enumeration cap 26" in err
+
+
+def test_designs_refuses_an_h0_past_the_cap_before_any_sweep(capsys, monkeypatch):
+    # designs takes its class sizes from the fold, whose subcode S of c1(5)
+    # has dimension 20, but gathers and streams over H0, of dimension 30:
+    # the report checks H0 against the cap before the fold runs
+    import designforge.codebuild as codebuild
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("the sweep tables were built")
+
+    monkeypatch.setattr(codebuild, "_SweepTables", no_tables)
+    code, out, err = run_cli(capsys, "designs", "--family", "c1", "--s", "5", "--t", "2")
+    assert (code, out, err) == (2, "", "TooLarge: dimension 30 exceeds the enumeration cap 26\n")
 
 
 def test_export_blocks_requires_weight(capsys):

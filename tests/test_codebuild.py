@@ -371,14 +371,17 @@ def test_stream_weight_class_matches_filter(f4):
     assert got == expect
 
 
-def test_too_large_guard():
+def test_too_large_guard(monkeypatch):
     with pytest.raises(TooLarge):
         weight_histogram([1 << i for i in range(27)], 64)
-    # float32 transform sums are exact only below 2^24
-    with pytest.raises(TooLarge):
-        weight_histogram([1], 1 << 24)
-    with pytest.raises(TooLarge):
-        next(stream_weight_class([1], 1 << 24, (1,)))
+    # past length 2^16 the at most 16 transform rows cannot hold distinct
+    # columns: refused before the sweep tables' per-coordinate arrays
+    monkeypatch.setattr(codebuild, "_SweepTables", _no_tables)
+    for length in (1 << 16 | 1, 1 << 20, 1 << 24):
+        with pytest.raises(TooLarge, match=f"length {length} exceeds 2\\^16"):
+            weight_histogram([1], length)
+        with pytest.raises(TooLarge, match=f"length {length} exceeds 2\\^16"):
+            next(stream_weight_class([1], length, (1,)))
 
 
 def _no_tables(*args, **kwargs):
@@ -434,29 +437,6 @@ def test_incidence_rows_round_trip(length):
     assert np.array_equal(unpack_rows(rows[3], length), bits[3])
 
 
-def test_weight_histogram_keep_matches_enumeration(f6, monkeypatch):
-    # more workers than cores, with frequent thread switches: a lost update
-    # of the shared running counts would keep the class that passes its cap
-    basis = one_layer_basis(CodeSpec("c1", 3), f6)
-    hist = weight_histogram(basis, 64)
-    by_weight: dict[int, list[int]] = {}
-    for w in enumerate_span(basis):
-        by_weight.setdefault(w.bit_count(), []).append(w)
-    caps = {(16,): 252, (24,): 37631, (32,): 10**6, (30,): 5}
-    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in (1, 2, 8):
-            got, kept = weight_histogram(basis, 64, threads, keep=caps)
-            assert got == hist
-            assert set(kept) == {(16,), (32,)}  # 24 passes its cap by one; 30 never occurs
-            for (w,), chunks in kept.items():
-                assert packed_rows_to_ints(np.concatenate(chunks)) == by_weight[w]
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def _by_weight(basis: list[int]) -> dict[int, list[int]]:
     """Span words grouped by weight, each group in coefficient-index order."""
     by_weight: dict[int, list[int]] = {}
@@ -465,13 +445,25 @@ def _by_weight(basis: list[int]) -> dict[int, list[int]]:
     return by_weight
 
 
+def _streamed_by_weight(basis: list[int], length: int, weights) -> dict[int, list[int]]:
+    """The words of one stream of the listed weights, grouped by weight."""
+    by_weight: dict[int, list[int]] = {}
+    for chunk in stream_weight_class(basis, length, tuple(weights)):
+        for w in packed_rows_to_ints(chunk):
+            by_weight.setdefault(w.bit_count(), []).append(w)
+    return by_weight
+
+
 @pytest.mark.parametrize("route, drop", [
-    ("extended", {24, 28, 36}),  # 24 over its cap while 40 stays; 28 and 36 both over
-    ("extended", {32}),  # the self-complementary class, one over its cap
+    ("extended", {24, 28, 36}),  # 24 not listed while 40 is; neither 28 nor 36
+    ("extended", {32}),  # the self-complementary class
     ("cyclic", {24}),  # length 63: no all-one word, padding bits in the last limb
     ("row_removed", {24}),
 ])
 def test_complement_sweep_matches_enumeration(route, drop, f6, monkeypatch):
+    # the sweep counts every weight, and one stream of every weight but
+    # drop and a weight that never occurs builds exactly their words, each
+    # weight's in index order
     spec = CodeSpec("c1", 3)
     if route == "cyclic":
         basis, length = cyclic_generator_basis(spec, f6), 63
@@ -481,66 +473,18 @@ def test_complement_sweep_matches_enumeration(route, drop, f6, monkeypatch):
             basis = basis[:6] + basis[7:]
     by_weight = _by_weight(basis)
     assert route != "extended" or 32 in by_weight
-    caps = {(w,): len(words) - (w in drop) for w, words in by_weight.items()}
-    caps[(30,)] = 5  # a weight that never occurs
+    listed = (set(by_weight) - drop) | {30}  # 30: a weight that never occurs
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for batch_bits, threads in product((16, 12, 10), (1, 2, 8)):
-            # at 10, batches of 2^10 words give every one of 8 workers several
-            monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
+    for batch_bits in (16, 12, 10):
+        # at 10, batches of 2^10 words give every one of 8 workers several
+        monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
+        for threads in (1, 2, 8):
             assert weight_histogram(basis, length, threads) == {
                 w: len(words) for w, words in by_weight.items()
             }
-            _, kept = weight_histogram(basis, length, threads, keep=caps)
-            assert {w for w, in kept} == set(by_weight) - drop
-            for (w,), chunks in kept.items():
-                rows = np.concatenate(chunks)
-                assert rows.shape == (len(by_weight[w]), 1)
-                assert packed_rows_to_ints(rows) == by_weight[w]
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_keep_groups_count_each_listed_weight(f6, monkeypatch):
-    # a group keeps the words of all its weights in index order, and a word
-    # counts against its cap once for each time its weight is listed; with
-    # more workers than cores and frequent switches, a lost update of the
-    # shared running counts would keep (32, 32), one word over its cap
-    basis = one_layer_basis(CodeSpec("c1", 3), f6)
-    by_weight = _by_weight(basis)
-    b = {w: len(words) for w, words in by_weight.items()}
-    caps = {(24, 40): b[24] + b[40], (32, 32): 2 * b[32] - 1, (16, 16): 2 * b[16],
-            (16, 48): b[16] + b[48], (28, 30): b[28]}
-    gathered: list[tuple[tuple[int, ...], int]] = []
-    original = codebuild._TransformStep.gather
-
-    def spy(self, weights):
-        rows = original(self, weights)
-        gathered.append((weights, len(rows)))
-        return rows
-
-    monkeypatch.setattr(codebuild._TransformStep, "gather", spy)
-    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(codebuild, "_BATCH_BITS", 12)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in (1, 2, 8):
-            gathered.clear()
-            _, kept = weight_histogram(basis, 64, threads, keep=caps)
-            assert set(kept) == set(caps) - {(32, 32)}
-            # (32, 32) passes its cap only in the batch that brings its last
-            # words, which is never gathered
-            assert sum(n for group, n in gathered if group == (32, 32)) < b[32]
-            for group, chunks in kept.items():
-                words = [w for w in enumerate_span(basis) if w.bit_count() in group]
-                assert packed_rows_to_ints(np.concatenate(chunks)) == words
-    finally:
-        sys.setswitchinterval(interval)
-    streamed = [w for chunk in stream_weight_class(basis, 64, (24, 40)) for w in packed_rows_to_ints(chunk)]
-    assert streamed == [w for w in enumerate_span(basis) if w.bit_count() in (24, 40)]
+        assert _streamed_by_weight(basis, length, sorted(listed)) == {
+            w: words for w, words in by_weight.items() if w not in drop
+        }
 
 
 def test_one_call_is_one_sweep(f6, monkeypatch):
@@ -555,43 +499,8 @@ def test_one_call_is_one_sweep(f6, monkeypatch):
 
     monkeypatch.setattr(codebuild, "weight_histogram", spy)
     basis = one_layer_basis(CodeSpec("c1", 3), f6)
-    original(basis, 64, 2, keep={(16,): 252})
+    original(basis, 64, 2)
     assert calls == []
-
-
-def test_capped_class_gathers_stay_bounded(f6, monkeypatch):
-    # a class is dropped as soon as its shared running count passes its cap,
-    # and a batch's words are gathered only once they are counted, so no
-    # class over its cap ever holds more than cap words (tighter than the
-    # cap + workers * batch of a sweep that gathers before it counts); a lost
-    # update of the running count breaks this under frequent switches
-    basis = one_layer_basis(CodeSpec("c1", 3), f6)
-    hist = weight_histogram(basis, 64)
-    batch_bits, threads = 8, 8
-    batch = 1 << batch_bits
-    caps = {(32,): hist[32] // 8, (24,): hist[24] // 8}
-    assert min(caps.values()) > threads * batch  # every worker gathers before the drop
-    gathered: list[tuple[tuple[int, ...], int]] = []
-    original = codebuild._TransformStep.gather
-
-    def spy(self, weights):
-        rows = original(self, weights)
-        gathered.append((weights, len(rows)))
-        return rows
-
-    monkeypatch.setattr(codebuild._TransformStep, "gather", spy)
-    monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
-    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: threads)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got, kept = weight_histogram(basis, 64, threads, keep=caps)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == hist and kept == {}
-    held = {w: sum(n for g, n in gathered if g == w) for w in caps}
-    for w, cap in caps.items():
-        assert held[w] <= cap
 
 
 def _sylvester_oracle(bits: int) -> np.ndarray:
@@ -614,8 +523,8 @@ def test_sylvester_factors_are_cached_read_only():
 
 def test_wrong_transform_fails_the_gather_check(f6):
     # a Hadamard factor with two columns swapped computes wrong weights; the
-    # words gathered for a class are recounted by popcount, also under -O,
-    # and also when every class is gathered in slices of 2^6 words
+    # words a stream of one weight gathers are recounted by popcount, also
+    # under -O, and also when they are gathered in slices of 2^6 words
     script = """
 import sys
 import designforge.codebuild as codebuild
@@ -634,7 +543,9 @@ codebuild._hadamard = swapped
 for rows in (codebuild._GATHER_ROWS, 1 << 6):
     codebuild._GATHER_ROWS = rows
     try:
-        codebuild.weight_histogram(basis, 64, keep={(w,): 10**6 for w in range(65)})
+        for w in range(65):
+            for _ in codebuild.stream_weight_class(basis, 64, (w,)):
+                pass
     except CheckFailed:
         continue
     sys.exit(3)
@@ -646,14 +557,12 @@ for rows in (codebuild._GATHER_ROWS, 1 << 6):
 
 
 def test_bounded_gather_matches_enumeration(f6, monkeypatch):
-    # with gather buffers of 2^6 rows, the larger pairs a design report keeps
-    # have more words in a batch than that, so they are filled one slice of
-    # the batch at a time; the kept words of every pair are still the span's,
-    # in index order, however many workers split the sweep
+    # with gather buffers of 2^6 rows, a batch of a design report's gather
+    # of every nontrivial class holds more of its words than that, so they
+    # are filled one slice of the batch at a time; the streamed words are
+    # still the span's, in index order
     rows = 1 << 6
     basis = h0_basis(CodeSpec("c1", 3), f6)
-    span = list(enumerate_span(basis))
-    caps = {(w, 64 - w): 1 << 18 for w in range(2, 34, 2)}
     steps: list[_TransformStep] = []
     fills: list[int] = []
     init, fill = _TransformStep.__init__, _TransformStep._fill
@@ -670,21 +579,15 @@ def test_bounded_gather_matches_enumeration(f6, monkeypatch):
     monkeypatch.setattr(_TransformStep, "_fill", spy_fill)
     monkeypatch.setattr(codebuild, "_GATHER_ROWS", rows)
     monkeypatch.setattr(codebuild, "_BATCH_BITS", 14)
-    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
-    for threads in (1, 2, 8):
-        steps.clear()
-        fills.clear()
-        hist, kept = weight_histogram(basis, 64, threads, keep=caps)
-        assert len(steps) == threads
-        assert set(kept) == {g for g in caps if any(w in hist for w in g)}
-        for group, chunks in kept.items():
-            assert packed_rows_to_ints(np.concatenate(chunks)) == [w for w in span if w.bit_count() in group]
-        sliced = {group for group, chunks in kept.items() if max(map(len, chunks)) > rows}
-        assert {(24, 40), (28, 36), (32, 32)} <= sliced
-        for step in steps:
-            assert len(step.at) == len(step.batch) == len(step.ok) == rows
-            assert step.limbs.shape == (rows, 1)
-        assert 0 < min(fills) and max(fills) <= rows
+    chunks = list(stream_weight_class(basis, 64, tuple(range(2, 64, 2))))
+    assert packed_rows_to_ints(np.concatenate(chunks)) == [
+        w for w in enumerate_span(basis) if 0 < w.bit_count() < 64
+    ]
+    assert len(chunks) == 16 and min(map(len, chunks)) > rows
+    (step,) = steps
+    assert len(step.at) == len(step.batch) == len(step.ok) == rows
+    assert step.limbs.shape == (rows, 1)
+    assert 0 < min(fills) and max(fills) <= rows
 
 
 def _counting_basis(length: int) -> list[int]:
@@ -713,24 +616,22 @@ def _count_basis(name: str, batch_bits: int) -> tuple[list[int], int]:
 
 
 def _check_count(name: str, batch_bits: int, threads: int, monkeypatch) -> None:
-    """Histogram and kept rows of a sweep equal to enumerate_span's, with
-    8 cores patched in so that more workers than cores split the sweep."""
+    """Histogram of a sweep equal to enumerate_span's, with 8 cores patched
+    in so that more workers than cores split the sweep, and the words of a
+    stream of every weight too."""
     basis, length = _count_basis(name, batch_bits)
     by_weight = _by_weight(basis)
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
-    hist, kept = weight_histogram(basis, length, threads, keep={(w,): 1 << 18 for w in range(length + 1)})
-    assert hist == {w: len(words) for w, words in by_weight.items()}
-    assert {w for w, in kept} == set(by_weight)
-    for (w,), chunks in kept.items():
-        assert packed_rows_to_ints(np.concatenate(chunks)) == by_weight[w]
+    assert weight_histogram(basis, length, threads) == {w: len(words) for w, words in by_weight.items()}
+    assert _streamed_by_weight(basis, length, range(length + 1)) == by_weight
 
 
 @pytest.mark.parametrize("batch_bits, threads", product((2, 3, 4), (1, 2, 8)))
 def test_counting_recounts_batches_with_new_weights(batch_bits, threads, monkeypatch):
     # each batch is counted afresh from its sorted values, read off in runs:
     # the counting basis's later batches bring weights the first never saw,
-    # and every one of them is counted and kept
+    # and every one of them is counted and streamed
     _check_count("counting", batch_bits, threads, monkeypatch)
 
 
@@ -750,20 +651,21 @@ def test_counting_fallbacks_stay_within_the_weights(f6, monkeypatch):
     monkeypatch.setattr(codebuild, "_BATCH_BITS", 8)
     original = codebuild._TransformStep.count
     for threads in (1, 2, 8):
-        batches: list[tuple[list[tuple[int, int]], int]] = []
+        batches: list[tuple[dict[int, int], int]] = []
 
         def spy(step):
-            found = original(step)
-            batches.append((found, step.values.size))
-            return found
+            before = dict(step.tally)
+            original(step)
+            added = {w: c - before.get(w, 0) for w, c in step.tally.items() if c != before.get(w)}
+            batches.append((added, step.values.size))
 
         monkeypatch.setattr(codebuild._TransformStep, "count", spy)
         assert weight_histogram(basis, 63, threads) == hist
         assert len(batches) == 1 << (len(basis) - 8)
-        for found, size in batches:
-            assert {w for w, _ in found} <= set(hist)
-            assert all(c > 0 for _, c in found)
-            assert sum(c for _, c in found) == size
+        for added, size in batches:
+            assert set(added) <= set(hist)
+            assert all(c > 0 for c in added.values())
+            assert sum(added.values()) == size
 
 
 def test_counting_recount_holds_under_optimize():
@@ -791,31 +693,12 @@ def test_count_requires_every_value_in_range(value, f6):
     tables = _SweepTables(basis, 63, gathers=False)
     step = _TransformStep(tables)
     step(tables.high[0])
-    assert sum(c for _, c in step.count()) == tables.signs.size
+    step.count()
+    assert sum(step.tally.values()) == tables.signs.size
     step(tables.high[0])
     step.centred[5] = value
     with pytest.raises(CheckFailed, match="outside the weights"):
         step.count()
-
-
-def test_thread_split_keeps_the_chunk_order(f8, monkeypatch):
-    # at 2^17-word batches a code of m <= 6 fits in one or two batches, so
-    # the split of the high table between two workers is pinned on the
-    # c1(4) h = 0 sweep: the same histogram and the same kept chunks, in
-    # the same order, at 1 and 2 threads
-    basis = h0_basis(CodeSpec("c1", 4), f8)
-    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 2)
-    tables = _SweepTables(basis, 256, gathers=False)
-    assert len(_sweep_ranges(len(tables.high), 2)) == 2
-    hist = weight_histogram(basis, 256)
-    keep = {(96, 160): hist[96] + hist[160]}
-    one, two = (weight_histogram(basis, 256, threads, keep=keep) for threads in (1, 2))
-    assert one[0] == two[0] == hist
-    chunks_one, chunks_two = one[1][(96, 160)], two[1][(96, 160)]
-    assert sum(map(len, chunks_one)) == keep[(96, 160)]
-    assert len(chunks_one) == len(chunks_two) > 2
-    for a, b in zip(chunks_one, chunks_two):
-        assert np.array_equal(a, b)
 
 
 def _spy_products(monkeypatch) -> list[int]:
@@ -876,26 +759,32 @@ def test_code_bases_sweep_in_one_layer(m):
             assert tables.kt == m, (spec, length)
 
 
-@pytest.mark.parametrize("basis, length", [
-    (generator_basis(C1_M4, Field(4)), 16),  # reduced: its leading rows are pivots
-    ([(1 << 64) - 1], 64),  # kt = 1: every coordinate has column 1
-    (one_layer_basis([], 64)[1:], 64),  # five coordinate rows: each column twice
-    (one_layer_basis([], 65537), 65537),  # 17 coordinate rows, of which kt = 16 lead
+REPEATED = (ValueError, "leading basis rows repeat a column")
+
+
+@pytest.mark.parametrize("basis, length, error", [
+    (generator_basis(C1_M4, Field(4)), 16, REPEATED),  # reduced: its leading rows are pivots
+    ([(1 << 64) - 1], 64, REPEATED),  # kt = 1: every coordinate has column 1
+    (one_layer_basis([], 64)[1:], 64, REPEATED),  # five coordinate rows: each column twice
+    # 17 coordinate rows, of which at most 16 lead: refused by its length
+    (one_layer_basis([], 65537), 65537, (TooLarge, "length 65537 exceeds 2\\^16")),
 ], ids=["reduced", "one_row", "five_coordinates", "past_2_16"])
-def test_a_basis_whose_leading_rows_repeat_a_column_is_refused(basis, length, monkeypatch):
+def test_a_basis_whose_leading_rows_repeat_a_column_is_refused(basis, length, error, monkeypatch):
     # refused before any span table is built, batch transformed or word
-    # streamed, by a count, a keep and a stream alike
-    def no_table(*args):
+    # streamed, by a count and a stream alike; past length 2^16 the 16
+    # transform rows cannot hold distinct columns, and the length alone
+    # refuses the basis before the sweep tables are built
+    def no_table(*args, **kwargs):
         raise AssertionError("a span table was built")
 
     monkeypatch.setattr(codebuild, "_span_table", no_table)
     monkeypatch.setattr(_TransformStep, "__call__", no_table)
-    with pytest.raises(ValueError, match="leading basis rows repeat a column"):
+    if error[0] is TooLarge:
+        monkeypatch.setattr(codebuild, "_SweepTables", no_table)
+    with pytest.raises(error[0], match=error[1]):
         weight_histogram(basis, length)
-    with pytest.raises(ValueError, match="leading basis rows repeat a column"):
-        weight_histogram(basis, length, keep={(2,): 10})
     stream = stream_weight_class(basis, length, (2,))
-    with pytest.raises(ValueError, match="leading basis rows repeat a column"):
+    with pytest.raises(error[0], match=error[1]):
         next(stream)
 
 
@@ -921,26 +810,19 @@ def test_transform_sweep_matches_bit_count_property(case, data):
     rows, length, batch_bits, threads = case
     by_weight = _by_weight(rows)
     hist = {w: len(words) for w, words in by_weight.items()}
-    drop = data.draw(st.sets(st.sampled_from(sorted(by_weight))))
-    caps = {(w,): len(words) - (w in drop) for w, words in by_weight.items()}
-    streamed_weight = data.draw(st.sampled_from(sorted(by_weight)))
+    listed = data.draw(st.sets(st.sampled_from(sorted(by_weight)), min_size=1))
     saved = codebuild._BATCH_BITS
     codebuild._BATCH_BITS = batch_bits
     try:
         assert weight_histogram(rows, length, threads) == hist
-        got, kept = weight_histogram(rows, length, threads, keep=caps)
         streamed = [
             word
-            for chunk in stream_weight_class(rows, length, (streamed_weight,))
+            for chunk in stream_weight_class(rows, length, tuple(listed))
             for word in packed_rows_to_ints(chunk)
         ]
     finally:
         codebuild._BATCH_BITS = saved
-    assert got == hist
-    assert {w for w, in kept} == set(by_weight) - drop
-    for (w,), chunks in kept.items():
-        assert packed_rows_to_ints(np.concatenate(chunks)) == by_weight[w]
-    assert streamed == by_weight[streamed_weight]
+    assert streamed == [w for w in enumerate_span(rows) if w.bit_count() in listed]
 
 
 def test_weight_dtype_at_2_16():

@@ -206,7 +206,9 @@ for entry in ((0, 0), (0, 1)):
 
 
 # Bounds on the traced allocation peak of a design report, in MiB: about
-# 20% above 4.42 and 5.59 MiB at 2 threads (3.89 and 4.05 at 1).  With a
+# 20% above 4.42 and 5.59 MiB at 2 threads (3.89 and 4.05 at 1), when the
+# counting sweep kept each pair's words.  Gathered by one stream of H0 after
+# the fold, they read 3.87 and 5.85 MiB at 1 and at 2 threads.  With a
 # per-sweep table of every batch index they read 5.42 and 6.71 MiB at 2
 # threads; before gathers and counting took fixed-size slices, 16.65 and
 # 12.50 MiB at 2 threads, 9.37 and 8.22 at 1.
@@ -346,6 +348,27 @@ def test_full_report_m8_gates_heavy_classes(f8):
         assert by_k[k].theorem_lambda is not None  # closed form still reported
 
 
+def test_gated_report_gathers_no_over_gate_row(capsys, monkeypatch):
+    # the gate is decided from the fold's exact counts before any word is
+    # read: of the c1(4) classes only 96 and 160, one pair, are within it,
+    # and its 17136 H0 words are the only ones built
+    gathered: list[tuple[tuple[int, ...], np.ndarray]] = []
+    original = codebuild._TransformStep.gather
+
+    def spy(self, weights):
+        rows = original(self, weights)
+        gathered.append((weights, codebuild.row_weights(rows)))
+        return rows
+
+    monkeypatch.setattr(codebuild._TransformStep, "gather", spy)
+    assert main(["designs", "--family", "c1", "--s", "4", "--t", "2", "--threads", "2"]) == 0
+    capsys.readouterr()
+    assert {w for weights, _ in gathered for w in weights} <= {96, 160}
+    sizes = np.concatenate([sizes for _, sizes in gathered])
+    assert len(sizes) == 17136
+    assert (np.count_nonzero(sizes == 96), np.count_nonzero(sizes == 160)) == (10710, 6426)
+
+
 @pytest.mark.parametrize("t, calls", [(2, 1), (3, 0)])
 def test_report_evaluates_the_closed_form_once(f4, monkeypatch, t, calls):
     # every class's theorem lambda comes from one table; t = 3 reads none
@@ -395,10 +418,6 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
     heavy = {k for k, r in ungated.items() if r.b * comb(k, 2) > gate}
     assert heavy and heavy != set(ungated)
     monkeypatch.setattr(designs, "COST_GATE", gate)
-    gated = full_design_report(spec, f6, t=2)
-    assert {r.k for r in gated if r.skipped} == heavy
-    assert all(r.lam == ungated[r.k].lam for r in gated if not r.skipped)
-
     streamed = []
     stream = designs.stream_weight_class
 
@@ -407,10 +426,19 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
         return stream(basis, length, weights)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
+    gated = full_design_report(spec, f6, t=2)
+    assert {r.k for r in gated if r.skipped} == heavy
+    assert all(r.lam == ungated[r.k].lam for r in gated if not r.skipped)
+    # one stream gathers the pairs of the classes within the gate, 16, 24
+    # and 48: (16, 48) and (24, 40)
+    assert [w for w, _, _ in streamed] == [(16, 24, 40, 48)]
+
+    streamed.clear()
     exhaustive = full_design_report(spec, f6, t=2, exhaustive=True)
-    # classes 28, 32 and 36 stream their H0 pair once each; class 40 is
-    # served from pair (24, 40), kept for class 24
-    assert sorted(w for w, _, _ in streamed) == [(28, 36), (28, 36), (32, 32)]
+    # the same gather, then classes 28, 32 and 36 stream their H0 pair once
+    # each, in class order; class 40 is served from pair (24, 40), gathered
+    # for class 24
+    assert [w for w, _, _ in streamed] == [(16, 24, 40, 48), (28, 36), (32, 32), (28, 36)]
     assert {(k, n) for _, k, n in streamed} == {(15, 64)}  # the H0 basis: dim - 1 rows
     assert {r.k: r.lam for r in exhaustive} == {k: r.lam for k, r in ungated.items()}
     assert all(r.verified and r.match and not r.skipped for r in exhaustive)
@@ -419,12 +447,13 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
 @pytest.mark.parametrize("t", [1, 4])
 def test_bad_t_is_rejected_before_any_sweep(t, f8, monkeypatch):
     # one check of t serves both entry points; the report runs it before
-    # building H0, so c1(4) never starts its 2^24-word sweep
+    # building H0, so c1(4) never starts its fold or its 2^24-word stream
     def no_call(*args, **kwargs):
         raise AssertionError("the report built or swept a basis")
 
     monkeypatch.setattr(designs, "h0_basis", no_call)
-    monkeypatch.setattr(designs, "weight_histogram", no_call)
+    monkeypatch.setattr(designs, "weight_distribution", no_call)
+    monkeypatch.setattr(designs, "stream_weight_class", no_call)
     with pytest.raises(ValueError, match=f"t must be 2 or 3, got {t}"):
         full_design_report(CodeSpec("c1", 4), f8, t=t)
     with pytest.raises(ValueError, match=f"t must be 2 or 3, got {t}"):
@@ -441,7 +470,7 @@ def test_swept_rows_are_the_extended_classes(spec_args, f4, f6, monkeypatch):
     blocks = designs.blocks_of_weight
 
     def spy(spec, field, weight, chunks=None):
-        kept = isinstance(chunks, list)  # a sweep's kept chunks, not a stream
+        kept = isinstance(chunks, list)  # the report's gathered chunks, not a stream
         words = list(blocks(spec, field, weight, chunks))
         served[weight] = words if kept else None
         return iter(words)
@@ -461,26 +490,31 @@ def test_swept_rows_are_the_extended_classes(spec_args, f4, f6, monkeypatch):
 
 @pytest.mark.parametrize("spec_args", [("c1", 2, None), ("c2", 2, 1), ("c1", 3, None), ("c2", 3, 1)])
 def test_one_block_order_for_every_route(spec_args, f4, f6, monkeypatch):
-    # a class streamed over the H0 basis comes in the same order as the
-    # one the report assembles from the sweep's kept rows
+    # a class streamed on its own over the H0 basis comes in the same order
+    # as the one the report splits off its one gather of every class
     spec = CodeSpec(*spec_args)
     field = f4 if spec.m == 4 else f6
     passed = {}
     verify = designs.verify_t_design
+    streamed = []
+    stream = designs.stream_weight_class
 
     def spy(blocks, v, t, expected_b=None):
         blocks = list(blocks)
         passed[blocks[0].bit_count()] = blocks
         return verify(blocks, v, t, expected_b)
 
-    def no_stream(*args):
-        raise AssertionError("the report streamed a class")
+    def spy_stream(basis, length, weights):
+        streamed.append(weights)
+        return stream(basis, length, weights)
 
     with monkeypatch.context() as patch:
         patch.setattr(designs, "verify_t_design", spy)
-        patch.setattr(designs, "stream_weight_class", no_stream)
+        patch.setattr(designs, "stream_weight_class", spy_stream)
         full_design_report(spec, field, t=2)
-    assert set(passed) == set(weight_distribution(spec, field).entries) - {0, spec.length}
+    classes = set(weight_distribution(spec, field).entries) - {0, spec.length}
+    assert set(passed) == classes
+    assert streamed == [tuple(sorted(classes))]
     for w, blocks in passed.items():
         assert list(blocks_of_weight(spec, field, w)) == blocks
 
@@ -508,11 +542,24 @@ def test_export_blocks_prints_the_report_order(f4, capsys, monkeypatch):
     assert set(lines) == {line(mask) for mask in span}
 
 
+# The streams of the c1(3) report with the gate one increment below class
+# k's cost, then of the same report with exhaustive set: the gather of the
+# pairs of the classes within the gate (none at k = 16, every class but 32
+# at k = 32, class 16 at k = 48), then, in class order, the pair of each
+# class above the gate that the gather does not hold, streamed on its own.
+# Class 48 is served from the pair (16, 48) gathered for class 16.
+BELOW_GATE_STREAMS = {
+    16: ([], [(16, 48), (24, 40), (28, 36), (32, 32), (28, 36), (24, 40), (16, 48)]),
+    32: ([(16, 24, 28, 36, 40, 48)], [(16, 24, 28, 36, 40, 48), (32, 32)]),
+    48: ([(16, 48)], [(16, 48), (24, 40), (28, 36), (32, 32), (28, 36), (24, 40)]),
+}
+
+
 @pytest.mark.parametrize("k", [16, 32, 48])
 def test_cost_gate_boundary_serves_sweep_rows(k, f6, monkeypatch):
-    # a class costing exactly the gate is verified from the sweep's rows,
-    # since its pair's cap is at least its own; one increment less and it
-    # is skipped, and neither report streams
+    # a class costing exactly the gate is verified from the report's one
+    # gather stream, which lists its pair; one increment less and it is
+    # skipped, and the streams are those of BELOW_GATE_STREAMS
     spec = CodeSpec("c1", 3)
     b = C1_S3_ENUMERATOR[k]
     streamed = []
@@ -523,20 +570,20 @@ def test_cost_gate_boundary_serves_sweep_rows(k, f6, monkeypatch):
         return stream(basis, length, weights)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
+    pair = (min(k, 64 - k), max(k, 64 - k))
     monkeypatch.setattr(designs, "COST_GATE", b * comb(k, 2))
     by_k = {r.k: r for r in full_design_report(spec, f6, t=2)}
-    assert streamed == []
+    assert len(streamed) == 1 and set(pair) <= set(streamed[0])
     assert not by_k[k].skipped and by_k[k].lam == C1_S3_LAMBDAS[k]
     monkeypatch.setattr(designs, "COST_GATE", b * comb(k, 2) - 1)
+    gathered, exhaustive = BELOW_GATE_STREAMS[k]
+    streamed.clear()
     by_k = {r.k: r for r in full_design_report(spec, f6, t=2)}
-    assert by_k[k].skipped and streamed == []
+    assert by_k[k].skipped and streamed == gathered
+    streamed.clear()
     by_k = {r.k: r for r in full_design_report(spec, f6, t=2, exhaustive=True)}
     assert by_k[k].lam == C1_S3_LAMBDAS[k]
-    if k == 48:
-        # its pair (16, 48) is kept for class 16, so it is not streamed
-        assert (16, 48) not in streamed
-    else:
-        assert (k, 64 - k) in streamed
+    assert streamed == exhaustive
 
 
 @pytest.mark.parametrize("spec_args", [("c1", 3, None), ("c2", 3, 1)])

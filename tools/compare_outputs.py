@@ -16,6 +16,8 @@ designforge package).  The invocations are:
   c2(3,2), c2(4,1), c2(4,3) and c2(5,1..4);
 - `reproduce --example m4` and `--example 3.6`, one code, c1(2) = c2(2,1),
   folded over the a-slot of each;
+- the gated `designs --family c1 --s 4 --t 2` report, where classes are
+  skipped and partner classes 96 and 160 share their H0 pair;
 - bad inputs: an odd --weight, --l equal to --s, and `field --m 5`.
 
 A second pass runs every invocation again, in the same order, through
@@ -69,6 +71,7 @@ def invocations() -> list[list[str]]:
         out.append(["invariance", *workloads._code_args(*code)])
     for example in ("m4", "3.6"):
         out.append(["reproduce", "--example", example])
+    out.append(["designs", "--family", "c1", "--s", "4", "--t", "2"])
     out.append(["designs", "--family", "c1", "--s", "2", "--weight", "5"])
     out.append(["weights", "--family", "c2", "--s", "3", "--l", "3"])
     out.append(["field", "--m", "5"])
