@@ -41,9 +41,9 @@ the sweep takes (at most 2^16), and gives 2w - length for a word of
 weight w.  Each worker counts a batch by casting the transform to
 integers, sorting them in place and reading the run of each weight off
 searchsorted.  weight_histogram only counts; stream_weight_class is the
-one path that builds words, those of the listed weights only, from the
-packed tables of the transform and batch rows' spans and the batch's
-high word.
+one path that builds words: for each batch, those of each group of listed
+weights, straight from the packed tables of the transform and batch rows'
+spans and the batch's high word.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -75,8 +75,8 @@ _BATCH_BITS = 17
 # _SweepTables).
 _MAX_LENGTH = 1 << (_BATCH_BITS & ~1)
 
-# Rows of each gather buffer: a group with more words in a batch is
-# gathered in slices of the batch, each holding at most this many of them.
+# Words a gather builds at once: a group with more words in a batch is
+# built a run of this many batch indices at a time.
 _GATHER_ROWS = 1 << 13
 
 
@@ -329,15 +329,11 @@ def pack_words(words: Iterable[int], length: int) -> np.ndarray:
     return rows
 
 
-def row_weights(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def row_weights(rows: np.ndarray) -> np.ndarray:
     """Weight of each packed row, summed in uint64: bitwise_count alone
-    gives uint8, which wraps at weight 256.
-
-    out, a uint64 array of the shape of rows, takes the limb counts, and
-    the weights are summed into its column 0.
-    """
-    limbs = np.bitwise_count(rows, out=out)
-    sizes = limbs[:, 0] if out is not None else limbs[:, 0].astype(np.uint64)
+    gives uint8, which wraps at weight 256."""
+    limbs = np.bitwise_count(rows)
+    sizes = limbs[:, 0].astype(np.uint64)
     # one column add per limb: a reduction along the short axis is slower
     for j in range(1, rows.shape[1]):
         sizes += limbs[:, j]
@@ -425,9 +421,12 @@ class _SweepTables:
     at a column no coordinate has), and each batch's b_x - 1/2 scale the
     columns of the first factor.  A basis whose kt leading rows repeat a
     column is refused (ValueError) before any span table is built.
+
+    The span table of the transform rows, low, is read only by gathers and
+    built by the first, so a sweep that only counts never holds it.
     """
 
-    def __init__(self, basis: list[int], length: int, gathers: bool = True, coset: int = 0):
+    def __init__(self, basis: list[int], length: int, coset: int = 0):
         # each stacked product of the transform is at most 2^(kt + kt % 2 + kb)
         # multiply-adds: OpenBLAS runs a product of at most 2^17 on the
         # calling thread, where a larger one starts its own threads inside
@@ -442,8 +441,7 @@ class _SweepTables:
         self.length = length
         self.kt = kt
         self.n_words = (length + 63) // 64
-        # read only by gathers: 2^kt rows, 512 MiB at length 2^16
-        self.low = _span_table(basis[:kt], length) if gathers else None
+        self.transform_rows = basis[:kt]
         self.offsets = _span_table(basis[kt : kt + kb], length)
         self.high = _span_table(basis[kt + kb :], length)
         if coset:
@@ -465,20 +463,20 @@ class _SweepTables:
         # 2w - length of each weight w, in the count's integer dtype
         self.value_dtype = np.int16 if length < 1 << 15 else np.int32
         self.edges = np.arange(-length, length + 1, 2, dtype=self.value_dtype)
-        self.gathers = gathers
+
+    @cached_property
+    def low(self) -> np.ndarray:
+        """The span words of the transform rows: 2^kt rows, 512 MiB at length 2^16."""
+        return _span_table(self.transform_rows, self.length)
 
 
 class _TransformStep:
-    """One worker's buffers for the transform of a batch, its count and its
-    gathers.
+    """One worker's buffers for the transform of a batch and its count.
 
     Allocated in the thread that creates it, so the batch buffers never
-    come from a worker thread's own malloc arena, and the gather buffers
-    only for a stream, so a sweep that only counts never touches them.
-    The batch's mask is one bool per word; every other gather buffer holds
-    at most _GATHER_ROWS rows, whatever the batch size and length (the
-    word limbs 256 KB at length 256), since a gather fills an over-size
-    group a slice of the batch at a time.  Each
+    come from a worker thread's own malloc arena.  A gather allocates only
+    the rows it returns, the batch's mask and transients of at most
+    _GATHER_ROWS rows.  Each
     coordinate adds +-1 to each transform value, so every partial sum is
     an integer of magnitude at most length <= 2^16 (require_enumerable),
     which float32 holds exactly: the transform of a word of weight w is
@@ -503,16 +501,6 @@ class _TransformStep:
         self.base = tables.high[0]
         # this worker's running count of each weight
         self.tally: Counter[int] = Counter()
-        if tables.gathers:
-            # the batch's mask, then gather buffers of one slice's words
-            self.mask = np.empty(size, dtype=bool)
-            self.hit = np.empty(size, dtype=bool)
-            rows = min(size, _GATHER_ROWS)
-            self.at = np.empty(rows, dtype=np.intp)
-            self.batch = np.empty(rows, dtype=np.intp)
-            self.limbs = np.empty((rows, tables.n_words), dtype=np.uint64)
-            self.ok = np.empty(rows, dtype=bool)
-            self.batch_words = np.empty_like(tables.offsets)
 
     def __call__(self, base: np.ndarray) -> None:
         """Transform the batch over base, a row of the high table, into centred.
@@ -555,69 +543,34 @@ class _TransformStep:
         starts.append(len(values))
         self.tally.update({w: end - start for w, start, end in zip(weights, starts, starts[1:]) if end > start})
 
-    def _mark(self, values: np.ndarray, targets: list) -> None:
-        """Set mask[:len(values)] where a value equals one of targets."""
-        mask, hit = self.mask[: len(values)], self.hit[: len(values)]
-        np.equal(values, targets[0], out=mask)
-        for target in targets[1:]:
-            np.equal(values, target, out=hit)
-            mask |= hit
-
     def gather(self, weights: tuple[int, ...]) -> np.ndarray:
         """(count, n_words) packed words of the last batch whose weight is
-        listed in weights, in index order, each checked against them.
+        listed in weights, in index order, each recounted by popcount and
+        checked against them.
 
-        Only the returned rows grow with the group.  A group with more than
-        _GATHER_ROWS words in the batch is filled one slice of the batch at a
-        time, in index order: runs of _GATHER_ROWS indices, consecutive runs
-        merged while their words fit in _GATHER_ROWS rows.  Each word's weight
-        is recounted by popcount as its slice is built.
+        The words are built straight into the returned rows, a run of batch
+        indices at a time: the whole batch when it holds at most
+        _GATHER_ROWS of them, else runs of _GATHER_ROWS indices.
         """
         tb = self.tables
         listed = sorted(set(weights))
-        self._mark(self.centred, [np.float32(2 * w - tb.length) for w in listed])
-        np.bitwise_xor(tb.offsets, self.base, out=self.batch_words)
-        allowed = np.zeros(64 * tb.n_words + 1, dtype=bool)
+        mask = np.isin(self.centred, np.float32([2 * w - tb.length for w in listed]))
+        allowed = np.zeros(tb.length + 1, dtype=bool)
         allowed[listed] = True
-        step, size = len(self.at), len(self.mask)
-        count = int(np.count_nonzero(self.mask))
-        # (end, words) of each run of the batch
-        if count <= step:
-            runs = [(size, count)]
-        else:
-            runs = [(i + step, int(np.count_nonzero(self.mask[i : i + step]))) for i in range(0, size, step)]
-        rows = np.empty((count, tb.n_words), dtype=np.uint64)
-        done = start = end = 0
-        for stop, words in runs:
-            if done + words > end + step:
-                self._fill(rows[end:done], slice(start, stop - step), allowed, listed)
-                start, end = stop - step, done
-            done += words
-        if done > end:
-            self._fill(rows[end:done], slice(start, size), allowed, listed)
+        rows = np.empty((np.count_nonzero(mask), tb.n_words), dtype=np.uint64)
+        run = len(mask) if len(rows) <= _GATHER_ROWS else _GATHER_ROWS
+        done = 0
+        for start in range(0, len(mask), run):
+            at = np.flatnonzero(mask[start : start + run]) + start
+            part = rows[done : done + len(at)]
+            done += len(at)
+            # every index is in range; "raise" would take into a temporary first
+            np.take(tb.low, at & ((1 << tb.kt) - 1), axis=0, out=part, mode="clip")
+            part ^= tb.offsets[at >> tb.kt]
+            part ^= self.base
+            ok = allowed[row_weights(part)]
+            require(bool(ok.all()), f"a word gathered for weights {listed} has another weight")
         return rows
-
-    def _fill(self, rows: np.ndarray, part: slice, allowed: np.ndarray, listed: list[int]) -> None:
-        """Build the marked words of the batch indices in part into rows, in
-        index order, and check that each one's weight is listed: allowed is
-        True at exactly the listed weights."""
-        tb = self.tables
-        count = len(rows)
-        # indices into buffers allocated once, not per batch; the offsets
-        # within part are a transient of at most _GATHER_ROWS
-        at, batch = self.at[:count], self.batch[:count]
-        np.add(np.flatnonzero(self.mask[part]), part.start, out=at)
-        np.right_shift(at, tb.kt, out=batch)
-        at &= (1 << tb.kt) - 1
-        # every index is in range; "raise" would take into a temporary first
-        np.take(tb.low, at, axis=0, out=rows, mode="clip")
-        limbs = self.limbs[:count]
-        np.take(self.batch_words, batch, axis=0, out=limbs, mode="clip")
-        rows ^= limbs
-        # a weight is at most 64 * n_words, the last entry of allowed
-        ok = self.ok[:count]
-        np.take(allowed, row_weights(rows, out=limbs), out=ok, mode="clip")
-        require(bool(ok.all()), f"a word gathered for weights {listed} has another weight")
 
 
 def require_enumerable(basis: list[int], length: int) -> None:
@@ -644,7 +597,7 @@ def weight_histogram(basis: list[int], length: int, threads: int = 1, coset: int
     tally, so the result is identical for any thread count.
     """
     require_enumerable(basis, length)
-    tables = _SweepTables(basis, length, gathers=False, coset=coset)
+    tables = _SweepTables(basis, length, coset=coset)
     ranges = _sweep_ranges(len(tables.high), threads)
     steps = [_TransformStep(tables) for _ in ranges]
 
@@ -662,20 +615,27 @@ def weight_histogram(basis: list[int], length: int, threads: int = 1, coset: int
     return dict(sorted(sum((step.tally for step in steps), Counter()).items()))
 
 
-def stream_weight_class(basis: list[int], length: int, weights: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """Stream the span words of every listed weight as (count, n_words)
-    packed-uint64 chunks, in index order.  ValueError on the first next()
-    for an empty weights tuple or a length below 1."""
+def stream_weight_class(
+    basis: list[int], length: int, groups: tuple[tuple[int, ...], ...]
+) -> Iterator[list[np.ndarray]]:
+    """Stream the span words of each group of listed weights: for each
+    batch, in index order, one (count, n_words) packed-uint64 array per
+    group (empty where the batch has none of its words), holding that
+    group's words of the batch in index order.  ValueError on the first
+    next() for a length below 1, no group, an empty group or a weight
+    outside 0..length, before any table is built.
+    """
     require_enumerable(basis, length)
-    if not weights:
+    if not groups or not all(groups):
         raise ValueError("no weight to stream")
+    outside = [w for group in groups for w in group if not 0 <= w <= length]
+    if outside:
+        raise ValueError(f"weight {outside[0]} is outside 0..{length}")
     tables = _SweepTables(basis, length)
     step = _TransformStep(tables)
     for base in tables.high:
         step(base)
-        rows = step.gather(weights)
-        if len(rows):
-            yield rows
+        yield [step.gather(group) for group in groups]
 
 
 def packed_rows_to_ints(rows: np.ndarray) -> list[int]:

@@ -142,8 +142,9 @@ def blocks_of_weight(
     The extended code is its h = 0 subcode H0 plus the complements of H0,
     so class i is the H0 words of its pair (min(i, v-i), max(i, v-i)), each
     of weight v - i complemented.  chunks holds the pair's packed
-    (count, n_words) H0 rows in index order, as full_design_report gathers
-    them; by default the pair is streamed over the H0 basis.
+    (count, n_words) H0 rows in index order, one chunk per batch of the
+    stream, as full_design_report gathers them; by default the pair is
+    streamed alone, a one-group stream over the H0 basis.
     So block j of class v - i is block j of class i complemented, and class
     v/2 gives each slice of rows, then their complements.  Distinct
     codewords of a binary code have distinct supports, and span
@@ -152,7 +153,7 @@ def blocks_of_weight(
     v = spec.length
     _require_class(weight, v)
     if chunks is None:
-        chunks = stream_weight_class(h0_basis(spec, field), v, _pair(weight, v))
+        chunks = _stream_pair(h0_basis(spec, field), v, _pair(weight, v))
     ones = pack_words([(1 << v) - 1], v)
     count = 0
     for rows in chunks:
@@ -277,25 +278,22 @@ def theorem_lambda(spec: CodeSpec, i: int) -> int:
     return lambda_from_identity(dist.entries[i], i, v, 2)
 
 
-def _gather_pairs(h0: list[int], v: int, pairs: set[tuple[int, int]]) -> dict[tuple[int, int], list[np.ndarray]]:
-    """The packed H0 rows of each pair, in index order, from one stream of
-    all their weights.  Each streamed chunk is split into one chunk per
-    pair, the one a stream of that pair alone gives, so a class's blocks
-    come in one order by either route.  The row weights are read _CHUNK
-    rows at a time: only the pairs' masks and copies are held with a chunk.
+def _stream_pair(h0: list[int], v: int, pair: tuple[int, int]) -> Iterator[np.ndarray]:
+    """The packed H0 rows of one pair, a chunk per batch: a one-group stream."""
+    return (rows for (rows,) in stream_weight_class(h0, v, (pair,)))
+
+
+def _gather_pairs(h0: list[int], v: int, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], list[np.ndarray]]:
+    """The packed H0 rows of each pair, a chunk per batch in index order,
+    from one stream whose groups are the pairs.  Each pair's chunks are
+    those a stream of that pair alone gives, so a class's blocks come in
+    one order by either route.
     """
     gathered: dict[tuple[int, int], list[np.ndarray]] = {pair: [] for pair in pairs}
-    if not pairs:
-        return gathered
-    for rows in stream_weight_class(h0, v, tuple(sorted({w for pair in pairs for w in pair}))):
-        masks = {pair: np.empty(len(rows), dtype=bool) for pair in pairs}
-        for i in range(0, len(rows), _CHUNK):
-            sizes = row_weights(rows[i : i + _CHUNK])
-            for (low, high), mask in masks.items():
-                np.logical_or(sizes == low, sizes == high, out=mask[i : i + _CHUNK])
-        for pair, mask in masks.items():
-            if mask.any():
-                gathered[pair].append(rows[mask])
+    if pairs:
+        for chunks in stream_weight_class(h0, v, tuple(pairs)):
+            for pair, rows in zip(pairs, chunks):
+                gathered[pair].append(rows)
     return gathered
 
 
@@ -315,10 +313,11 @@ def full_design_report(
     weights and reproduce commands run, before any word is read.  A class
     whose cost b*C(k, t) is above COST_GATE is skipped unless exhaustive
     is set.  The H0 words of every class within the gate (see
-    blocks_of_weight) are gathered by one stream of the h = 0 subcode H0,
-    split by pair; a class above the gate verified under exhaustive reads
-    its pair from there when its partner v - k is within the gate, else
-    streams it over the same H0 basis.  Weight 0 and the full-support class
+    blocks_of_weight) are gathered by one stream of the h = 0 subcode H0
+    whose groups are the classes' pairs, each pair's rows built once; a
+    class above the gate verified under exhaustive reads its pair from
+    there when its partner v - k is within the gate, else streams it alone
+    over the same H0 basis.  Weight 0 and the full-support class
     are excluded as trivial.  A weight that names no nontrivial class
     raises EmptyWeightClass: an odd or out-of-range one before any sweep,
     one the distribution lacks after the fold; a t other than 2 or 3
@@ -339,7 +338,7 @@ def full_design_report(
         _require_class(weight, v, weight in dist.entries)
         targets = [weight]
     in_gate = {w for w in targets if dist.entries[w] * comb(w, t) <= COST_GATE}
-    gathered = _gather_pairs(h0, v, {_pair(w, v) for w in in_gate})
+    gathered = _gather_pairs(h0, v, sorted({_pair(w, v) for w in in_gate}))
 
     # every t = 2 theorem lambda comes from one closed-form table, if one covers spec
     table: dict[int, int] = {}
@@ -361,7 +360,7 @@ def full_design_report(
             )
             continue
         pair = _pair(w, v)
-        chunks = gathered[pair] if pair in gathered else stream_weight_class(h0, v, pair)
+        chunks = gathered[pair] if pair in gathered else _stream_pair(h0, v, pair)
         blocks = blocks_of_weight(spec, field, w, chunks)
         report = verify_t_design(blocks, v, t, expected_b=b)
         report.theorem_lambda = theorem

@@ -170,15 +170,22 @@ def test_designs_t3_m4(capsys):
 def test_designs_export_blocks(capsys):
     # one line per block, its k points; the raw order is the index order of
     # the h = 0 basis's span, and the sorted lines are the set of blocks,
-    # which no change of basis order may move
-    for s, weight, n_lines, digest, sorted_digest in (
-        ("2", "4", 140, "f16411288c2f296d814dcb0b19594557fed7cbc103fe6904c2eea79963f53e2f",
+    # which no change of basis order may move.  The middle class of
+    # c2(3, 1) comes from one batch of 11403 H0 words, each slice of 1024
+    # followed by its complements, so its raw order also pins where the
+    # stream's chunks and the export's slices break
+    for code_args, weight, n_lines, digest, sorted_digest in (
+        (("c1", "2"), "4", 140, "f16411288c2f296d814dcb0b19594557fed7cbc103fe6904c2eea79963f53e2f",
          "7a10147d50ae9cc0fbac411128d9ce31f1ed75d7e2961214cfc8952a96294adc"),
-        ("3", "16", 252, "4dd46479fd0d5daf5c07d6618d59d35e02b2a6824fd15ee5f7385f7786b07fbf",
+        (("c1", "3"), "16", 252, "4dd46479fd0d5daf5c07d6618d59d35e02b2a6824fd15ee5f7385f7786b07fbf",
          "9fa75c0f49524c2d76018950b9e009560f4b463901aae40d4e6393ef56eb4cb0"),
+        (("c2", "3", "--l", "1"), "32", 22806,
+         "2d3ddec2ae680ead0a0b76dfe4ab443f5f8d625a7e2bda264b2b38ce2f162c41",
+         "91e1fa5767fbc43d0265934faae3846196f70a83d7cc7044afa658760ed587be"),
     ):
+        family, s, *l_args = code_args
         code, out, _ = run_cli(
-            capsys, "designs", "--family", "c1", "--s", s, "--weight", weight, "--export-blocks"
+            capsys, "designs", "--family", family, "--s", s, *l_args, "--weight", weight, "--export-blocks"
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -208,9 +215,9 @@ def test_export_blocks_rejects_odd_weight_before_streaming(capsys, monkeypatch):
     streamed = []
     original = designs.stream_weight_class
 
-    def spy(basis, length, weights):
-        streamed.append(weights)
-        return original(basis, length, weights)
+    def spy(basis, length, groups):
+        streamed.append(groups)
+        return original(basis, length, groups)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
     code, out, err = run_cli(
@@ -277,9 +284,9 @@ def test_export_blocks_is_a_lazy_stream(monkeypatch):
     original = designs.stream_weight_class
     streamed = []
 
-    def spy(basis, length, weights):  # records a stream when its first chunk is asked for
-        streamed.append(weights)
-        yield from original(basis, length, weights)
+    def spy(basis, length, groups):  # records a stream when its first chunk is asked for
+        streamed.append(groups)
+        yield from original(basis, length, groups)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
     args = build_parser().parse_args(
@@ -288,7 +295,7 @@ def test_export_blocks_is_a_lazy_stream(monkeypatch):
     lines = cmd_designs(args)
     assert streamed == []
     assert next(lines) == "5 11 14 15"
-    assert streamed == [(4, 12)]  # class 4's pair: H0 weights 4 and 16 - 4
+    assert streamed == [((4, 12),)]  # one group, class 4's pair: H0 weights 4 and 16 - 4
 
 
 def test_invariance_command(capsys):

@@ -288,7 +288,7 @@ def test_membership(f4, f6):
     basis = generator_basis(spec, f6)
     assert membership_test(0, basis, 64)
     assert membership_test((1 << 64) - 1, basis, 64)
-    w16 = next(iter(stream_weight_class(one_layer_basis(spec, f6), 64, (16,))))
+    (w16,) = next(stream_weight_class(one_layer_basis(spec, f6), 64, ((16,),)))
     word = packed_rows_to_ints(w16[:1])[0]
     assert membership_test(word, basis, 64)
     assert not membership_test(word ^ 1, basis, 64)  # one flipped bit leaves the code
@@ -364,7 +364,7 @@ def test_stream_weight_class_matches_filter(f4):
     basis = one_layer_basis(spec, f4)
     got = sorted(
         word
-        for chunk in stream_weight_class(basis, 16, (4,))
+        for (chunk,) in stream_weight_class(basis, 16, ((4,),))
         for word in packed_rows_to_ints(chunk)
     )
     expect = sorted(w for w in enumerate_span(basis) if w.bit_count() == 4)
@@ -381,7 +381,7 @@ def test_too_large_guard(monkeypatch):
         with pytest.raises(TooLarge, match=f"length {length} exceeds 2\\^16"):
             weight_histogram([1], length)
         with pytest.raises(TooLarge, match=f"length {length} exceeds 2\\^16"):
-            next(stream_weight_class([1], length, (1,)))
+            next(stream_weight_class([1], length, ((1,),)))
 
 
 def _no_tables(*args, **kwargs):
@@ -396,13 +396,25 @@ def test_stream_rejects_an_empty_weight_tuple(monkeypatch):
         next(stream)
 
 
+@pytest.mark.parametrize("groups", [((65,),), ((-2,),), ((),), (), ((16, 48), (65,))],
+                         ids=["past_length", "negative", "empty_group", "no_group", "one_bad_group"])
+def test_stream_rejects_bad_groups_before_any_table(groups, f6, monkeypatch):
+    # a weight outside 0..length would index past the table of allowed
+    # weights, or wrap to its end; refused on the first next(), as is a
+    # stream with no group or an empty one, before any table is built
+    monkeypatch.setattr(codebuild, "_SweepTables", _no_tables)
+    stream = stream_weight_class(one_layer_basis(CodeSpec("c1", 3), f6), 64, groups)
+    with pytest.raises(ValueError, match="no weight to stream|is outside 0..64"):
+        next(stream)
+
+
 def test_sweeps_reject_a_length_below_one(monkeypatch):
     monkeypatch.setattr(codebuild, "_SweepTables", _no_tables)
     for length in (0, -1):
         with pytest.raises(ValueError, match=f"length must be >= 1, got {length}"):
             weight_histogram([0], length)
         with pytest.raises(ValueError, match=f"length must be >= 1, got {length}"):
-            next(stream_weight_class([0], length, (2,)))
+            next(stream_weight_class([0], length, ((2,),)))
 
 
 def test_sweep_ranges_capped_by_cores(monkeypatch):
@@ -448,7 +460,7 @@ def _by_weight(basis: list[int]) -> dict[int, list[int]]:
 def _streamed_by_weight(basis: list[int], length: int, weights) -> dict[int, list[int]]:
     """The words of one stream of the listed weights, grouped by weight."""
     by_weight: dict[int, list[int]] = {}
-    for chunk in stream_weight_class(basis, length, tuple(weights)):
+    for (chunk,) in stream_weight_class(basis, length, (tuple(weights),)):
         for w in packed_rows_to_ints(chunk):
             by_weight.setdefault(w.bit_count(), []).append(w)
     return by_weight
@@ -544,7 +556,7 @@ for rows in (codebuild._GATHER_ROWS, 1 << 6):
     codebuild._GATHER_ROWS = rows
     try:
         for w in range(65):
-            for _ in codebuild.stream_weight_class(basis, 64, (w,)):
+            for _ in codebuild.stream_weight_class(basis, 64, ((w,),)):
                 pass
     except CheckFailed:
         continue
@@ -557,37 +569,31 @@ for rows in (codebuild._GATHER_ROWS, 1 << 6):
 
 
 def test_bounded_gather_matches_enumeration(f6, monkeypatch):
-    # with gather buffers of 2^6 rows, a batch of a design report's gather
-    # of every nontrivial class holds more of its words than that, so they
-    # are filled one slice of the batch at a time; the streamed words are
-    # still the span's, in index order
+    # with gathers of at most 2^6 words at once, a batch of a design
+    # report's gather of every nontrivial class holds more of a pair's
+    # words than that, so they are built a run of the batch at a time; each
+    # pair's streamed words are still the span's, in index order
     rows = 1 << 6
     basis = h0_basis(CodeSpec("c1", 3), f6)
-    steps: list[_TransformStep] = []
-    fills: list[int] = []
-    init, fill = _TransformStep.__init__, _TransformStep._fill
+    built: list[int] = []
+    weights = codebuild.row_weights
 
-    def spy_init(self, tables):
-        init(self, tables)
-        steps.append(self)
+    def spy(part):
+        built.append(len(part))
+        return weights(part)
 
-    def spy_fill(self, out, *args):
-        fills.append(len(out))
-        fill(self, out, *args)
-
-    monkeypatch.setattr(_TransformStep, "__init__", spy_init)
-    monkeypatch.setattr(_TransformStep, "_fill", spy_fill)
+    monkeypatch.setattr(codebuild, "row_weights", spy)
     monkeypatch.setattr(codebuild, "_GATHER_ROWS", rows)
     monkeypatch.setattr(codebuild, "_BATCH_BITS", 14)
-    chunks = list(stream_weight_class(basis, 64, tuple(range(2, 64, 2))))
-    assert packed_rows_to_ints(np.concatenate(chunks)) == [
-        w for w in enumerate_span(basis) if 0 < w.bit_count() < 64
-    ]
-    assert len(chunks) == 16 and min(map(len, chunks)) > rows
-    (step,) = steps
-    assert len(step.at) == len(step.batch) == len(step.ok) == rows
-    assert step.limbs.shape == (rows, 1)
-    assert 0 < min(fills) and max(fills) <= rows
+    pairs = tuple((w, 64 - w) for w in range(2, 33, 2))
+    batches = list(stream_weight_class(basis, 64, pairs))
+    assert len(batches) == 16 and all(len(chunks) == len(pairs) for chunks in batches)
+    for pair, chunks in zip(pairs, zip(*batches)):
+        assert packed_rows_to_ints(np.concatenate(chunks)) == [
+            w for w in enumerate_span(basis) if w.bit_count() in pair
+        ]
+    assert max(len(chunks[pairs.index((32, 32))]) for chunks in batches) > rows
+    assert 0 < max(built) <= rows
 
 
 def _counting_basis(length: int) -> list[int]:
@@ -690,7 +696,7 @@ def test_count_requires_every_value_in_range(value, f6):
     # a transform value past +-length is the weight of no word: the runs of
     # the weights 0..length would not cover the batch, and the count stops
     basis = cyclic_generator_basis(CodeSpec("c1", 3), f6)
-    tables = _SweepTables(basis, 63, gathers=False)
+    tables = _SweepTables(basis, 63)
     step = _TransformStep(tables)
     step(tables.high[0])
     step.count()
@@ -728,7 +734,7 @@ def test_transform_products_stay_within_2_17(m, monkeypatch):
             if len(basis) > codebuild.MAX_ENUM_DIM:
                 continue  # c1(5): too large to sweep
             sizes.clear()
-            tables = _SweepTables(basis, length, gathers=False)
+            tables = _SweepTables(basis, length)
             _TransformStep(tables)(tables.high[0])
             assert len(sizes) == 2 and max(sizes) <= 1 << 17, (spec, length, sizes)
 
@@ -738,7 +744,7 @@ def test_odd_transform_rows_trim_the_batch(monkeypatch):
     # batch of 2^17 words would make its products 2^18 multiply-adds
     rng = Random(5)
     basis = one_layer_basis([rng.getrandbits(32) for _ in range(15)], 32)
-    tables = _SweepTables(basis, 32, gathers=False)
+    tables = _SweepTables(basis, 32)
     assert tables.kt == 5 and tables.signs.shape == (1 << 5, 1 << 11)
     sizes = _spy_products(monkeypatch)
     hist = weight_histogram(basis, 32, 2)
@@ -755,7 +761,7 @@ def test_code_bases_sweep_in_one_layer(m):
     s = m // 2
     for spec in [CodeSpec("c1", s)] + [CodeSpec("c2", s, l) for l in range(1, s)]:
         for basis, length in ((h0_basis(spec, f), spec.length), (cyclic_generator_basis(spec, f), spec.n)):
-            tables = _SweepTables(basis, length, gathers=False)
+            tables = _SweepTables(basis, length)
             assert tables.kt == m, (spec, length)
 
 
@@ -783,7 +789,7 @@ def test_a_basis_whose_leading_rows_repeat_a_column_is_refused(basis, length, er
         monkeypatch.setattr(codebuild, "_SweepTables", no_table)
     with pytest.raises(error[0], match=error[1]):
         weight_histogram(basis, length)
-    stream = stream_weight_class(basis, length, (2,))
+    stream = stream_weight_class(basis, length, ((2,),))
     with pytest.raises(error[0], match=error[1]):
         next(stream)
 
@@ -817,7 +823,7 @@ def test_transform_sweep_matches_bit_count_property(case, data):
         assert weight_histogram(rows, length, threads) == hist
         streamed = [
             word
-            for chunk in stream_weight_class(rows, length, tuple(listed))
+            for (chunk,) in stream_weight_class(rows, length, (tuple(listed),))
             for word in packed_rows_to_ints(chunk)
         ]
     finally:
@@ -825,12 +831,14 @@ def test_transform_sweep_matches_bit_count_property(case, data):
     assert streamed == [w for w in enumerate_span(rows) if w.bit_count() in listed]
 
 
-def test_weight_dtype_at_2_16():
+def test_weight_dtype_at_2_16(monkeypatch):
     # at length 2^16 the 16 coordinate rows lead and the count holds
     # 2w - length in int32; both spans hold a word of weight 2^16 itself,
     # which a uint16 weight wraps to 0
     ones = (1 << 65536) - 1
     coordinates = one_layer_basis([], 65536)
+    # a count never builds the transform rows' span table, 512 MiB here
+    monkeypatch.setattr(_SweepTables, "low", property(_no_tables))
     # the nonzero linear functions L_c and their complements have weight 2^15
     assert weight_histogram(coordinates + [ones], 65536) == {0: 1, 32768: 2**17 - 2, 65536: 1}
     # L_c + e, with e the last coordinate, has weight 2^15 - 1 where L_c

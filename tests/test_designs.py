@@ -205,14 +205,17 @@ for entry in ((0, 0), (0, 1)):
     ]
 
 
-# Bounds on the traced allocation peak of a design report, in MiB: about
-# 20% above 4.42 and 5.59 MiB at 2 threads (3.89 and 4.05 at 1), when the
-# counting sweep kept each pair's words.  Gathered by one stream of H0 after
-# the fold, they read 3.87 and 5.85 MiB at 1 and at 2 threads.  With a
-# per-sweep table of every batch index they read 5.42 and 6.71 MiB at 2
-# threads; before gathers and counting took fixed-size slices, 16.65 and
-# 12.50 MiB at 2 threads, 9.37 and 8.22 at 1.
-REPORT_PEAK_MIB = {"c1_4_w96": 5.3, "c1_3": 6.7}
+# Bounds on the traced allocation peak of a design report, in MiB: c1_3
+# about 20% above 3.76 MiB, at 1 and at 2 threads, with each pair's H0 words
+# built once, as its own group of one stream of H0 after the fold; c1_4_w96
+# about 20% above 4.42 MiB at 2 threads (3.89 at 1), when the counting sweep
+# kept each pair's words, and it now reads 3.88.  When one stream's chunks
+# were split into copies per pair, c1_3 read 5.85 MiB; when the counting
+# sweep kept them, 5.59 at 2 threads and 4.05 at 1.  With a per-sweep table
+# of every batch index they read 5.42 and 6.71 MiB at 2 threads; before
+# gathers and counting took fixed-size slices, 16.65 and 12.50 MiB at 2
+# threads, 9.37 and 8.22 at 1.
+REPORT_PEAK_MIB = {"c1_4_w96": 5.3, "c1_3": 4.5}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -421,24 +424,26 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
     streamed = []
     stream = designs.stream_weight_class
 
-    def spy(basis, length, weights):
-        streamed.append((weights, len(basis), length))
-        return stream(basis, length, weights)
+    def spy(basis, length, groups):
+        streamed.append((groups, len(basis), length))
+        return stream(basis, length, groups)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
     gated = full_design_report(spec, f6, t=2)
     assert {r.k for r in gated if r.skipped} == heavy
     assert all(r.lam == ungated[r.k].lam for r in gated if not r.skipped)
     # one stream gathers the pairs of the classes within the gate, 16, 24
-    # and 48: (16, 48) and (24, 40)
-    assert [w for w, _, _ in streamed] == [(16, 24, 40, 48)]
+    # and 48: its groups are (16, 48) and (24, 40)
+    assert [groups for groups, _, _ in streamed] == [((16, 48), (24, 40))]
 
     streamed.clear()
     exhaustive = full_design_report(spec, f6, t=2, exhaustive=True)
     # the same gather, then classes 28, 32 and 36 stream their H0 pair once
-    # each, in class order; class 40 is served from pair (24, 40), gathered
-    # for class 24
-    assert [w for w, _, _ in streamed] == [(16, 24, 40, 48), (28, 36), (32, 32), (28, 36)]
+    # each, in class order, as a one-group stream; class 40 is served from
+    # pair (24, 40), gathered for class 24
+    assert [groups for groups, _, _ in streamed] == [
+        ((16, 48), (24, 40)), ((28, 36),), ((32, 32),), ((28, 36),)
+    ]
     assert {(k, n) for _, k, n in streamed} == {(15, 64)}  # the H0 basis: dim - 1 rows
     assert {r.k: r.lam for r in exhaustive} == {k: r.lam for k, r in ungated.items()}
     assert all(r.verified and r.match and not r.skipped for r in exhaustive)
@@ -491,7 +496,7 @@ def test_swept_rows_are_the_extended_classes(spec_args, f4, f6, monkeypatch):
 @pytest.mark.parametrize("spec_args", [("c1", 2, None), ("c2", 2, 1), ("c1", 3, None), ("c2", 3, 1)])
 def test_one_block_order_for_every_route(spec_args, f4, f6, monkeypatch):
     # a class streamed on its own over the H0 basis comes in the same order
-    # as the one the report splits off its one gather of every class
+    # as its pair's group of the report's one gather of every class
     spec = CodeSpec(*spec_args)
     field = f4 if spec.m == 4 else f6
     passed = {}
@@ -504,9 +509,9 @@ def test_one_block_order_for_every_route(spec_args, f4, f6, monkeypatch):
         passed[blocks[0].bit_count()] = blocks
         return verify(blocks, v, t, expected_b)
 
-    def spy_stream(basis, length, weights):
-        streamed.append(weights)
-        return stream(basis, length, weights)
+    def spy_stream(basis, length, groups):
+        streamed.append(groups)
+        return stream(basis, length, groups)
 
     with monkeypatch.context() as patch:
         patch.setattr(designs, "verify_t_design", spy)
@@ -514,7 +519,7 @@ def test_one_block_order_for_every_route(spec_args, f4, f6, monkeypatch):
         full_design_report(spec, field, t=2)
     classes = set(weight_distribution(spec, field).entries) - {0, spec.length}
     assert set(passed) == classes
-    assert streamed == [tuple(sorted(classes))]
+    assert streamed == [tuple(sorted({(min(w, spec.length - w), max(w, spec.length - w)) for w in classes}))]
     for w, blocks in passed.items():
         assert list(blocks_of_weight(spec, field, w)) == blocks
 
@@ -543,37 +548,38 @@ def test_export_blocks_prints_the_report_order(f4, capsys, monkeypatch):
 
 
 # The streams of the c1(3) report with the gate one increment below class
-# k's cost, then of the same report with exhaustive set: the gather of the
-# pairs of the classes within the gate (none at k = 16, every class but 32
-# at k = 32, class 16 at k = 48), then, in class order, the pair of each
-# class above the gate that the gather does not hold, streamed on its own.
-# Class 48 is served from the pair (16, 48) gathered for class 16.
+# k's cost, then of the same report with exhaustive set, each as its
+# groups: the gather of the pairs of the classes within the gate (none at
+# k = 16, every class but 32 at k = 32, class 16 at k = 48), then, in class
+# order, the pair of each class above the gate that the gather does not
+# hold, streamed on its own.  Class 48 is served from the pair (16, 48)
+# gathered for class 16.
 BELOW_GATE_STREAMS = {
-    16: ([], [(16, 48), (24, 40), (28, 36), (32, 32), (28, 36), (24, 40), (16, 48)]),
-    32: ([(16, 24, 28, 36, 40, 48)], [(16, 24, 28, 36, 40, 48), (32, 32)]),
-    48: ([(16, 48)], [(16, 48), (24, 40), (28, 36), (32, 32), (28, 36), (24, 40)]),
+    16: ([], [((16, 48),), ((24, 40),), ((28, 36),), ((32, 32),), ((28, 36),), ((24, 40),), ((16, 48),)]),
+    32: ([((16, 48), (24, 40), (28, 36))], [((16, 48), (24, 40), (28, 36)), ((32, 32),)]),
+    48: ([((16, 48),)], [((16, 48),), ((24, 40),), ((28, 36),), ((32, 32),), ((28, 36),), ((24, 40),)]),
 }
 
 
 @pytest.mark.parametrize("k", [16, 32, 48])
 def test_cost_gate_boundary_serves_sweep_rows(k, f6, monkeypatch):
     # a class costing exactly the gate is verified from the report's one
-    # gather stream, which lists its pair; one increment less and it is
+    # gather stream, which has its pair as a group; one increment less and it is
     # skipped, and the streams are those of BELOW_GATE_STREAMS
     spec = CodeSpec("c1", 3)
     b = C1_S3_ENUMERATOR[k]
     streamed = []
     stream = designs.stream_weight_class
 
-    def spy(basis, length, weights):
-        streamed.append(weights)
-        return stream(basis, length, weights)
+    def spy(basis, length, groups):
+        streamed.append(groups)
+        return stream(basis, length, groups)
 
     monkeypatch.setattr(designs, "stream_weight_class", spy)
     pair = (min(k, 64 - k), max(k, 64 - k))
     monkeypatch.setattr(designs, "COST_GATE", b * comb(k, 2))
     by_k = {r.k: r for r in full_design_report(spec, f6, t=2)}
-    assert len(streamed) == 1 and set(pair) <= set(streamed[0])
+    assert len(streamed) == 1 and pair in streamed[0]
     assert not by_k[k].skipped and by_k[k].lam == C1_S3_LAMBDAS[k]
     monkeypatch.setattr(designs, "COST_GATE", b * comb(k, 2) - 1)
     gathered, exhaustive = BELOW_GATE_STREAMS[k]

@@ -11,7 +11,7 @@ designforge package).  The invocations are:
 - the `spectra` and `designs` workloads of perfbench/workloads.py, each
   with the built-in polynomial and with two polynomials of its degree drawn
   by a fixed seed, at --threads 1 and 2;
-- the two --export-blocks cases pinned in tests/test_cli.py;
+- the three --export-blocks cases pinned in tests/test_cli.py;
 - `weights --cyclic` and `invariance` for c1(2..4), c2(2,1), c2(3,1),
   c2(3,2), c2(4,1), c2(4,3) and c2(5,1..4);
 - `reproduce --example m4` and `--example 3.6`, one code, c1(2) = c2(2,1),
@@ -66,6 +66,7 @@ def invocations() -> list[list[str]]:
             out += [inv.argv + poly + ["--threads", str(t)] for poly in polys for t in THREADS]
     for s, weight in (("2", "4"), ("3", "16")):
         out.append(["designs", "--family", "c1", "--s", s, "--weight", weight, "--export-blocks"])
+    out.append(["designs", "--family", "c2", "--s", "3", "--l", "1", "--weight", "32", "--export-blocks"])
     for code in CODES:
         out.append(["weights", *workloads._code_args(*code), "--cyclic"])
         out.append(["invariance", *workloads._code_args(*code)])
