@@ -156,7 +156,7 @@ def cmd_invariance(args) -> Result:
 
 def cmd_reproduce(args) -> Result:
     """The golden suite: each worked example's enumerator and each BCH-dual
-    power-moment case, from one folded distribution per CodeSpec."""
+    power-moment case, from one orbit-swept distribution per CodeSpec."""
     if args.poly is not None:
         raise InapplicableParameters(
             "reproduce runs the built-in polynomial of each m it covers (4, 6, 8); drop --poly"

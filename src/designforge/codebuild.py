@@ -11,19 +11,19 @@ Family c2 (extended):  value at x is tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) +
                        with a restricted to the subfield GF(2^s).
 
 build_codeword is the one evaluator of these forms, and it, slot_words,
-the fold of spectrum.cyclic_weight_distribution and
+the orbits of spectrum.cyclic_weight_distribution and
 polyops.defining_set_of_family read them from one table, CodeSpec.terms.
 Coordinate 0 is x = 0, where every trace term vanishes, so the cyclic
 relative is the h = 0 subcode punctured at coordinate 0: its word at
 (a, b, c) is build_codeword(spec, field, a, b, c) >> 1, and its basis is
 h0_basis shifted the same way.
 
-Enumeration of a full code walks the span of a basis in lexicographic
-order of the coefficient index, its words held only as packed uint64 rows;
-workers sweep disjoint slices of the high span table and merge additively,
-so every result is independent of worker count.  pack_words,
-packed_rows_to_ints, unpack_rows, bits_to_ints and row_weights are the only
-code that knows the bit layout.
+Enumeration walks the span of a basis in lexicographic order of the
+coefficient index, over each of the coset words it is given, its words
+held only as packed uint64 rows; workers sweep disjoint runs of batches
+and merge additively, so every result is independent of worker count.
+pack_words, packed_rows_to_ints, unpack_rows, bits_to_ints and row_weights
+are the only code that knows the bit layout.
 
 The sweep never builds a word to weigh it.  The weight of the word at
 index c is (length - S(c))/2 with S(c) = sum_i (-1)^(c . g_i), where g_i
@@ -32,24 +32,24 @@ whose columns are the coordinates of the points x, all distinct; so for a
 fixed word of the a- and b-rows the weights of all 2^m words of its coset
 of the linear part are one Walsh-Hadamard transform of length 2^m, the
 exponential sum over c of the paper.  The sweep takes only such bases:
-one whose leading rows repeat a column is refused.  Each call transforms
-2^(17 - m) such cosets at once: its input is a per-sweep sign table of
-their a/b-words, and the +-1 bits of one high word scale the columns of
-the first of two Sylvester factors of order about 2^(m/2) (see
-_SweepTables).  The transform runs in float32, exact at every length
-the sweep takes (at most 2^16), and gives 2w - length for a word of
-weight w.  Each worker counts a batch by casting the transform to
-integers, sorting them in place and reading the run of each weight off
-searchsorted.  weight_histogram only counts; stream_weight_class is the
-one path that builds words: for each batch, those of each group of listed
-weights, straight from the packed tables of the transform and batch rows'
-spans and the batch's high word.
+one whose leading rows repeat a column is refused.  Each batch transforms
+2^(17 - m) such cosets at once: its input is a sign table of their
+words, the span of the batch rows or the coset words weight_histogram is
+given (the orbit representatives' words of a spectrum), and the +-1 bits
+of one high word scale the columns of the first of two Sylvester factors
+of order about 2^(m/2) (see _SweepTables).  The transform runs in
+float32, exact at every length the sweep takes (at most 2^16), and gives
+2w - length for a word of weight w.  Each worker counts a batch by one
+bincount of the weights, each coset word's in its own bins, times that
+word's multiplicity.  weight_histogram only counts; stream_weight_class
+is the one path that builds words: for each batch, those of each group of
+listed weights, straight from the packed tables of the transform and
+batch rows' spans and the batch's high word.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -380,10 +380,10 @@ def _hadamard(bits: int) -> np.ndarray:
     return h
 
 
-def _sweep_ranges(n_high: int, threads: int) -> list[tuple[int, int]]:
-    """Contiguous slices of the high index space, at most one per core."""
-    threads = max(1, min(threads, os.cpu_count() or 1, n_high))
-    bounds = [n_high * i // threads for i in range(threads + 1)]
+def _sweep_ranges(n_batches: int, threads: int) -> list[tuple[int, int]]:
+    """Contiguous slices of the batch index space, at most one per core."""
+    threads = max(1, min(threads, os.cpu_count() or 1, n_batches))
+    bounds = [n_batches * i // threads for i in range(threads + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(threads)]
 
 
@@ -392,29 +392,35 @@ class _SweepTables:
 
     The basis splits into kt = min(k, bit length of length - 1,
     _BATCH_BITS rounded down to even) transform rows, then
-    kb <= _BATCH_BITS - kt - (kt % 2) batch rows, then the high rows.
-    Batch j covers the 2^(kt + kb) indices from j * 2^(kt + kb): its word
-    at local index i * 2^kt + c is base ^ offsets[i] ^ low[c], where
-    base = high[j], offsets[i] and low[c] are the span words of the high,
-    batch and transform rows at j, i and c.  The high table has
+    kb <= _BATCH_BITS - kt - (kt % 2) batch rows, then the high rows.  The
+    sweep covers word + span for each coset word it is given, the zero
+    word alone by default, per = min(number of words, 2^(_BATCH_BITS - kt
+    - kt % 2 - kb)) words at a time.  Batch j takes the high word
+    high[j // chunks] and the chunk j % chunks of per coset words: its word
+    at local index (r * 2^kb + i) * 2^kt + c is base ^ cosets[r] ^
+    offsets[i] ^ low[c], where base is that high word, cosets[r] the r-th
+    word of the chunk, and offsets[i] and low[c] the span words of the
+    batch and transform rows at i and c.  The high table has
     2^(k - kt - kb) <= 2^(MAX_ENUM_DIM - 16) = 1024 rows, 512 at even kt
-    (32 KB for the 256 rows of length 1023 in the c2(5, 1) sweep).  A
-    sweep of the coset coset + span XORs coset into every high word.
+    (32 KB for the 256 rows of length 1023 in the c2(5, 1) sweep).
 
     Bit x of low[c] is the parity of c & col[x], where col[x] is the
-    kt-bit column of the transform rows at coordinate x.  So with b_x and
-    o_x the bits x of base and offsets[i], the weight w of the word at
-    i * 2^kt + c has 2w - length equal to the Walsh-Hadamard transform at
-    c of F[u, i] = sum of (-1)^o_x (2b_x - 1) over the coordinates x with
-    col[x] = u.  The signs (-1)^o_x are this table's; the bits b_x come
-    with each high word.
+    kt-bit column of the transform rows at coordinate x.  So with b_x, r_x
+    and o_x the bits x of base, cosets[r] and offsets[i], the weight w of
+    the word at (r * 2^kb + i) * 2^kt + c has 2w - length equal to the
+    Walsh-Hadamard transform at c of F[u, (r, i)] = sum of
+    (-1)^(r_x + o_x) (2b_x - 1) over the coordinates x with col[x] = u.
+    The signs (-1)^o_x are this table's, each worker lays out the signs
+    (-1)^r_x of its chunk, and the bits b_x come with each high word.
 
     The transform is two stacked products with Sylvester factors of order
     high = 2^(kt - kt // 2) and low = 2^(kt // 2), the first doubled, so
     that the bits enter as b_x - 1/2: column u = u_high * low + u_low is
     summed over u_high first, one product per u_low, so the tables hold
     column u at slot u_low * high + u_high, and each product reads a
-    contiguous block of them.
+    contiguous block of them.  The first high word is the zero word, whose
+    bits scale every column by -1: its batches take one factor, minus the
+    Sylvester matrix, for every u_low.
 
     h0_basis leads with rows whose columns are distinct, so each slot
     holds at most one coordinate: the signs are held densely by slot (zero
@@ -426,7 +432,7 @@ class _SweepTables:
     built by the first, so a sweep that only counts never holds it.
     """
 
-    def __init__(self, basis: list[int], length: int, coset: int = 0):
+    def __init__(self, basis: list[int], length: int, cosets: dict[int, int] | None = None):
         # each stacked product of the transform is at most 2^(kt + kt % 2 + kb)
         # multiply-adds: OpenBLAS runs a product of at most 2^17 on the
         # calling thread, where a larger one starts its own threads inside
@@ -442,12 +448,17 @@ class _SweepTables:
         self.kt = kt
         self.n_words = (length + 63) // 64
         self.transform_rows = basis[:kt]
+        # the coset words, packed, and the times each is counted
+        self.cosets = None if cosets is None else pack_words(cosets, length)
         self.offsets = _span_table(basis[kt : kt + kb], length)
         self.high = _span_table(basis[kt + kb :], length)
-        if coset:
-            self.high ^= pack_words([coset], length)[0]
+        self.multiplicity = np.array([1] if cosets is None else list(cosets.values()), dtype=np.int64)
+        self.per = min(len(self.multiplicity), 1 << (_BATCH_BITS - kt - kt % 2 - kb))
+        self.chunks = -(-len(self.multiplicity) // self.per)
+        self.batches = len(self.high) * self.chunks
         self.h_high = 2 * _hadamard(kt - kt // 2)
         self.h_low = _hadamard(kt // 2)
+        self.zero_factor = -_hadamard(kt - kt // 2)
         slots = (cols & (len(self.h_low) - 1)) * len(self.h_high) + (cols >> kt // 2)
         self.signs = np.zeros((1 << kt, 1 << kb), dtype=np.float32)
         self.signs[slots] = 1 - 2 * unpack_rows(self.offsets, length).T.astype(np.int8)
@@ -460,9 +471,9 @@ class _SweepTables:
         high = len(self.h_high)
         self.scaled_rows = np.repeat(self.h_high, 2, axis=0) * np.tile(np.float32([-0.5, 0.5]), high)[:, None]
         self.pairs = np.tile(2 * np.arange(high), len(self.h_low))
-        # 2w - length of each weight w, in the count's integer dtype
-        self.value_dtype = np.int16 if length < 1 << 15 else np.int32
-        self.edges = np.arange(-length, length + 1, 2, dtype=self.value_dtype)
+        # a value v of coset word r of a chunk counts in bin r * (length + 1)
+        # + (v + length) / 2: its weight's bin among that word's
+        self.bin_starts = np.arange(self.per, dtype=np.float32)[:, None] * (length + 1) + length / 2
 
     @cached_property
     def low(self) -> np.ndarray:
@@ -474,9 +485,10 @@ class _TransformStep:
     """One worker's buffers for the transform of a batch and its count.
 
     Allocated in the thread that creates it, so the batch buffers never
-    come from a worker thread's own malloc arena.  A gather allocates only
-    the rows it returns, the batch's mask and transients of at most
-    _GATHER_ROWS rows.  Each
+    come from a worker thread's own malloc arena.  The scaled copies of the
+    first factor (64 MiB at kt = 16) are held only by a sweep with more
+    than the zero high word.  A gather allocates only the rows it returns,
+    the batch's mask and transients of at most _GATHER_ROWS rows.  Each
     coordinate adds +-1 to each transform value, so every partial sum is
     an integer of magnitude at most length <= 2^16 (require_enumerable),
     which float32 holds exactly: the transform of a word of weight w is
@@ -485,63 +497,84 @@ class _TransformStep:
 
     def __init__(self, tables: _SweepTables):
         self.tables = tables
-        size = tables.signs.size
+        size = tables.per * tables.signs.size
         high, low = len(tables.h_high), len(tables.h_low)
         self.bits = np.empty(len(tables.first), dtype=np.uint8)
         self.rows = np.empty(len(tables.first), dtype=np.intp)
         # the scaled first factor of each u_low, transposed; then
         # 2w - length by local index
-        held = np.empty(max(size, low * high * high), dtype=np.float32)
-        self.factor = held[: low * high * high].reshape(-1, high)
+        scaled = low * high * high if len(tables.high) > 1 else 0
+        held = np.empty(max(size, scaled), dtype=np.float32)
+        self.factor = held[:scaled].reshape(-1, high)
         self.centred = held[:size]
-        # the first product, then the count's values: a batch is done with
-        # the one before it needs the other
+        # the first product, then half of each value
         self.inner = np.empty(size, dtype=np.float32)
-        self.values = self.inner.view(tables.value_dtype)[:size]
+        if tables.cosets is not None:
+            # the signs of a chunk's coset words times those of the batch
+            # rows' span, by slot
+            self.signs = np.empty(size, dtype=np.float32)
+        self.size = size
         self.base = tables.high[0]
+        self.multiplicity = tables.multiplicity
         # this worker's running count of each weight
-        self.tally: Counter[int] = Counter()
+        self.tally = np.zeros(tables.length + 1, dtype=np.int64)
 
-    def __call__(self, base: np.ndarray) -> None:
-        """Transform the batch over base, a row of the high table, into centred.
+    def __call__(self, batch: int) -> None:
+        """Transform batch number batch into centred.
 
         Overwritten by the next call.
         """
         tb = self.tables
-        np.take(unpack_rows(base, tb.length), tb.first, out=self.bits)
+        high, low = len(tb.h_high), len(tb.h_low)
+        h, chunk = divmod(batch, tb.chunks)
+        signs = tb.signs
+        if tb.cosets is not None:
+            words = tb.cosets[chunk * tb.per : (chunk + 1) * tb.per]
+            self.multiplicity = tb.multiplicity[chunk * tb.per : (chunk + 1) * tb.per]
+            # a slot no coordinate has reads coordinate 0, and its span sign 0
+            bits = unpack_rows(words, tb.length)[:, tb.first].T.astype(np.int8)
+            signs = self.signs[: len(words) * tb.signs.size].reshape(len(tb.first), len(words), -1)
+            np.multiply(1 - 2 * bits[:, :, None], tb.signs[:, None, :], out=signs)
+        n_off = signs.size >> tb.kt
+        self.size = signs.size
+        signs = signs.reshape(low, high, n_off)
+        inner = self.inner[: self.size].reshape(low, high, n_off)
         # the high part of the column is summed first, one product per
         # u_low, then the low part into index order
-        high, low = len(tb.h_high), len(tb.h_low)
-        signs = tb.signs.reshape(low, high, -1)
-        inner = self.inner.reshape(low, high, -1)
-        np.add(tb.pairs, self.bits, out=self.rows)
-        # every row is in range; "raise" would take into a temporary first
-        np.take(tb.scaled_rows, self.rows, axis=0, out=self.factor, mode="clip")
-        np.matmul(self.factor.reshape(low, high, high).transpose(0, 2, 1), signs, out=inner)
-        np.matmul(inner.transpose(1, 2, 0), tb.h_low, out=self.centred.reshape(-1, high, low).transpose(1, 0, 2))
-        self.base = base
+        if h:
+            np.take(unpack_rows(tb.high[h], tb.length), tb.first, out=self.bits)
+            np.add(tb.pairs, self.bits, out=self.rows)
+            # every row is in range; "raise" would take into a temporary first
+            np.take(tb.scaled_rows, self.rows, axis=0, out=self.factor, mode="clip")
+            np.matmul(self.factor.reshape(low, high, high).transpose(0, 2, 1), signs, out=inner)
+        else:
+            np.matmul(tb.zero_factor, signs, out=inner)
+        centred = self.centred[: self.size]
+        np.matmul(inner.transpose(1, 2, 0), tb.h_low, out=centred.reshape(-1, high, low).transpose(1, 0, 2))
+        self.base = tb.high[h]
 
     def count(self) -> None:
-        """Add the count of every weight of the last batch to tally.
+        """Add the count of every weight of the last batch, times the
+        multiplicity of its coset word, to tally.
 
-        The transform is cast to integers and sorted in place: the run of
-        weight w starts at the first value not below 2w - length.  A value
-        has the parity of length, as a sum of length terms +-1, and the runs
-        cover the batch when every value lies in -length..length.
+        Each value is binned by its weight among those of its coset word,
+        so one bincount counts the batch; the bins overwrite centred.  A
+        value has the parity of length, as a sum of length terms +-1, and
+        the bins cover the batch when every value lies in -length..length.
         """
         tb = self.tables
-        values = self.values
-        np.copyto(values, self.centred, casting="unsafe")
-        values.sort()
-        least, most = int(values[0]), int(values[-1])
+        values = self.centred[: self.size]
         require(
-            -tb.length <= least and most <= tb.length,
+            -tb.length <= values.min() and values.max() <= tb.length,
             f"a transform value lies outside the weights 0..{tb.length}",
         )
-        weights = range((least + tb.length) // 2, (most + tb.length) // 2 + 1)
-        starts = np.searchsorted(values, tb.edges[weights.start : weights.stop]).tolist()
-        starts.append(len(values))
-        self.tally.update({w: end - start for w, start, end in zip(weights, starts, starts[1:]) if end > start})
+        n = len(self.multiplicity)
+        half = self.inner[: self.size].reshape(n, -1)
+        np.multiply(values.reshape(n, -1), 0.5, out=half)
+        keys = values.view(np.int32)
+        np.add(half, tb.bin_starts[:n], out=keys.reshape(n, -1), casting="unsafe")
+        counts = np.bincount(keys, minlength=n * (tb.length + 1)).reshape(n, -1)
+        self.tally += self.multiplicity @ counts
 
     def gather(self, weights: tuple[int, ...]) -> np.ndarray:
         """(count, n_words) packed words of the last batch whose weight is
@@ -585,26 +618,37 @@ def require_enumerable(basis: list[int], length: int) -> None:
         raise TooLarge(f"length {length} exceeds 2^16, the most coordinates 16 transform rows tell apart")
 
 
-def weight_histogram(basis: list[int], length: int, threads: int = 1, coset: int = 0) -> dict[int, int]:
-    """Exact weight -> count map over the full span of a basis, or over the
-    coset coset + span for a word coset of the given length, by increasing
-    weight.
+def weight_histogram(
+    basis: list[int], length: int, threads: int = 1, cosets: dict[int, int] | None = None
+) -> dict[int, int]:
+    """Exact weight -> count map, by increasing weight, over the full span of
+    a basis or, given cosets, a map {word: multiplicity} of words of the
+    given length, the sum over its words of multiplicity times the map of
+    word + span.
 
-    The weights of each batch of up to 2^17 consecutive span words come
-    from Walsh-Hadamard transforms of signed column sums, one per coset of
-    the transform rows' span (see _SweepTables), with no word built.
-    Workers sweep disjoint slices of the high table and each keeps its own
-    tally, so the result is identical for any thread count.
+    The weights of each batch of up to 2^17 words come from Walsh-Hadamard
+    transforms of signed column sums, one per coset of the transform rows'
+    span, up to 2^(17 - kt) coset words at once (see _SweepTables), with no
+    word built.  Workers sweep disjoint runs of batches and each keeps its
+    own tally in exact integers, so the result is identical for any thread
+    count.  ValueError for a multiplicity below 1 or a word outside the
+    length, and TooLarge past 2^63 counted words, before any span table is
+    built.
     """
     require_enumerable(basis, length)
-    tables = _SweepTables(basis, length, coset=coset)
-    ranges = _sweep_ranges(len(tables.high), threads)
+    if cosets is not None:
+        if not cosets or min(cosets.values()) < 1:
+            raise ValueError("every coset word needs a multiplicity of at least 1")
+        if sum(cosets.values()) << len(basis) >= 1 << 63:
+            raise TooLarge("the coset words count 2^63 words or more")
+    tables = _SweepTables(basis, length, cosets)
+    ranges = _sweep_ranges(tables.batches, threads)
     steps = [_TransformStep(tables) for _ in ranges]
 
     def run(i: int) -> None:
         step = steps[i]
-        for base in tables.high[slice(*ranges[i])]:
-            step(base)
+        for batch in range(*ranges[i]):
+            step(batch)
             step.count()
 
     if len(ranges) == 1:
@@ -612,7 +656,8 @@ def weight_histogram(basis: list[int], length: int, threads: int = 1, coset: int
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             list(pool.map(run, range(len(ranges))))
-    return dict(sorted(sum((step.tally for step in steps), Counter()).items()))
+    tally = sum(step.tally for step in steps).tolist()
+    return {w: c for w, c in enumerate(tally) if c}
 
 
 def stream_weight_class(
@@ -633,8 +678,8 @@ def stream_weight_class(
         raise ValueError(f"weight {outside[0]} is outside 0..{length}")
     tables = _SweepTables(basis, length)
     step = _TransformStep(tables)
-    for base in tables.high:
-        step(base)
+    for batch in range(tables.batches):
+        step(batch)
         yield [step.gather(group) for group in groups]
 
 

@@ -309,8 +309,8 @@ def full_design_report(
     cross-checked against theorem lambdas (at t = 2, all read from one
     evaluation of closed_form(spec)).
 
-    The class sizes b come from weight_distribution, the fold that the
-    weights and reproduce commands run, before any word is read.  A class
+    The class sizes b come from weight_distribution, the orbit sweep that
+    the weights and reproduce commands run, before any word is read.  A class
     whose cost b*C(k, t) is above COST_GATE is skipped unless exhaustive
     is set.  The H0 words of every class within the gate (see
     blocks_of_weight) are gathered by one stream of the h = 0 subcode H0
@@ -320,7 +320,7 @@ def full_design_report(
     over the same H0 basis.  Weight 0 and the full-support class
     are excluded as trivial.  A weight that names no nontrivial class
     raises EmptyWeightClass: an odd or out-of-range one before any sweep,
-    one the distribution lacks after the fold; a t other than 2 or 3
+    one the distribution lacks after the orbit sweep; a t other than 2 or 3
     raises ValueError, and an H0 above the enumeration cap TooLarge,
     before any sweep.
     """
@@ -329,7 +329,7 @@ def full_design_report(
     if weight is not None:
         _require_class(weight, v)
     h0 = h0_basis(spec, field)
-    # the fold sweeps a smaller subcode, but the gather and every stream sweep H0
+    # the orbits sweep only the m linear rows, but the gather and every stream sweep H0
     require_enumerable(h0, v)
     dist = weight_distribution(spec, field, threads)
     if weight is None:

@@ -8,18 +8,22 @@ table formulas.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from typing import Callable
+
+import numpy as np
 
 from .checks import require
 from .codebuild import (
     CodeSpec,
+    bits_to_ints,
     build_codeword,
-    linear_first,
+    pack_words,
     reduce_rows,
     slot_words,
+    unpack_rows,
     weight_histogram,
 )
 from .gf2m import Field
@@ -82,65 +86,71 @@ def weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -> Weigh
     """Exact distribution of the extended code: the h = 0 words (bit 0 clear,
     as x = 0 there) and their complements, the h = 1 words.  Puncturing bit 0
     maps the h = 0 words onto the cyclic relative, keeping weights, so this is
-    extend_distribution of cyclic_weight_distribution, whose enumeration is
-    folded over x -> alpha x and capped on each basis it sweeps."""
+    extend_distribution of cyclic_weight_distribution, whose enumeration
+    runs over the orbits of x -> alpha x and x -> x^2 on the coefficients."""
     return extend_distribution(cyclic_weight_distribution(spec, field, threads))
 
 
 def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -> WeightDistribution:
-    """Exact distribution of the length-n cyclic relative by enumeration,
-    folded over the code's automorphism x -> alpha x.
+    """Exact distribution of the length-n cyclic relative by enumeration over
+    the orbits of the group G = <x -> alpha x, x -> x^2> on the coefficient
+    pairs (a, b).
 
-    That map moves bit i + 1 of a word to bit i and keeps its weight; it
-    sends the word at (a, b, c) to the word at (a alpha^e, b alpha^e',
-    c alpha), with e and e' the a- and b-term exponents.  So every a in one
-    orbit of a -> a alpha^e has one distribution of words over (b, c), that
-    of the coset word(a, 0, 0) + S of the a = 0 subcode S, whose basis leads
-    with the linear words, then the b-slot words.  Summed over the 2^d
-    coefficients of a degree-d a-slot, the sweep of S plus, for each orbit,
-    its size times the sweep of its representative's coset counts every
-    codeword 2^(d + dim(S) - dimension) times, and is divided by that: at
-    most 1 + g sweeps of 2^dim(S) words in place of one of 2^dimension,
-    with g = 1 for c2, whose alpha^(2^s+1) generates GF(2^s)*, and
-    g = gcd(5, q - 1) for c1.  Each distinct coset word is swept once,
-    weighted by the summed sizes of the orbits that give it; a zero word
-    adds to the weight of S itself.  At m = 4, where 5 divides 15, c1's
-    a-slot words span 2 dimensions beyond S, not 4, and each word is
-    counted 4 times: its word depends on a only through the trace of a to
-    GF(4), so its five orbits give S and two distinct cosets.
+    x -> alpha x moves bit i + 1 of a word to bit i and sends the word at
+    (a, b, c) to the word at (a alpha^e, b alpha^e', c alpha), with e and
+    e' the a- and b-term exponents; x -> x^2 moves bit i to bit 2i mod n
+    and sends the word at (a, b, c) to the word at (a^2, b^2, c^2).  Both
+    keep weights and permute c, so every pair of one orbit (_orbits) has
+    one multiset of weights over c: that of the coset word(a, b, 0) + L of
+    the span L of the m linear words, one Walsh transform of length 2^m.
+    One weight_histogram of L over the representatives' words, each
+    weighted by the summed sizes of the orbits that give it, weighs each
+    (a, b, c) once: 2^(d + 2m) words for a degree-d a-slot, which count
+    every codeword 2^(d + 2m - dimension) times and are divided by that
+    repeat.  The repeat is 1 except for c1(2) at m = 4, where 5 divides 15
+    and the a-slot words span 2 dimensions, not 4: a's word depends on a
+    only through its trace to GF(4).
 
-    The premise is required of every basis word of every slot before any
-    sweep, and every count must divide by the repeat and the quotients sum
-    to 2^dimension (CheckFailed).  Every sweep of the fold is of the basis
-    of S, so the enumeration cap (TooLarge) refuses it before the first one
-    runs.
+    Both premises are required of every basis word of every slot before
+    the sweep; each orbit's size times the order of its representative's
+    stabilizer, counted apart, must be the order nm of G, the sizes must
+    sum to 2^(d + m), and every count must divide by the repeat with the
+    quotients summing to 2^dimension (CheckFailed).  The swept basis has
+    m <= 16 rows, so every code of a supported field runs.
     """
     n = spec.n
     slots = [{coef: word >> 1 for coef, word in words.items()} for words in slot_words(spec, field)]
-    _require_shift_premise(spec, field, slots)
-    sub = linear_first(slots[1:])
-    dimension = len(reduce_rows(sub + list(slots[0].values())))
-    repeats = 1 << (spec.terms[0][1] + len(sub) - dimension)
-    # the times each distinct coset word is swept: S itself once, and each
-    # orbit's size added to its representative's word, zero or not
-    times = {0: 1}
-    for rep, size in _orbits(spec, field):
-        coset = build_codeword(spec, field, rep, 0, 0) >> 1
-        times[coset] = times.get(coset, 0) + size
-    counts: Counter[int] = Counter()
-    for coset, size in times.items():
-        for w, c in weight_histogram(sub, n, threads, coset).items():
-            counts[w] += size * c
+    word_at = [_linear_words(words) for words in slots]
+    _require_shift_premise(spec, field, slots, word_at)
+    _require_frobenius_premise(spec, field, slots, word_at)
+    dimension = len(reduce_rows([word for words in slots for word in words.values()]))
+    repeats = 1 << (spec.terms[0][1] + 2 * spec.m - dimension)
+    orbits = _orbits(spec)
+    _require_orbit_sizes(spec, orbits)
+    cosets: dict[int, int] = {}
+    for la, lb, size in orbits:
+        a, b = (0 if log is None else field.alpha_pow(log) for log in (la, lb))
+        word = word_at[0](a) ^ word_at[1](b)
+        cosets[word] = cosets.get(word, 0) + size
+    counts = weight_histogram(list(slots[-1].values()), n, threads, cosets)
     require(
         all(c % repeats == 0 for c in counts.values()),
-        f"a count is not a multiple of {repeats}, the times the fold counts each word",
+        f"a count is not a multiple of {repeats}, the times the orbits count each word",
     )
-    dist = WeightDistribution({w: c // repeats for w, c in sorted(counts.items())}, n, dimension)
+    dist = WeightDistribution({w: c // repeats for w, c in counts.items()}, n, dimension)
     dist.validate()
     return dist
 
 
-def _require_shift_premise(spec: CodeSpec, field: Field, slots: list[dict[int, int]]) -> None:
+# The premises are required of the words the orbits weigh: those of the
+# slots' basis elements, and every other coefficient's as their sum
+# (_linear_words).  Both maps are GF(2)-linear in the coefficient, so a
+# premise that holds on a basis holds on the whole slot.
+
+
+def _require_shift_premise(
+    spec: CodeSpec, field: Field, slots: list[dict[int, int]], word_at: list[Callable[[int], int]]
+) -> None:
     """Require, for each basis element coef of each slot (e, d) of
     spec.terms, that x -> alpha x sends its cyclic word, slots[slot][coef],
     to the word at coef * alpha^e: the word rotated by one bit, bit i + 1
@@ -150,38 +160,132 @@ def _require_shift_premise(spec: CodeSpec, field: Field, slots: list[dict[int, i
         step = field.alpha_pow(e)
         for coef, word in words.items():
             image = field.mul(coef, step)
-            target = words.get(image)
-            if target is None:
-                coefs = [0, 0, 0]
-                coefs[slot] = image
-                target = build_codeword(spec, field, *coefs) >> 1
             require(
-                (word >> 1 | (word & 1) << (n - 1)) == target,
+                (word >> 1 | (word & 1) << (n - 1)) == word_at[slot](image),
                 f"x -> alpha x does not send the word at {'abc'[slot]} = {coef:#x} to the one at {image:#x}",
             )
 
 
-def _orbits(spec: CodeSpec, field: Field) -> list[tuple[int, int]]:
-    """(representative, size) of each orbit of a -> a alpha^e on the nonzero
-    coefficients of the degree-d a-slot.  alpha^e generates the subgroup of
-    GF(2^d)* of its order r, so the orbits are the g = (2^d - 1)/r cosets of
-    that subgroup, represented by gamma^0, ..., gamma^(g-1), with gamma the
-    slot's primitive element alpha^((q-1)/(2^d-1))."""
-    e, d = spec.terms[0]
-    units = (1 << d) - 1
-    order = field.n // gcd(e, field.n)
-    require(units % order == 0, f"alpha^{e} does not lie in GF(2^{d})")
-    return [(field.alpha_pow(r * (field.n // units)), order) for r in range(units // order)]
+def _require_frobenius_premise(
+    spec: CodeSpec, field: Field, slots: list[dict[int, int]], word_at: list[Callable[[int], int]]
+) -> None:
+    """Require, for each basis element coef of each slot, that x -> x^2
+    sends its cyclic word to the word at coef^2: bit i moved to bit 2i mod
+    n, since coordinate i is alpha^i."""
+    n = spec.n
+    basis = [(slot, coef) for slot, words in enumerate(slots) for coef in words]
+    bits = unpack_rows(pack_words([slots[slot][coef] for slot, coef in basis], n), n)
+    moved = np.empty_like(bits)
+    moved[:, 2 * np.arange(n) % n] = bits
+    for (slot, coef), image in zip(basis, bits_to_ints(moved)):
+        square = field.mul(coef, coef)
+        require(
+            image == word_at[slot](square),
+            f"x -> x^2 does not send the word at {'abc'[slot]} = {coef:#x} to the one at {square:#x}",
+        )
 
 
-def span_distribution(basis: list[int], length: int, threads: int = 1) -> WeightDistribution:
-    """Exact distribution of the span of independent rows by one plain sweep
-    of every span word: the unfolded reference the fold is tested against.
-    The sweep takes a basis whose leading rows hold distinct columns, such
-    as cyclic_generator_basis."""
-    dist = WeightDistribution(weight_histogram(basis, length, threads), length, len(basis))
-    dist.validate()
-    return dist
+def _orbits(spec: CodeSpec) -> list[tuple[int | None, int | None, int]]:
+    """(log a, log b, size) of one pair (a, b) of each orbit of G on the
+    pairs of the a- and b-slots, with None the log of a zero coefficient.
+
+    G acts on logs by L -> 2^i L + j (e, e'), i mod m and j mod n.  With
+    g = gcd(e, n), the maps x -> alpha^j x move log a by the multiples of
+    g, so the a-orbits are the residues of log a mod g under doubling that
+    are logs of the a-slot (multiples of n / (2^d - 1)), n / g logs each.
+    The stabilizer of a representative la moves log b by j e' for the j
+    with j e = 0 (mod n), the multiples of h = gcd(n, (n / g) e'), and,
+    for each i whose j e = la (1 - 2^i) (mod n) solves, by lb -> 2^i lb +
+    j e' (mod h); so the orbit of (la, lb) is the a-orbit times n / h times
+    the orbit of lb mod h under those maps.  At a = 0 log b is taken mod
+    gcd(e', n) and doubled.
+    """
+    n, m = spec.n, spec.m
+    (e, d), (e2, _), _ = spec.terms
+    g = gcd(e, n)
+    slot_step = n // ((1 << d) - 1)
+    require(g % slot_step == 0, f"alpha^{e} does not lie in GF(2^{d})")
+    doubling = [(1 << i, 0) for i in range(m)]
+    h = gcd(e2, n)
+    orbits = [(None, None, 1)] + [(None, lb, n // h * size) for lb, size in _affine_orbits(h, doubling)]
+    for la, size in _affine_orbits(g, doubling):
+        if la % slot_step:
+            continue  # not the log of an a-slot coefficient
+        a_size = n // g * size
+        orbits.append((la, None, a_size))
+        h = gcd(n, n // g * e2)
+        twists = []
+        for i in range(m):
+            rhs = la * (1 - (1 << i)) % n
+            if rhs % g == 0:
+                j = rhs // g * pow(e // g, -1, n // g)
+                twists.append((1 << i, j * e2))
+        orbits += [(la, lb, a_size * (n // h) * size) for lb, size in _affine_orbits(h, twists)]
+    return orbits
+
+
+def _affine_orbits(h: int, maps: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(least element, size) of each orbit on the integers mod h of a group
+    given by all its maps x -> mul x + add (mod h)."""
+    x = np.arange(h, dtype=np.int64)
+    least = np.min([(mul % h * x + add % h) % h for mul, add in maps], axis=0)
+    sizes = np.bincount(least, minlength=h)
+    reps = np.flatnonzero(sizes)
+    return list(zip(reps.tolist(), sizes[reps].tolist()))
+
+
+def _require_orbit_sizes(spec: CodeSpec, orbits: list[tuple[int | None, int | None, int]]) -> None:
+    """Require that the orbit sizes sum to 2^(d + m), the pairs (a, b), and
+    that each size times the order of its representative's stabilizer is
+    nm, the order of G on logs, that order counted by every (i, j) of
+    Z_m x Z_n with 2^i L + j (e, e') = L, not by _orbits' route."""
+    n, m = spec.n, spec.m
+    (e, d), (e2, _), _ = spec.terms
+    require(sum(size for *_, size in orbits) == 1 << (d + m), f"the orbit sizes do not sum to 2^{d + m}")
+    # (2^i - 1, j) of every (i, j), then of those fixing each log a
+    shift = np.repeat((1 << np.arange(m, dtype=np.int64)) - 1, n)
+    j = np.tile(np.arange(n, dtype=np.int64), m)
+    by_a: dict[int | None, list[tuple[int | None, int]]] = {}
+    for la, lb, size in orbits:
+        by_a.setdefault(la, []).append((lb, size))
+    for la, reps in by_a.items():
+        fixing_a = slice(None) if la is None else (shift * la + j * e) % n == 0
+        shift_a, j_a = shift[fixing_a], j[fixing_a]
+        lbs = np.array([lb or 0 for lb, _ in reps], dtype=np.int64)[:, None]
+        # at most 2^20 pairs (log b, (i, j)) at once
+        rows = max(1, (1 << 20) // len(j_a))
+        fixing = np.concatenate([
+            np.count_nonzero((shift_a * lbs[k : k + rows] + j_a * e2) % n == 0, axis=1)
+            for k in range(0, len(lbs), rows)
+        ])
+        stabilizer = np.where([lb is None for lb, _ in reps], len(j_a), fixing).tolist()
+        wrong = [(la, lb) for (lb, size), order in zip(reps, stabilizer) if size * order != n * m]
+        require(not wrong, f"the orbits of (log a, log b) in {wrong[:3]} do not have nm / |stabilizer| pairs")
+
+
+def _linear_words(words: dict[int, int]) -> Callable[[int], int]:
+    """The map coef -> word of one slot, by linearity from the words of its
+    basis elements, for every coefficient the slot holds (CheckFailed else)."""
+    rows: list[tuple[int, int]] = []  # (coef, word), distinct top bits, highest first
+
+    def reduce(coef: int, word: int) -> tuple[int, int]:
+        for c, w in rows:
+            if coef ^ c < coef:  # c's top bit is set in coef
+                coef, word = coef ^ c, word ^ w
+        return coef, word
+
+    for coef, word in words.items():
+        coef, word = reduce(coef, word)
+        if coef:
+            rows.append((coef, word))
+            rows.sort(reverse=True)
+
+    def word_at(coef: int) -> int:
+        rest, word = reduce(coef, 0)
+        require(rest == 0, f"{coef:#x} is not in the span of the slot's basis")
+        return word
+
+    return word_at
 
 
 # -- closed forms ---------------------------------------------------------------

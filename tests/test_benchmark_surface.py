@@ -2,8 +2,9 @@
 by attribute; this fails when one of them is removed or renamed.  Its traced
 run also requires every verified block to pass through
 `designs.blocks_of_weight`, one int at a time, the words each workload
-sweeps and streams to be the counts pinned below, and every field to be
-built inside `Field.__init__`, which the tracer counts."""
+sweeps and streams to be the counts pinned below, each workload to record
+a sweep, and every field to be built inside `Field.__init__`, which the
+tracer counts."""
 
 from __future__ import annotations
 
@@ -28,13 +29,16 @@ tracer.install()
 counters = tracer.counters
 # Fields built per workload: reproduce builds one per CodeSpec it names (6),
 # every other invocation one.  Words swept per workload: every distribution
-# is folded, its a = 0 subcode swept once and once more per distinct coset
-# word (c1(2) and c2(2, 1) are one code, folded over the a-slot of each).
-# Words streamed: designs gathers each code's classes by one stream of its
-# H0, and spectra streams nothing.
-for name, fields, words, streamed in (("spectra", 10, 2516224, 0), ("designs", 7, 427264, 17139712)):
+# is one sweep of the span of its m linear rows, 2^m words, over its orbit
+# representatives' words (c1(2) and c2(2, 1) are one code, each swept over
+# its own orbits).  Words streamed: designs gathers each code's classes by
+# one stream of its H0, and spectra streams nothing.  Each workload must
+# record a sweep: the calibration of `run.py --trace 1` times those it
+# recorded, and divides by that time.
+for name, fields, words, streamed in (("spectra", 10, 1504, 0), ("designs", 7, 544, 17139712)):
     before = (counters["gf2m.fields_built"], len(built), counters["codebuild.sweep_words"],
               counters["codebuild.stream_words"])
+    tracer.swept.clear()
     invocations = workloads.build(name)
     assert invocations, name
     for inv in invocations:
@@ -49,6 +53,7 @@ for name, fields, words, streamed in (("spectra", 10, 2516224, 0), ("designs", 7
     assert swept == words, (name, swept)
     streamed_here = counters["codebuild.stream_words"] - before[3]
     assert streamed_here == streamed, (name, streamed_here)
+    assert tracer.swept, name
 assert counters["designs.blocks"] == sum(inv.blocks for inv in invocations), dict(counters)
 """
 

@@ -368,12 +368,10 @@ REPRODUCE_RESULTS = [
 ]
 
 
-# the lengths of reproduce's sweeps, each code folded as its a = 0 subcode
-# and one coset per distinct coset word of the orbits of its a-slot:
-# c2(2, 1), c1(3), c2(3, 1) and c2(3, 2) one coset; c1(4) five, one per
-# orbit of a -> a alpha^5; c1(2) two, as its five orbits give the zero word
-# and two distinct others
-REPRODUCE_SWEEPS = [15] * 5 + [63] * 6 + [255] * 6
+# the lengths of reproduce's sweeps, one per CodeSpec it names, each of the
+# m linear rows over its orbit representatives' words: c1(2) and c2(2, 1)
+# at m = 4, c1(3), c2(3, 1) and c2(3, 2) at m = 6, and c1(4)
+REPRODUCE_SWEEPS = [15] * 2 + [63] * 3 + [255]
 
 
 def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
@@ -382,9 +380,9 @@ def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
     original = spectrum.weight_histogram
     swept = []
 
-    def spy(basis, length, threads=1, coset=0):
-        swept.append((tuple(basis), length, coset))
-        return original(basis, length, threads, coset)
+    def spy(basis, length, threads=1, cosets=None):
+        swept.append((len(basis), length, sum(cosets.values())))
+        return original(basis, length, threads, cosets)
 
     monkeypatch.setattr(spectrum, "weight_histogram", spy)
     code, out, _ = run_cli(capsys, "reproduce")
@@ -392,27 +390,21 @@ def test_reproduce_sweeps_each_code_once(capsys, monkeypatch):
     assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
     # one distribution per CodeSpec: 3.3 and pless-s3 share c1(3), and 3.4
     # and pless-s4 share c1(4); m4 and 3.6 name one code, c1(2) = c2(2, 1),
-    # folded over the a-slot of each
+    # swept over the orbits of each: its 2^d * 2^m pairs (a, b), with d = m
+    # for c1 and d = m / 2 for c2
     assert sorted(length for _, length, _ in swept) == REPRODUCE_SWEEPS
-    # c1(2) and c2(2, 1), and c1(3) and c2(3, 1), share their a = 0
-    # subcode, the span of the x and x^3 words; c1(2)'s a-slot word depends
-    # on a only through its trace to GF(4), so the orbit of a = 1, whose
-    # word is zero, adds to the subcode's own sweep, and of its two distinct
-    # coset words one is the one coset word of c2(2, 1)
-    repeated = {sweep: swept.count(sweep) for sweep in swept if swept.count(sweep) > 1}
-    assert sorted((len(basis), length, coset != 0, n) for (basis, length, coset), n in repeated.items()) == [
-        (8, 15, False, 2), (8, 15, True, 2), (12, 63, False, 2),
+    assert sorted(swept) == [
+        (4, 15, 2**6), (4, 15, 2**8), (6, 63, 2**9), (6, 63, 2**9), (6, 63, 2**12), (8, 255, 2**16),
     ]
-    assert sum(1 << len(basis) for basis, _, _ in swept) == 5 * 2**8 + 3 * 2 * 2**12 + 6 * 2**16
 
 
 def test_reproduce_builds_each_code_basis_once(capsys, monkeypatch):
-    # the slot words the fold sweeps are built once per CodeSpec, and no
+    # the slot words the orbits sweep are built once per CodeSpec, and no
     # whole basis of any code is built
     import designforge.codebuild as codebuild
     import designforge.spectrum as spectrum
 
-    built: dict[str, list] = {"basis": [], "fold": []}
+    built: dict[str, list] = {"basis": [], "orbits": []}
 
     def spy(name, module, use):
         original = getattr(module, name)
@@ -424,13 +416,13 @@ def test_reproduce_builds_each_code_basis_once(capsys, monkeypatch):
         monkeypatch.setattr(module, name, build)
 
     spy("h0_basis", codebuild, "basis")
-    spy("slot_words", spectrum, "fold")
+    spy("slot_words", spectrum, "orbits")
     code, out, _ = run_cli(capsys, "reproduce")
     assert code == 0
     assert json.loads(out) == {"results": REPRODUCE_RESULTS, "all_match": True}
     assert built["basis"] == []
-    assert len(built["fold"]) == len(set(built["fold"])) == 6
-    assert CodeSpec("c2", 2, 1) in built["fold"]
+    assert len(built["orbits"]) == len(set(built["orbits"])) == 6
+    assert CodeSpec("c2", 2, 1) in built["orbits"]
 
 
 # one pass of commands whose outputs a parser, cache or sweep could carry
@@ -472,8 +464,8 @@ def test_threads_default_follows_the_cpu_count_of_each_call(capsys, monkeypatch)
         code, out, _ = run_cli(capsys, *argv, *extra)
         assert code == 0
         outs.append(out)
-    # c1(2) folds in three sweeps: its a = 0 subcode and two distinct cosets
-    assert threads == [n for n in (3, 1, 1, 2, 4) for _ in range(3)]
+    # one sweep a call
+    assert threads == [3, 1, 1, 2, 4]
     assert len(set(outs)) == 1
 
 
@@ -489,28 +481,21 @@ def test_reproduce_reports_each_example_of_a_shared_sweep(capsys, monkeypatch):
     assert json.loads(out) == {"results": expected, "all_match": False}
 
 
-def test_weights_too_large_caps_the_swept_cyclic_basis(capsys, monkeypatch):
-    # the fold sweeps the a = 0 subcode S and cosets of it, so the cap
-    # applies to S: c1(5) at m = 10 (S of dimension 20) runs, and c1(7) at
-    # m = 14 (S of dimension 28) is refused before any sweep table is built
-    import designforge.codebuild as codebuild
-
-    code, out, _ = run_cli(capsys, "weights", "--family", "c1", "--s", "5", "--closed-form")
+def test_weights_too_large_caps_the_swept_cyclic_basis(capsys):
+    # the orbits sweep only the m <= 16 linear rows, so no cap applies to
+    # weights: c1(7) at m = 14, whose a = 0 subcode of dimension 28 the
+    # coset fold refused, runs and matches; the caps that still apply are
+    # designs' on H0 (the next test) and the field's m <= 16
+    code, out, _ = run_cli(capsys, "weights", "--family", "c1", "--s", "7", "--closed-form")
     assert code == 0 and json.loads(out)["closed_form_match"] is True
-
-    def no_tables(*args, **kwargs):
-        raise AssertionError("the sweep tables were built")
-
-    monkeypatch.setattr(codebuild, "_SweepTables", no_tables)
-    code, out, err = run_cli(capsys, "weights", "--family", "c1", "--s", "7")
-    assert code == 2 and out == ""
-    assert "TooLarge: dimension 28 exceeds the enumeration cap 26" in err
+    code, out, err = run_cli(capsys, "field", "--m", "18")
+    assert code == 2 and out == "" and "UnsupportedM" in err
 
 
 def test_designs_refuses_an_h0_past_the_cap_before_any_sweep(capsys, monkeypatch):
-    # designs takes its class sizes from the fold, whose subcode S of c1(5)
-    # has dimension 20, but gathers and streams over H0, of dimension 30:
-    # the report checks H0 against the cap before the fold runs
+    # designs takes its class sizes from the orbits, which sweep 10 rows
+    # for c1(5), but gathers and streams over H0, of dimension 30: the
+    # report checks H0 against the cap before the orbits are swept
     import designforge.codebuild as codebuild
 
     def no_tables(*args, **kwargs):

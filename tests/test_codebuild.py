@@ -337,16 +337,51 @@ def test_weight_histogram_thread_invariance(f6):
 
 @pytest.mark.parametrize("dim", [9, 19])
 def test_coset_sweep_matches_python_enumeration(dim):
-    # coset + span, with every high word shifted: 19 rows at length 64 leave
-    # 4 high words, 9 rows one batch of 2^9
+    # word + span for each of four coset words, the zero word among them,
+    # each counted its multiplicity of times: 19 rows at length 64 leave 4
+    # high words and one coset word a batch, 9 rows one batch of all four
     rng = Random(dim)
     basis = one_layer_basis([rng.getrandbits(64) for _ in range(dim - 6)], 64)
-    coset = rng.getrandbits(64)
+    cosets = {rng.getrandbits(64): 1, 0: 2, rng.getrandbits(64): 3, rng.getrandbits(64): 1}
     by_hand: dict[int, int] = {}
     for w in enumerate_span(basis):
-        by_hand[(w ^ coset).bit_count()] = by_hand.get((w ^ coset).bit_count(), 0) + 1
+        for coset, times in cosets.items():
+            by_hand[(w ^ coset).bit_count()] = by_hand.get((w ^ coset).bit_count(), 0) + times
     for threads in (1, 2):
-        assert weight_histogram(basis, 64, threads, coset=coset) == dict(sorted(by_hand.items()))
+        assert weight_histogram(basis, 64, threads, cosets) == dict(sorted(by_hand.items()))
+
+
+@pytest.mark.parametrize("batch_bits", [17, 9, 8])
+def test_coset_words_share_batches(batch_bits, monkeypatch):
+    # the orbit route's shape: only the transform rows, and many coset
+    # words, 2^(batch_bits - 6) of them a batch, the last batch partial,
+    # with multiplicities, split over up to 8 workers
+    rng = Random(batch_bits)
+    basis = one_layer_basis([], 63)
+    cosets = {rng.getrandbits(63): rng.randint(1, 9) for _ in range(37)}
+    by_hand: dict[int, int] = {}
+    for w in enumerate_span(basis):
+        for coset, times in cosets.items():
+            by_hand[(w ^ coset).bit_count()] = by_hand.get((w ^ coset).bit_count(), 0) + times
+    monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
+    tables = _SweepTables(basis, 63, cosets)
+    assert (tables.per, tables.batches) == (min(37, 1 << (batch_bits - 6)), -(-37 // tables.per))
+    for threads in (1, 2, 8):
+        assert weight_histogram(basis, 63, threads, cosets) == dict(sorted(by_hand.items()))
+
+
+@pytest.mark.parametrize("cosets, error", [
+    ({}, (ValueError, "multiplicity of at least 1")),
+    ({5: 1, 6: 0}, (ValueError, "multiplicity of at least 1")),
+    ({1 << 63: 1}, (ValueError, "a word has a point >= v = 63")),
+    ({-1: 1}, (ValueError, "a word is negative")),
+    ({5: 1 << 57}, (TooLarge, "2\\^63 words or more")),
+])
+def test_bad_coset_words_are_refused_before_any_span_table(cosets, error, monkeypatch):
+    monkeypatch.setattr(codebuild, "_span_table", _no_tables)
+    with pytest.raises(error[0], match=error[1]):
+        weight_histogram(one_layer_basis([], 63), 63, 1, cosets)
 
 
 @pytest.mark.parametrize("spec_args", [("c1", 2, None), ("c1", 3, None), ("c2", 3, 1), ("c2", 3, 2)])
@@ -635,8 +670,8 @@ def _check_count(name: str, batch_bits: int, threads: int, monkeypatch) -> None:
 
 @pytest.mark.parametrize("batch_bits, threads", product((2, 3, 4), (1, 2, 8)))
 def test_counting_recounts_batches_with_new_weights(batch_bits, threads, monkeypatch):
-    # each batch is counted afresh from its sorted values, read off in runs:
-    # the counting basis's later batches bring weights the first never saw,
+    # each batch is counted afresh by the bins of its values: the counting
+    # basis's later batches bring weights the first never saw,
     # and every one of them is counted and streamed
     _check_count("counting", batch_bits, threads, monkeypatch)
 
@@ -649,7 +684,7 @@ def test_count_matches_enumeration(name, batch_bits, threads, monkeypatch):
 
 
 def test_counting_fallbacks_stay_within_the_weights(f6, monkeypatch):
-    # every batch's runs name only weights of the code, and they cover the
+    # every batch's bins name only weights of the code, and they cover the
     # batch, on the c1(3) cyclic sweep at 1, 2 and 8 workers
     basis = cyclic_generator_basis(CodeSpec("c1", 3), f6)
     hist = weight_histogram(basis, 63)
@@ -660,10 +695,10 @@ def test_counting_fallbacks_stay_within_the_weights(f6, monkeypatch):
         batches: list[tuple[dict[int, int], int]] = []
 
         def spy(step):
-            before = dict(step.tally)
+            before = step.tally.copy()
             original(step)
-            added = {w: c - before.get(w, 0) for w, c in step.tally.items() if c != before.get(w)}
-            batches.append((added, step.values.size))
+            added = {w: int(c) for w, c in enumerate(step.tally - before) if c}
+            batches.append((added, step.size))
 
         monkeypatch.setattr(codebuild._TransformStep, "count", spy)
         assert weight_histogram(basis, 63, threads) == hist
@@ -693,15 +728,15 @@ def test_counting_recount_holds_under_optimize():
 
 @pytest.mark.parametrize("value", [65, -65, 127])
 def test_count_requires_every_value_in_range(value, f6):
-    # a transform value past +-length is the weight of no word: the runs of
-    # the weights 0..length would not cover the batch, and the count stops
+    # a transform value past +-length is the weight of no word: its bin
+    # would lie outside the weights 0..length, and the count stops
     basis = cyclic_generator_basis(CodeSpec("c1", 3), f6)
     tables = _SweepTables(basis, 63)
     step = _TransformStep(tables)
-    step(tables.high[0])
+    step(0)
     step.count()
-    assert sum(step.tally.values()) == tables.signs.size
-    step(tables.high[0])
+    assert step.tally.sum() == tables.signs.size
+    step(0)
     step.centred[5] = value
     with pytest.raises(CheckFailed, match="outside the weights"):
         step.count()
@@ -733,10 +768,14 @@ def test_transform_products_stay_within_2_17(m, monkeypatch):
         for basis, length in ((h0_basis(spec, f), spec.length), (cyclic_generator_basis(spec, f), spec.n)):
             if len(basis) > codebuild.MAX_ENUM_DIM:
                 continue  # c1(5): too large to sweep
+            # the zero high word's batch and the last, which scales the
+            # first factor by its high word when the sweep has more
             sizes.clear()
             tables = _SweepTables(basis, length)
-            _TransformStep(tables)(tables.high[0])
-            assert len(sizes) == 2 and max(sizes) <= 1 << 17, (spec, length, sizes)
+            step = _TransformStep(tables)
+            step(0)
+            step(tables.batches - 1)
+            assert len(sizes) == 4 and max(sizes) <= 1 << 17, (spec, length, sizes)
 
 
 def test_odd_transform_rows_trim_the_batch(monkeypatch):
@@ -832,9 +871,9 @@ def test_transform_sweep_matches_bit_count_property(case, data):
 
 
 def test_weight_dtype_at_2_16(monkeypatch):
-    # at length 2^16 the 16 coordinate rows lead and the count holds
-    # 2w - length in int32; both spans hold a word of weight 2^16 itself,
-    # which a uint16 weight wraps to 0
+    # at length 2^16 the 16 coordinate rows lead and the count bins 2^16 + 1
+    # weights; both spans hold a word of weight 2^16 itself, which a uint16
+    # weight wraps to 0
     ones = (1 << 65536) - 1
     coordinates = one_layer_basis([], 65536)
     # a count never builds the transform rows' span table, 512 MiB here

@@ -207,7 +207,7 @@ for entry in ((0, 0), (0, 1)):
 
 # Bounds on the traced allocation peak of a design report, in MiB: c1_3
 # about 20% above 3.76 MiB, at 1 and at 2 threads, with each pair's H0 words
-# built once, as its own group of one stream of H0 after the fold; c1_4_w96
+# built once, as its own group of one stream of H0 after the orbit sweep; c1_4_w96
 # about 20% above 4.42 MiB at 2 threads (3.89 at 1), when the counting sweep
 # kept each pair's words, and it now reads 3.88.  When one stream's chunks
 # were split into copies per pair, c1_3 read 5.85 MiB; when the counting
@@ -352,7 +352,7 @@ def test_full_report_m8_gates_heavy_classes(f8):
 
 
 def test_gated_report_gathers_no_over_gate_row(capsys, monkeypatch):
-    # the gate is decided from the fold's exact counts before any word is
+    # the gate is decided from the orbit sweep's exact counts before any word is
     # read: of the c1(4) classes only 96 and 160, one pair, are within it,
     # and its 17136 H0 words are the only ones built
     gathered: list[tuple[tuple[int, ...], np.ndarray]] = []
@@ -452,7 +452,7 @@ def test_cost_gate_skips_then_restreams(f6, monkeypatch):
 @pytest.mark.parametrize("t", [1, 4])
 def test_bad_t_is_rejected_before_any_sweep(t, f8, monkeypatch):
     # one check of t serves both entry points; the report runs it before
-    # building H0, so c1(4) never starts its fold or its 2^24-word stream
+    # building H0, so c1(4) never starts its orbit sweep or its 2^24-word stream
     def no_call(*args, **kwargs):
         raise AssertionError("the report built or swept a basis")
 

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import xor
+from pathlib import Path
 
 import pytest
 
@@ -32,8 +37,9 @@ from designforge import (
 from designforge import golden
 import designforge.spectrum as spectrum
 from designforge.codebuild import cyclic_generator_basis, slot_words, weight_histogram
-from designforge.spectrum import _as_count, _build, span_distribution
+from designforge.spectrum import _as_count, _build
 from one_layer import one_layer_basis
+from plain_sweep import span_distribution
 from ref_gf2 import ref_exp_sum
 
 M4_ENUMERATOR = {0: 1, 4: 140, 6: 448, 8: 870, 10: 448, 12: 140, 16: 1}
@@ -73,18 +79,19 @@ def test_extended_distribution_routes_agree(spec, f4, f6, f8):
     assert dist.dimension == len(basis) == len(one_layer_basis(spec, f))
 
 
-# alternates of the built-in polynomials: x^6+x^4+x^3+x+1,
+# alternates of the built-in polynomials: x^4+x^3+1, x^6+x^4+x^3+x+1,
 # x^8+x^6+x^5+x^3+1 and x^10+x^7+1
-ALT_POLYS = {6: 0x5B, 8: 0x169, 10: 0x481}
+ALT_POLYS = {4: 0x19, 6: 0x5B, 8: 0x169, 10: 0x481}
 
 
-def _spy_sweeps(monkeypatch) -> list[tuple[int, bool]]:
-    """(dimension, whether a coset) of every sweep the spectrum layer runs."""
+def _spy_sweeps(monkeypatch) -> list[tuple[int, int]]:
+    """(basis rows, summed coset multiplicities) of every sweep the spectrum
+    layer runs."""
     swept = []
 
-    def spy(basis, length, threads=1, coset=0):
-        swept.append((len(basis), coset != 0))
-        return weight_histogram(basis, length, threads, coset)
+    def spy(basis, length, threads=1, cosets=None):
+        swept.append((len(basis), sum(cosets.values())))
+        return weight_histogram(basis, length, threads, cosets)
 
     monkeypatch.setattr(spectrum, "weight_histogram", spy)
     return swept
@@ -92,55 +99,45 @@ def _spy_sweeps(monkeypatch) -> list[tuple[int, bool]]:
 
 @pytest.mark.parametrize("poly", ["built-in", "alternate"])
 @pytest.mark.parametrize("spec", [
+    CodeSpec("c1", 2), CodeSpec("c2", 2, 1),
     CodeSpec("c1", 3), CodeSpec("c1", 4), CodeSpec("c2", 3, 1), CodeSpec("c2", 3, 2),
     CodeSpec("c2", 4, 1), CodeSpec("c2", 4, 3), *(CodeSpec("c2", 5, l) for l in range(1, 5)),
 ], ids=CodeSpec.label)
 def test_fold_equals_the_plain_sweep(spec, poly, monkeypatch):
-    # the fold sweeps the a = 0 subcode S once and one coset of it per orbit
-    # of a -> a alpha^e: five for c1(4), where 5 divides 255, else one
+    # one sweep of the m linear rows over the orbit representatives' words,
+    # whose multiplicities count every pair (a, b) of the slots once
     field = Field(spec.m, ALT_POLYS[spec.m] if poly == "alternate" else None)
     plain = span_distribution(cyclic_generator_basis(spec, field), spec.n, threads=2)
     swept = _spy_sweeps(monkeypatch)
     for threads in (1, 2):
         swept.clear()
         assert cyclic_weight_distribution(spec, field, threads) == plain
-        cosets = 5 if spec == CodeSpec("c1", 4) else 1
-        assert swept == [(plain.dimension - spec.terms[0][1], False)] + [(swept[0][0], True)] * cosets
+        assert swept == [(spec.m, 2 ** (spec.terms[0][1] + spec.m))]
 
 
 def test_fold_divides_where_the_a_slot_is_not_independent(monkeypatch):
-    # at m = 4, 5 divides 15: c1's a-slot words span 2 dimensions beyond the
-    # a = 0 subcode S, not 4, so the 16 coefficients a count each word of
-    # c1(2) 4 times: S (dimension 8) and 5 cosets of orbits of size 3,
-    # divided by 4; a's word depends on a only through its trace to GF(4),
-    # so the orbit of 1, where that trace vanishes, has the zero word and
-    # adds to S's own sweep, and the other four orbits give two distinct
-    # words, each swept once; c2(2, 1), the same code, folds over its GF(4)
-    # a-slot
-    spec = CodeSpec("c1", 2)
+    # at m = 4, 5 divides 15: c1's a-slot words span 2 dimensions, not 4,
+    # so the 2^(4 + 4) pairs (a, b) and 2^4 words c count each word of c1(2)
+    # 4 times, and the counts are divided by 4; c2(2, 1), the same code,
+    # has a GF(4) a-slot and counts each word once
     swept = _spy_sweeps(monkeypatch)
     for poly in (None, 0x19):
         field = Field(4, poly)
-        plain = span_distribution(cyclic_generator_basis(spec, field), 15)
+        plain = span_distribution(cyclic_generator_basis(CodeSpec("c1", 2), field), 15)
         assert plain.dimension == 10
         assert extend_distribution(plain).entries == golden.EXAMPLES["m4"]["enumerator"]
-        orbits = spectrum._orbits(spec, field)
-        assert [size for _, size in orbits] == [3] * 5
-        assert 2**8 * (1 + 3 * 5) == 4 * 2**plain.dimension
-        for threads in (1, 2):
-            swept.clear()
-            assert cyclic_weight_distribution(spec, field, threads) == plain
-            assert swept == [(8, False)] + [(8, True)] * 2
-            swept.clear()
-            assert cyclic_weight_distribution(CodeSpec("c2", 2, 1), field, threads) == plain
-            assert swept == [(8, False), (8, True)]
+        for spec, pairs in ((CodeSpec("c1", 2), 2**8), (CodeSpec("c2", 2, 1), 2**6)):
+            assert pairs * 2**4 == (4 if spec.family == "c1" else 1) * 2**plain.dimension
+            for threads in (1, 2):
+                swept.clear()
+                assert cyclic_weight_distribution(spec, field, threads) == plain
+                assert swept == [(4, pairs)]
 
 
 @pytest.mark.parametrize("spec", [CodeSpec("c1", 2), CodeSpec("c2", 3, 1)], ids=CodeSpec.label)
 def test_fold_with_a_wrong_divisor_fails(spec, monkeypatch):
-    # one rank too few doubles the times the fold takes each word to be
-    # counted: 8 for c1(2), 2 for c2(3, 1), neither of which divides the
-    # zero word's count
+    # one rank too few doubles the times the orbits count each word: 8 for
+    # c1(2), 2 for c2(3, 1), neither of which divides the zero word's count
     original = spectrum.reduce_rows
     monkeypatch.setattr(spectrum, "reduce_rows", lambda rows: original(rows)[:-1])
     with pytest.raises(CheckFailed, match="is not a multiple of"):
@@ -149,6 +146,8 @@ def test_fold_with_a_wrong_divisor_fails(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", [
     CodeSpec("c1", 5), *(CodeSpec("c2", 6, l) for l in range(1, 6)), CodeSpec("c1", 6),
+    *(CodeSpec("c2", 7, l) for l in range(1, 4)), CodeSpec("c1", 7),
+    *(CodeSpec("c2", 8, l) for l in range(1, 5)),
 ], ids=CodeSpec.label)
 def test_fold_matches_the_closed_forms(spec):
     dist = cyclic_weight_distribution(spec, Field(spec.m), threads=2)
@@ -157,9 +156,20 @@ def test_fold_matches_the_closed_forms(spec):
         assert dist == closed_form_c2_cyclic(spec.s, spec.l)
 
 
+@pytest.mark.parametrize("s, count", [(2, 10), (3, 17), (4, 40), (5, 111), (6, 356), (7, 1185), (8, 4120)])
+def test_orbit_representatives_of_c1(s, count):
+    # one representative per orbit of <x -> alpha x, x -> x^2> on the pairs
+    # (a, b), the orbit sizes summing to the 2^(2m) pairs
+    spec = CodeSpec("c1", s)
+    orbits = spectrum._orbits(spec)
+    assert len(orbits) == count
+    assert sum(size for *_, size in orbits) == 4**spec.m
+    spectrum._require_orbit_sizes(spec, orbits)
+
+
 def test_fold_refuses_a_wrong_slot_exponent_before_any_sweep(f6, monkeypatch):
     # a-slot words of x^3 where spec.terms names x^5: x -> alpha x multiplies
-    # their coefficients by alpha^3, not by the alpha^5 the fold reads
+    # their coefficients by alpha^3, not by the alpha^5 the orbits read
     def swapped(spec, field):
         a, b, c = slot_words(spec, field)
         return [b, a, c]
@@ -171,12 +181,48 @@ def test_fold_refuses_a_wrong_slot_exponent_before_any_sweep(f6, monkeypatch):
     assert swept == []
 
 
-def test_fold_with_a_wrong_orbit_size_fails_validate(f6, monkeypatch):
-    original = spectrum._orbits
-    monkeypatch.setattr(spectrum, "_orbits",
-                        lambda spec, field: [(rep, size + 1) for rep, size in original(spec, field)])
-    with pytest.raises(CheckFailed, match="counts must sum to 2\\^dimension"):
-        cyclic_weight_distribution(CodeSpec("c2", 3, 1), f6)
+# (spec, source text of spectrum.py or codebuild.py, its mutation, the
+# CheckFailed message): each mutation must stop cyclic_weight_distribution
+# with CheckFailed under python -O, before or after its sweep
+MUTATIONS = {
+    "wrong_h": (CodeSpec("c2", 3, 1), "spectrum.py", "h = gcd(n, n // g * e2)", "h = gcd(n, e2)",
+                "do not have nm / \\|stabilizer\\| pairs"),
+    "dropped_twist": (CodeSpec("c1", 4), "spectrum.py", "if rhs % g == 0:", "if rhs == 0:",
+                      "do not have nm / \\|stabilizer\\| pairs"),
+    "wrong_orbit_size": (CodeSpec("c2", 3, 2), "spectrum.py", "a_size * (n // h) * size)",
+                         "a_size * (n // h) * size + 1)", "the orbit sizes do not sum to 2\\^9"),
+    # bit 0 of the element, a linear functional other than the trace: the
+    # words stay shift-covariant but x -> x^2 no longer permutes them
+    "broken_frobenius": (CodeSpec("c1", 3), "codebuild.py",
+                         "trace = field.trace_np if d == field.m else field.sub_trace_np",
+                         "trace = (np.arange(field.q) % 2).astype(np.uint8) if d == field.m"
+                         " else field.sub_trace_np",
+                         "x -> x\\^2 does not send the word at a = 0x1 "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_orbit_route_mutations_fail_under_optimize(name, tmp_path):
+    spec, module, text, mutated, message = MUTATIONS[name]
+    package = Path(spectrum.__file__).parent
+    copy = tmp_path / "designforge"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (copy / module).read_text()
+    assert source.count(text) == 1, (module, text)
+    (copy / module).write_text(source.replace(text, mutated))
+    code = (
+        "import re\n"
+        "from designforge import CheckFailed, CodeSpec, Field, cyclic_weight_distribution\n"
+        f"spec = CodeSpec{(spec.family, spec.s, spec.l)!r}\n"
+        "try:\n"
+        "    cyclic_weight_distribution(spec, Field(spec.m))\n"
+        "except CheckFailed as exc:\n"
+        f"    raise SystemExit(7 if re.search({message!r}, str(exc)) else str(exc))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 7, proc.stderr[-2000:]
 
 
 def test_palindrome_symmetry(f6):
@@ -367,11 +413,6 @@ def test_distribution_json_serialization(f4):
 
 def test_validate_survives_optimize_flag():
     # the distribution guards are real checks, not asserts that -O strips
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = (

@@ -14,8 +14,10 @@ designforge package).  The invocations are:
 - the three --export-blocks cases pinned in tests/test_cli.py;
 - `weights --cyclic` and `invariance` for c1(2..4), c2(2,1), c2(3,1),
   c2(3,2), c2(4,1), c2(4,3) and c2(5,1..4);
+- `weights --cyclic` and `weights --closed-form` for c1(6) and c2(6,1), at
+  m = 12;
 - `reproduce --example m4` and `--example 3.6`, one code, c1(2) = c2(2,1),
-  folded over the a-slot of each;
+  swept over the orbits of each;
 - the gated `designs --family c1 --s 4 --t 2` report, where classes are
   skipped and partner classes 96 and 160 share their H0 pair;
 - bad inputs: an odd --weight, --l equal to --s, and `field --m 5`.
@@ -70,6 +72,9 @@ def invocations() -> list[list[str]]:
     for code in CODES:
         out.append(["weights", *workloads._code_args(*code), "--cyclic"])
         out.append(["invariance", *workloads._code_args(*code)])
+    for code in (("c1", 6, None), ("c2", 6, 1)):
+        for flag in ("--cyclic", "--closed-form"):
+            out.append(["weights", *workloads._code_args(*code), flag])
     for example in ("m4", "3.6"):
         out.append(["reproduce", "--example", example])
     out.append(["designs", "--family", "c1", "--s", "4", "--t", "2"])
