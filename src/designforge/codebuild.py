@@ -22,8 +22,9 @@ Enumeration walks the span of a basis in lexicographic order of the
 coefficient index, over each of the coset words it is given, its words
 held only as packed uint64 rows; workers sweep disjoint runs of batches
 and merge additively, so every result is independent of worker count.
-pack_words, packed_rows_to_ints, unpack_rows, bits_to_ints and row_weights
-are the only code that knows the bit layout.
+pack_words, packed_rows_to_ints, unpack_rows, bits_to_ints, row_weights,
+holds_point and move_words are the only code that knows the bit layout;
+move_words is also the one routine that moves words by a map of the field.
 
 The sweep never builds a word to weigh it.  The weight of the word at
 index c is (length - S(c))/2 with S(c) = sum_i (-1)^(c . g_i), where g_i
@@ -352,6 +353,35 @@ def bits_to_ints(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def move_words(field: Field, words: list[int], images: list[np.ndarray]) -> list[list[int]]:
+    """The extended words moved by each map of the field onto itself, one
+    list per map: the bit at each point goes to that point's image, where
+    images[k][i] is the image of field.element(i) under map k.
+
+    Each images[k] holds field elements, ints below q.  ValueError if a
+    map sends two points to one or an image array does not have q
+    entries, or if a word is negative or has a bit at or past q.
+    """
+    q = field.q
+    # sources[k][i] is the coordinate whose bit map k moves to coordinate i,
+    # q where none is, so every map is one gather (a scatter along the rows
+    # is several times slower at q = 2^16) of one unpacking of the words;
+    # the coordinate of a point y != 0 is log y + 1, and log 0 reads 0
+    sources = np.full((len(images), q), q, dtype=np.intp)
+    for source, image in zip(sources, images):
+        source[field.log_np[image] + (image != 0)] = np.arange(q)
+    if (sources == q).any():
+        raise ValueError("a map sends two points to one")
+    # row j * len(images) + k is word j moved by map k
+    moved = bits_to_ints(np.take(unpack_rows(pack_words(words, q), q), sources.ravel(), axis=1).reshape(-1, q))
+    return [moved[k :: len(images)] for k in range(len(images))]
+
+
+def holds_point(rows: np.ndarray, point: int) -> np.ndarray:
+    """True for each packed row whose word has a bit at point."""
+    return rows[:, point >> 6] & np.uint64(1 << (point & 63)) != 0
+
+
 def _span_table(basis: list[int], length: int) -> np.ndarray:
     """All 2^k span words of basis in index order: row j is the packed word
     of index j, so the table has shape (2^k, n_words).
@@ -402,7 +432,8 @@ class _SweepTables:
     word of the chunk, and offsets[i] and low[c] the span words of the
     batch and transform rows at i and c.  The high table has
     2^(k - kt - kb) <= 2^(MAX_ENUM_DIM - 16) = 1024 rows, 512 at even kt
-    (32 KB for the 256 rows of length 1023 in the c2(5, 1) sweep).
+    (4 KB for the 128 rows of length 256 in the c1(4) H0 stream, whose
+    kt = 8 transform rows are followed by 512 batch-row offsets).
 
     Bit x of low[c] is the parity of c & col[x], where col[x] is the
     kt-bit column of the transform rows at coordinate x.  So with b_x, r_x

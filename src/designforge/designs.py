@@ -28,6 +28,7 @@ from .checks import CheckFailed, require
 from .codebuild import (
     CodeSpec,
     h0_basis,
+    holds_point,
     pack_words,
     packed_rows_to_ints,
     require_enumerable,
@@ -183,8 +184,7 @@ def _subset_counts(rows: np.ndarray, v: int, t: int, first: int = 0) -> np.ndarr
     if t > 2:
         parts = []
         for p in range(first, v - t + 1):
-            holds = rows[:, p >> 6] & np.uint64(1 << (p & 63))
-            parts.append(_subset_counts(rows[holds != 0], v, t - 1, p + 1))
+            parts.append(_subset_counts(rows[holds_point(rows, p)], v, t - 1, p + 1))
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     width = v - first
     gram = np.zeros((width, width), dtype=np.float32)

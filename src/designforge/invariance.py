@@ -12,16 +12,7 @@ exactly when both generators send every basis word into the code.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .codebuild import (
-    CodeSpec,
-    bits_to_ints,
-    generator_basis,
-    pack_words,
-    reduce_rows,
-    unpack_rows,
-)
+from .codebuild import CodeSpec, generator_basis, move_words, reduce_rows
 from .gf2m import Field
 
 
@@ -57,24 +48,12 @@ def orbit_invariant_basis(field: Field, basis: list[int]) -> bool:
     exactly when adding them leaves the reduced echelon form, which is
     unique to the span, unchanged.
     """
-    q = field.q
     reduced = reduce_rows(basis)
-
-    elems = field.elements_in_order()
-    index = np.empty(q, dtype=np.int64)
-    index[elems] = np.arange(q)
-    scale = index[field.scalar_mul_vec(field.alpha_pow(1), elems)]
-    shift = index[elems ^ 1]
-
-    # the reduced rows span the words of basis: pack_words rejects them
+    points = field.elements_in_order()
+    # the reduced rows span the words of basis: move_words rejects them
     # exactly when a basis word is negative or longer than q
-    bits = unpack_rows(pack_words(reduced, q), q)
-    image = np.empty_like(bits)
-    for target in (scale, shift):
-        image[:, target] = bits
-        if reduce_rows(reduced + bits_to_ints(image)) != reduced:
-            return False
-    return True
+    images = [field.scalar_mul_vec(field.alpha_pow(1), points), points ^ 1]
+    return all(reduce_rows(reduced + moved) == reduced for moved in move_words(field, reduced, images))
 
 
 def affine_orbit_check(spec: CodeSpec, field: Field) -> bool:

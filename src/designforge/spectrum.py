@@ -15,15 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import require
+from .checks import CheckFailed, require
 from .codebuild import (
     CodeSpec,
-    bits_to_ints,
     build_codeword,
-    pack_words,
+    move_words,
     reduce_rows,
     slot_words,
-    unpack_rows,
     weight_histogram,
 )
 from .gf2m import Field
@@ -96,10 +94,11 @@ def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -
     the orbits of the group G = <x -> alpha x, x -> x^2> on the coefficient
     pairs (a, b).
 
-    x -> alpha x moves bit i + 1 of a word to bit i and sends the word at
-    (a, b, c) to the word at (a alpha^e, b alpha^e', c alpha), with e and
-    e' the a- and b-term exponents; x -> x^2 moves bit i to bit 2i mod n
-    and sends the word at (a, b, c) to the word at (a^2, b^2, c^2).  Both
+    x -> alpha x sends a word w to w(alpha x), which moves the bit at each
+    point alpha x to x, and the word at (a, b, c) to the word at
+    (a alpha^e, b alpha^e', c alpha), with e and e' the a- and b-term
+    exponents; x -> x^2 moves the bit at each point x to x^2 and sends the
+    word at (a, b, c) to the word at (a^2, b^2, c^2).  Both
     keep weights and permute c, so every pair of one orbit (_orbits) has
     one multiset of weights over c: that of the coset word(a, b, 0) + L of
     the span L of the m linear words, one Walsh transform of length 2^m.
@@ -112,17 +111,18 @@ def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -
     only through its trace to GF(4).
 
     Both premises are required of every basis word of every slot before
-    the sweep; each orbit's size times the order of its representative's
-    stabilizer, counted apart, must be the order nm of G, the sizes must
-    sum to 2^(d + m), and every count must divide by the repeat with the
-    quotients summing to 2^dimension (CheckFailed).  The swept basis has
+    the sweep (_require_premises); each orbit's size times the order of
+    its representative's stabilizer, counted apart, must be the order nm
+    of G, the sizes must sum to 2^(d + m), and every count must divide by
+    the repeat with the quotients summing to 2^dimension (CheckFailed).
+    The premises and orbits read the extended words of slot_words, and the
+    sweep their cyclic relatives, punctured at x = 0.  The swept basis has
     m <= 16 rows, so every code of a supported field runs.
     """
     n = spec.n
-    slots = [{coef: word >> 1 for coef, word in words.items()} for words in slot_words(spec, field)]
+    slots = slot_words(spec, field)
     word_at = [_linear_words(words) for words in slots]
-    _require_shift_premise(spec, field, slots, word_at)
-    _require_frobenius_premise(spec, field, slots, word_at)
+    _require_premises(spec, field, slots, word_at)
     dimension = len(reduce_rows([word for words in slots for word in words.values()]))
     repeats = 1 << (spec.terms[0][1] + 2 * spec.m - dimension)
     orbits = _orbits(spec)
@@ -130,9 +130,9 @@ def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -
     cosets: dict[int, int] = {}
     for la, lb, size in orbits:
         a, b = (0 if log is None else field.alpha_pow(log) for log in (la, lb))
-        word = word_at[0](a) ^ word_at[1](b)
+        word = (word_at[0](a) ^ word_at[1](b)) >> 1
         cosets[word] = cosets.get(word, 0) + size
-    counts = weight_histogram(list(slots[-1].values()), n, threads, cosets)
+    counts = weight_histogram([word >> 1 for word in slots[-1].values()], n, threads, cosets)
     require(
         all(c % repeats == 0 for c in counts.values()),
         f"a count is not a multiple of {repeats}, the times the orbits count each word",
@@ -142,47 +142,37 @@ def cyclic_weight_distribution(spec: CodeSpec, field: Field, threads: int = 1) -
     return dist
 
 
-# The premises are required of the words the orbits weigh: those of the
-# slots' basis elements, and every other coefficient's as their sum
-# (_linear_words).  Both maps are GF(2)-linear in the coefficient, so a
-# premise that holds on a basis holds on the whole slot.
-
-
-def _require_shift_premise(
+def _require_premises(
     spec: CodeSpec, field: Field, slots: list[dict[int, int]], word_at: list[Callable[[int], int]]
 ) -> None:
     """Require, for each basis element coef of each slot (e, d) of
-    spec.terms, that x -> alpha x sends its cyclic word, slots[slot][coef],
-    to the word at coef * alpha^e: the word rotated by one bit, bit i + 1
-    to bit i, since coordinate i is alpha^i."""
-    n = spec.n
-    for slot, ((e, _), words) in enumerate(zip(spec.terms, slots)):
-        step = field.alpha_pow(e)
-        for coef, word in words.items():
-            image = field.mul(coef, step)
-            require(
-                (word >> 1 | (word & 1) << (n - 1)) == word_at[slot](image),
-                f"x -> alpha x does not send the word at {'abc'[slot]} = {coef:#x} to the one at {image:#x}",
-            )
+    spec.terms, that x -> alpha x sends its word, slots[slot][coef], to the
+    word at coef * alpha^e, and then that x -> x^2 sends it to the word at
+    coef^2.
 
-
-def _require_frobenius_premise(
-    spec: CodeSpec, field: Field, slots: list[dict[int, int]], word_at: list[Callable[[int], int]]
-) -> None:
-    """Require, for each basis element coef of each slot, that x -> x^2
-    sends its cyclic word to the word at coef^2: bit i moved to bit 2i mod
-    n, since coordinate i is alpha^i."""
-    n = spec.n
+    These are the words the orbits weigh: those of the slots' basis
+    elements, and every other coefficient's as their sum (_linear_words).
+    Both maps are GF(2)-linear in the coefficient, so a premise that holds
+    on a basis holds on the whole slot.
+    """
+    points = field.elements_in_order()
     basis = [(slot, coef) for slot, words in enumerate(slots) for coef in words]
-    bits = unpack_rows(pack_words([slots[slot][coef] for slot, coef in basis], n), n)
-    moved = np.empty_like(bits)
-    moved[:, 2 * np.arange(n) % n] = bits
-    for (slot, coef), image in zip(basis, bits_to_ints(moved)):
-        square = field.mul(coef, coef)
-        require(
-            image == word_at[slot](square),
-            f"x -> x^2 does not send the word at {'abc'[slot]} = {coef:#x} to the one at {square:#x}",
-        )
+    words = [slots[slot][coef] for slot, coef in basis]
+    steps = [field.alpha_pow(e) for e, _ in spec.terms]
+    maps = (
+        # the word at x after x -> alpha x is the bit at alpha x: each bit
+        # moves from alpha x to x
+        ("x -> alpha x", field.scalar_mul_vec(field.alpha_pow(-1), points),
+         [field.mul(coef, steps[slot]) for slot, coef in basis]),
+        ("x -> x^2", field.power_table(2), [field.mul(coef, coef) for _, coef in basis]),
+    )
+    moved_by = move_words(field, words, [image for _, image, _ in maps])
+    for (name, _, targets), moved in zip(maps, moved_by):
+        for (slot, coef), target, word in zip(basis, targets, moved):
+            if word != word_at[slot](target):
+                raise CheckFailed(
+                    f"{name} does not send the word at {'abc'[slot]} = {coef:#x} to the one at {target:#x}"
+                )
 
 
 def _orbits(spec: CodeSpec) -> list[tuple[int | None, int | None, int]]:
@@ -266,23 +256,22 @@ def _require_orbit_sizes(spec: CodeSpec, orbits: list[tuple[int | None, int | No
 def _linear_words(words: dict[int, int]) -> Callable[[int], int]:
     """The map coef -> word of one slot, by linearity from the words of its
     basis elements, for every coefficient the slot holds (CheckFailed else)."""
-    rows: list[tuple[int, int]] = []  # (coef, word), distinct top bits, highest first
+    rows: dict[int, tuple[int, int]] = {}  # bit length of coef -> (coef, word)
 
     def reduce(coef: int, word: int) -> tuple[int, int]:
-        for c, w in rows:
-            if coef ^ c < coef:  # c's top bit is set in coef
-                coef, word = coef ^ c, word ^ w
+        while row := rows.get(coef.bit_length()):
+            coef, word = coef ^ row[0], word ^ row[1]
         return coef, word
 
     for coef, word in words.items():
         coef, word = reduce(coef, word)
         if coef:
-            rows.append((coef, word))
-            rows.sort(reverse=True)
+            rows[coef.bit_length()] = (coef, word)
 
     def word_at(coef: int) -> int:
         rest, word = reduce(coef, 0)
-        require(rest == 0, f"{coef:#x} is not in the span of the slot's basis")
+        if rest:
+            raise CheckFailed(f"{coef:#x} is not in the span of the slot's basis")
         return word
 
     return word_at

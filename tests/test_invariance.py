@@ -16,7 +16,7 @@ from designforge import (
     membership_test,
     preceq,
 )
-from designforge.codebuild import reduce_rows
+from designforge.codebuild import move_words, reduce_rows
 from designforge.invariance import orbit_invariant_basis
 from designforge.polyops import cyclotomic_coset
 
@@ -136,6 +136,35 @@ def test_orbit_check_rejects_words_outside_the_field(f4, f6):
     for field, bad in ((f4, 1 << 16), (f4, -1), (f6, 1 << 64), (f6, -3)):
         with pytest.raises(ValueError, match="point >= v"):
             orbit_invariant_basis(field, [0b110, bad])
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_move_words_matches_the_affine_image(m, f4, f6):
+    field = f4 if m == 4 else f6
+    rng = random.Random(m)
+    words = [0, (1 << field.q) - 1] + [rng.getrandbits(field.q) for _ in range(10)]
+    maps = [(1, 0), (2, 0), (1, 1)] + [(rng.randrange(1, field.q), rng.randrange(field.q)) for _ in range(5)]
+    points = field.elements_in_order()
+    images = [field.scalar_mul_vec(a, points) ^ b for a, b in maps]
+    moved = move_words(field, words, images)
+    assert moved == [[_affine_image(field, w, a, b) for w in words] for a, b in maps]
+    # x -> x^2 is no affine map: each bit goes from coordinate i to that of x^2
+    square = field.power_table(2)
+    assert move_words(field, words, [square]) == [
+        [sum(1 << field.index(int(square[i])) for i in range(field.q) if w >> i & 1) for w in words]
+    ]
+
+
+def test_move_words_refuses_a_map_that_is_no_permutation(f4):
+    points = f4.elements_in_order()
+    for image in (points * 0, np.where(points == 1, 2, points), points ^ (points == 3)):
+        with pytest.raises(ValueError, match="sends two points to one"):
+            move_words(f4, [0b110], [points, image])
+    for image in (points[:-1], np.append(points, 0)):
+        with pytest.raises(ValueError):
+            move_words(f4, [0b110], [image])
+    with pytest.raises(ValueError, match="point >= v"):
+        move_words(f4, [1 << 16], [points])
 
 
 def test_affine_orbit_m8(f8):

@@ -198,6 +198,16 @@ MUTATIONS = {
                          "trace = (np.arange(field.q) % 2).astype(np.uint8) if d == field.m"
                          " else field.sub_trace_np",
                          "x -> x\\^2 does not send the word at a = 0x1 "),
+    # each bit moved from x to alpha x, the reverse of x -> alpha x: the
+    # word at coef * alpha^-e
+    "reversed_alpha_map": (CodeSpec("c1", 3), "spectrum.py",
+                           "field.scalar_mul_vec(field.alpha_pow(-1), points)",
+                           "field.scalar_mul_vec(field.alpha_pow(1), points)",
+                           "x -> alpha x does not send the word at a = 0x1 "),
+    # the words left in place: the word at coef, which is the word at coef^2
+    # only for coef = 1
+    "identity_for_square": (CodeSpec("c2", 3, 1), "spectrum.py", '("x -> x^2", field.power_table(2),',
+                            '("x -> x^2", field.power_table(1),', "x -> x\\^2 does not send the word at "),
 }
 
 

@@ -16,6 +16,8 @@ designforge package).  The invocations are:
   c2(3,2), c2(4,1), c2(4,3) and c2(5,1..4);
 - `weights --cyclic` and `weights --closed-form` for c1(6) and c2(6,1), at
   m = 12;
+- `weights --cyclic` for c2(7,1) and c2(8,1), at m = 14 and 16: the
+  orbit premises on the longest words a command builds;
 - `reproduce --example m4` and `--example 3.6`, one code, c1(2) = c2(2,1),
   swept over the orbits of each;
 - the gated `designs --family c1 --s 4 --t 2` report, where classes are
@@ -75,6 +77,8 @@ def invocations() -> list[list[str]]:
     for code in (("c1", 6, None), ("c2", 6, 1)):
         for flag in ("--cyclic", "--closed-form"):
             out.append(["weights", *workloads._code_args(*code), flag])
+    for code in (("c2", 7, 1), ("c2", 8, 1)):
+        out.append(["weights", *workloads._code_args(*code), "--cyclic"])
     for example in ("m4", "3.6"):
         out.append(["reproduce", "--example", example])
     out.append(["designs", "--family", "c1", "--s", "4", "--t", "2"])
