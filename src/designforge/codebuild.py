@@ -10,13 +10,16 @@ Family c1 (extended):  value at x is tr(a*x^5 + b*x^3 + c*x) + h.
 Family c2 (extended):  value at x is tr_s(a*x^(2^s+1)) + tr(b*x^(2^l+1) + c*x) + h,
                        with a restricted to the subfield GF(2^s).
 
-build_codeword is the one evaluator of these forms, and it, slot_words,
-the orbits of spectrum.cyclic_weight_distribution and
-polyops.defining_set_of_family read them from one table, CodeSpec.terms.
-Coordinate 0 is x = 0, where every trace term vanishes, so the cyclic
-relative is the h = 0 subcode punctured at coordinate 0: its word at
-(a, b, c) is build_codeword(spec, field, a, b, c) >> 1, and its basis is
-h0_basis shifted the same way.
+_trace_words is the one evaluator of these forms: given one term
+tr_d(coef * x^e) and any number of coefficients, it builds all their
+words in one pass of table gathers.  slot_words calls it once per term,
+on the term's basis coefficients, and build_codeword once per nonzero
+coefficient; they, the orbits of spectrum.cyclic_weight_distribution and
+polyops.defining_set_of_family read the terms from one table,
+CodeSpec.terms.  Coordinate 0 is x = 0, where every trace term vanishes,
+so the cyclic relative is the h = 0 subcode punctured at coordinate 0: its
+word at (a, b, c) is build_codeword(spec, field, a, b, c) >> 1, and its
+basis is h0_basis shifted the same way.
 
 Enumeration walks the span of a basis in lexicographic order of the
 coefficient index, over each of the coset words it is given, its words
@@ -170,20 +173,38 @@ class CodeSpec:
 def build_codeword(spec: CodeSpec, field: Field, a: int, b: int, c: int, h: int = 0) -> int:
     """Extended word of spec at (a, b, c, h), bit i at x = field.element(i): h plus
     tr_d(coef * x^e) over spec.terms; CoefficientOutOfRange if a coefficient
-    is not in 0..q-1, CoefficientNotInSubfield if coef is not in GF(2^d)."""
+    is not in 0..q-1, CoefficientNotInSubfield if coef is not in GF(2^d).
+    Each term is _trace_words of its one coefficient."""
     if field.m != spec.m:
         raise LengthMismatch(f"field has m={field.m}, spec needs m={spec.m}")
     for name, coef in zip("abc", (a, b, c)):
         if not 0 <= coef < field.q:
             raise CoefficientOutOfRange(f"{name}={coef} is not in 0..{field.q - 1}")
-    bits = np.full(field.q, h & 1, dtype=np.uint8)
+    word = (1 << field.q) - 1 if h & 1 else 0
     for name, coef, (e, d) in zip("abc", (a, b, c), spec.terms):
         if d < field.m and not field.in_subfield(coef):
             raise CoefficientNotInSubfield(f"{name}={coef:#x} is not in GF(2^{d})")
         if coef:  # a zero coefficient adds the zero word
-            trace = field.trace_np if d == field.m else field.sub_trace_np
-            bits ^= trace[field.scalar_mul_vec(coef, field.power_table(e))]
-    return bits_to_ints(bits[None])[0]
+            word ^= _trace_words(field, e, d, [coef])[0]
+    return word
+
+
+def _trace_words(field: Field, e: int, d: int, coefs: list[int]) -> list[int]:
+    """The word tr_d(coef * x^e), bit i at x = field.element(i), of each
+    nonzero coefficient in coefs, in order; each coef must lie in GF(2^d).
+
+    All words come from one pass: the log of coef * x^e at x = alpha^i is
+    log coef + e i mod n, below 2n, the length of exp_np, and one gather of
+    the trace of every power of alpha turns those logs into the bits at the
+    n nonzero points.  Bit 0, at x = 0, is clear.  The logs are the one
+    transient of the size of the words: len(coefs) * n int64, at most
+    8 MiB for the m coefficients of a slot at m = 16.
+    """
+    trace = field.trace_np if d == field.m else field.sub_trace_np
+    logs = field.log_np[coefs][:, None] + np.arange(field.n, dtype=np.int64) * e % field.n
+    bits = np.zeros((len(coefs), field.q), dtype=np.uint8)
+    bits[:, 1:] = trace[field.exp_np][logs]
+    return bits_to_ints(bits)
 
 
 # -- GF(2) row space machinery ------------------------------------------------
@@ -196,19 +217,26 @@ def _pivot(row: int) -> int:
 
 def reduce_rows(rows: list[int]) -> list[int]:
     """Reduced echelon basis of the span, rows sorted by pivot (lowest set bit)."""
-    basis: dict[int, int] = {}  # pivot -> row
+    basis: dict[int, int] = {}  # pivot bit -> row
+    pivots = 0  # the mask of every pivot bit
     for row in rows:
-        for p, r in basis.items():
-            if (row >> p) & 1:
-                row ^= r
+        # a reduced row holds no pivot bit but its own, so row & pivots names
+        # the rows to clear; a one-bit mask reads a row only up to that bit,
+        # where (row >> p) & 1 would copy every bit above p
+        hit = row & pivots
+        while hit:
+            bit = hit & -hit
+            row ^= basis[bit]
+            hit ^= bit
         if row:
-            p = _pivot(row)
+            bit = row & -row
             # back-substitute into existing rows to keep the form reduced
-            for p2 in list(basis):
-                if (basis[p2] >> p) & 1:
-                    basis[p2] ^= row
-            basis[p] = row
-    return [basis[p] for p in sorted(basis)]
+            for b, r in basis.items():
+                if r & bit:
+                    basis[b] = r ^ row
+            basis[bit] = row
+            pivots |= bit
+    return [basis[bit] for bit in sorted(basis)]
 
 
 def membership_test(word: int, basis: list[int], length: int) -> bool:
@@ -226,16 +254,13 @@ def slot_words(spec: CodeSpec, field: Field) -> list[dict[int, int]]:
     """For each coefficient slot of spec.terms, the h = 0 word at each
     element of the slot's basis, keyed by that element, in order: for a
     degree-d slot, the powers below d of alpha^((q-1)/(2^d-1)), a primitive
-    element of GF(2^d).  Every such word has bit 0 clear: coordinate 0 is
-    x = 0, where each trace term vanishes."""
+    element of GF(2^d).  Each slot's words come from one _trace_words call.
+    Every such word has bit 0 clear: coordinate 0 is x = 0, where each
+    trace term vanishes."""
     slots = []
-    for slot, (_, d) in enumerate(spec.terms):
-        words = {}
-        for j in range(d):
-            coefs = [0, 0, 0]
-            coefs[slot] = field.alpha_pow(j * (field.n // ((1 << d) - 1)))
-            words[coefs[slot]] = build_codeword(spec, field, *coefs)
-        slots.append(words)
+    for e, d in spec.terms:
+        coefs = field.exp_np[np.arange(d) * (field.n // ((1 << d) - 1))].tolist()
+        slots.append(dict(zip(coefs, _trace_words(field, e, d, coefs))))
     return slots
 
 
@@ -403,16 +428,18 @@ def _hadamard(bits: int) -> np.ndarray:
 
     Built once per order and read-only; a sweep uses orders up to 2^8.
     """
-    h = np.ones((1, 1), dtype=np.float32)
-    for _ in range(bits):
-        h = np.block([[h, h], [h, -h]])
+    x = np.arange(1 << bits)
+    h = np.where(np.bitwise_count(x[:, None] & x) & 1, np.float32(-1), np.float32(1))
     h.flags.writeable = False
     return h
 
 
 def _sweep_ranges(n_batches: int, threads: int) -> list[tuple[int, int]]:
-    """Contiguous slices of the batch index space, at most one per core."""
-    threads = max(1, min(threads, os.cpu_count() or 1, n_batches))
+    """Contiguous slices of the batch index space, at most one per core and
+    at least 16 batches to each: below 32 batches a second worker in this
+    process costs more than it saves (c1(6)'s 12 batches ran at 0.94x the
+    speed of one worker on 2 cores)."""
+    threads = max(1, min(threads, os.cpu_count() or 1, n_batches // 16))
     bounds = [n_batches * i // threads for i in range(threads + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(threads)]
 

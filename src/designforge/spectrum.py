@@ -158,13 +158,16 @@ def _require_premises(
     points = field.elements_in_order()
     basis = [(slot, coef) for slot, words in enumerate(slots) for coef in words]
     words = [slots[slot][coef] for slot, coef in basis]
-    steps = [field.alpha_pow(e) for e, _ in spec.terms]
+    # every basis element is nonzero: its targets coef * alpha^e and coef^2
+    # come from its log
+    logs = field.log_np[[coef for _, coef in basis]]
+    exponents = np.array([spec.terms[slot][0] for slot, _ in basis])
     maps = (
         # the word at x after x -> alpha x is the bit at alpha x: each bit
         # moves from alpha x to x
         ("x -> alpha x", field.scalar_mul_vec(field.alpha_pow(-1), points),
-         [field.mul(coef, steps[slot]) for slot, coef in basis]),
-        ("x -> x^2", field.power_table(2), [field.mul(coef, coef) for _, coef in basis]),
+         field.exp_np[(logs + exponents) % field.n].tolist()),
+        ("x -> x^2", field.power_table(2), field.exp_np[2 * logs % field.n].tolist()),
     )
     moved_by = move_words(field, words, [image for _, image, _ in maps])
     for (name, _, targets), moved in zip(maps, moved_by):
@@ -217,8 +220,8 @@ def _orbits(spec: CodeSpec) -> list[tuple[int | None, int | None, int]]:
 def _affine_orbits(h: int, maps: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """(least element, size) of each orbit on the integers mod h of a group
     given by all its maps x -> mul x + add (mod h)."""
-    x = np.arange(h, dtype=np.int64)
-    least = np.min([(mul % h * x + add % h) % h for mul, add in maps], axis=0)
+    mul, add = np.array(maps, dtype=np.int64).T % h
+    least = ((mul[:, None] * np.arange(h, dtype=np.int64) + add[:, None]) % h).min(axis=0)
     sizes = np.bincount(least, minlength=h)
     reps = np.flatnonzero(sizes)
     return list(zip(reps.tolist(), sizes[reps].tolist()))
@@ -232,23 +235,21 @@ def _require_orbit_sizes(spec: CodeSpec, orbits: list[tuple[int | None, int | No
     n, m = spec.n, spec.m
     (e, d), (e2, _), _ = spec.terms
     require(sum(size for *_, size in orbits) == 1 << (d + m), f"the orbit sizes do not sum to 2^{d + m}")
-    # (2^i - 1, j) of every (i, j), then of those fixing each log a
-    shift = np.repeat((1 << np.arange(m, dtype=np.int64)) - 1, n)
-    j = np.tile(np.arange(n, dtype=np.int64), m)
+    # (i, j) fixes (log a, log b) iff j e = -(2^i - 1) log a and
+    # j e' = -(2^i - 1) log b (mod n); every (i, j) is keyed by i and j e' mod n
+    shift = (1 << np.arange(m, dtype=np.int64)) - 1
+    je, je2 = np.arange(n, dtype=np.int64) * np.array([[e], [e2]]) % n
+    keys = np.arange(m)[:, None] * n + je2
     by_a: dict[int | None, list[tuple[int | None, int]]] = {}
     for la, lb, size in orbits:
         by_a.setdefault(la, []).append((lb, size))
     for la, reps in by_a.items():
-        fixing_a = slice(None) if la is None else (shift * la + j * e) % n == 0
-        shift_a, j_a = shift[fixing_a], j[fixing_a]
+        fixing_a = np.full((m, n), True) if la is None else je == -shift[:, None] * la % n
+        # the (i, j) fixing log a by key, read off at each log b's m keys
+        by_key = np.bincount(keys[fixing_a], minlength=m * n).reshape(m, n)
         lbs = np.array([lb or 0 for lb, _ in reps], dtype=np.int64)[:, None]
-        # at most 2^20 pairs (log b, (i, j)) at once
-        rows = max(1, (1 << 20) // len(j_a))
-        fixing = np.concatenate([
-            np.count_nonzero((shift_a * lbs[k : k + rows] + j_a * e2) % n == 0, axis=1)
-            for k in range(0, len(lbs), rows)
-        ])
-        stabilizer = np.where([lb is None for lb, _ in reps], len(j_a), fixing).tolist()
+        fixing = by_key[np.arange(m), -shift * lbs % n].sum(axis=1)
+        stabilizer = np.where([lb is None for lb, _ in reps], np.count_nonzero(fixing_a), fixing).tolist()
         wrong = [(la, lb) for (lb, size), order in zip(reps, stabilizer) if size * order != n * m]
         require(not wrong, f"the orbits of (log a, log b) in {wrong[:3]} do not have nm / |stabilizer| pairs")
 

@@ -32,11 +32,12 @@ def ref_pow(a: int, e: int, poly: int, m: int) -> int:
     return out
 
 
-def ref_trace(x: int, poly: int, m: int) -> int:
-    """Sum of the m Frobenius conjugates, landing in {0, 1}."""
+def ref_trace(x: int, poly: int, m: int, d: int | None = None) -> int:
+    """Sum of the d Frobenius conjugates (d = m by default), landing in
+    {0, 1}: the trace to GF(2) of an x of the subfield GF(2^d)."""
     acc = 0
     y = x
-    for _ in range(m):
+    for _ in range(m if d is None else d):
         acc ^= y
         y = ref_mul(y, y, poly, m)
     assert acc in (0, 1)
@@ -52,6 +53,23 @@ def ref_exp_sum(a: int, b: int, c: int, poly: int, m: int) -> int:
         v ^= ref_mul(c, x, poly, m)
         total += 1 if ref_trace(v, poly, m) == 0 else -1
     return total
+
+
+def ref_reduce_rows(rows: list[int]) -> list[int]:
+    """Reduced echelon basis of the span, rows sorted by pivot (lowest set
+    bit), each pivot tested and cleared by shifting the row down to it."""
+    basis: dict[int, int] = {}  # pivot -> row
+    for row in rows:
+        for p, r in basis.items():
+            if (row >> p) & 1:
+                row ^= r
+        if row:
+            p = (row & -row).bit_length() - 1
+            for p2 in list(basis):
+                if (basis[p2] >> p) & 1:
+                    basis[p2] ^= row
+            basis[p] = row
+    return [basis[p] for p in sorted(basis)]
 
 
 def naive_t_design_count(blocks: list[frozenset[int]], v: int, t: int) -> dict[tuple, int]:

@@ -45,11 +45,13 @@ from designforge.codebuild import (
     packed_rows_to_ints,
     reduce_rows,
     row_weights,
+    slot_words,
     stream_weight_class,
     unpack_rows,
     weight_histogram,
 )
 from one_layer import one_layer_basis
+from ref_gf2 import ref_mul, ref_pow, ref_reduce_rows, ref_trace
 
 
 def test_codespec_validation():
@@ -307,6 +309,73 @@ def test_reduce_rows_reduced_form():
                 assert not (r >> p) & 1
 
 
+@st.composite
+def dependent_rows(draw):
+    # XORs of a few generators: zero rows, repeated rows and dependent rows,
+    # at one, several and many 30-bit digits of a Python int
+    bits = draw(st.sampled_from([8, 64, 300]))
+    gens = draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=8))
+    picks = draw(st.lists(st.integers(0, (1 << len(gens)) - 1), max_size=20))
+    rows = [reduce(xor, (g for k, g in enumerate(gens) if pick >> k & 1), 0) for pick in picks]
+    return rows + draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_rows())
+def test_reduce_rows_matches_the_shift_reference(rows):
+    # pivots tested by one-bit masks give the basis of the elimination that
+    # shifts each row down to its pivot, row for row
+    assert reduce_rows(rows) == ref_reduce_rows(rows)
+
+
+@cache
+def _ref_trace_of(z: int, poly: int, m: int, d: int) -> int:
+    return ref_trace(z, poly, m, d)
+
+
+def _ref_bit(e: int, d: int, coef: int, x: int, poly: int, m: int) -> int:
+    """tr_d(coef * x^e) from the reference arithmetic alone."""
+    return _ref_trace_of(ref_mul(coef, ref_pow(x, e, poly, m), poly, m), poly, m, d)
+
+
+def _ref_slot_coefs(d: int, poly: int, m: int) -> list[int]:
+    """The basis slot_words keys a degree-d slot by: the powers below d of
+    alpha^((2^m - 1)/(2^d - 1)), with alpha the class of x, the int 2."""
+    step = ref_pow(2, ((1 << m) - 1) // ((1 << d) - 1), poly, m)
+    return [ref_pow(step, j, poly, m) for j in range(d)]
+
+
+SLOT_SPECS = [*(CodeSpec("c1", s) for s in range(2, 6)),
+              *(CodeSpec("c2", s, l) for s in range(2, 6) for l in range(1, s))]
+
+
+@pytest.mark.parametrize("spec", SLOT_SPECS, ids=CodeSpec.label)
+def test_slot_words_match_the_reference_arithmetic(spec):
+    # every slot word, at every point x = element(i), is tr_d(coef * x^e) by
+    # shift-and-add products and summed conjugates, no table read
+    f = Field(spec.m)
+    points = [0] + [ref_pow(2, i, f.poly, f.m) for i in range(f.n)]
+    for (e, d), words in zip(spec.terms, slot_words(spec, f)):
+        assert list(words) == _ref_slot_coefs(d, f.poly, f.m)
+        powers = [ref_pow(x, e, f.poly, f.m) for x in points]
+        for coef, word in words.items():
+            bits = [_ref_trace_of(ref_mul(coef, y, f.poly, f.m), f.poly, f.m, d) for y in powers]
+            assert word == sum(bit << i for i, bit in enumerate(bits)), (e, d, coef)
+
+
+def test_slot_words_match_the_reference_arithmetic_at_m16():
+    # c2(8,1): 40 words of 2^16 bits, each checked at 48 drawn points and at
+    # x = 0 and x = 1
+    spec, f = CodeSpec("c2", 8, 1), Field(16)
+    at = [0, 1, *Random(16).sample(range(2, f.q), 48)]
+    for (e, d), words in zip(spec.terms, slot_words(spec, f)):
+        assert list(words) == _ref_slot_coefs(d, f.poly, f.m)
+        for coef, word in words.items():
+            for i in at:
+                x = 0 if i == 0 else ref_pow(2, i - 1, f.poly, f.m)
+                assert (word >> i) & 1 == _ref_bit(e, d, coef, x, f.poly, f.m), (e, d, coef, i)
+
+
 def test_enumerate_span_lexicographic_order():
     basis = [0b0001, 0b0110, 0b1010]
     words = list(enumerate_span(basis))
@@ -355,10 +424,11 @@ def test_coset_sweep_matches_python_enumeration(dim):
 def test_coset_words_share_batches(batch_bits, monkeypatch):
     # the orbit route's shape: only the transform rows, and many coset
     # words, 2^(batch_bits - 6) of them a batch, the last batch partial,
-    # with multiplicities, split over up to 8 workers
+    # with multiplicities, split over up to 8 workers: 33 batches at
+    # batch_bits 8, enough for two
     rng = Random(batch_bits)
     basis = one_layer_basis([], 63)
-    cosets = {rng.getrandbits(63): rng.randint(1, 9) for _ in range(37)}
+    cosets = {rng.getrandbits(63): rng.randint(1, 9) for _ in range(130)}
     by_hand: dict[int, int] = {}
     for w in enumerate_span(basis):
         for coset, times in cosets.items():
@@ -366,7 +436,7 @@ def test_coset_words_share_batches(batch_bits, monkeypatch):
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(codebuild, "_BATCH_BITS", batch_bits)
     tables = _SweepTables(basis, 63, cosets)
-    assert (tables.per, tables.batches) == (min(37, 1 << (batch_bits - 6)), -(-37 // tables.per))
+    assert (tables.per, tables.batches) == (min(130, 1 << (batch_bits - 6)), -(-130 // tables.per))
     for threads in (1, 2, 8):
         assert weight_histogram(basis, 63, threads, cosets) == dict(sorted(by_hand.items()))
 
@@ -458,7 +528,11 @@ def test_sweep_ranges_capped_by_cores(monkeypatch):
     assert ranges == [(0, 512), (512, 1024)]
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: 64)
     assert len(_sweep_ranges(1024, 100000)) == 64
-    assert _sweep_ranges(4, 100000) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    # at least 16 batches a worker: a second one starts at 32 batches
+    assert _sweep_ranges(4, 100000) == [(0, 4)]
+    assert _sweep_ranges(31, 100000) == [(0, 31)]
+    assert _sweep_ranges(32, 100000) == [(0, 16), (16, 32)]
+    assert _sweep_ranges(50, 100000) == [(0, 16), (16, 33), (33, 50)]
     monkeypatch.setattr(codebuild.os, "cpu_count", lambda: None)
     assert _sweep_ranges(1024, 8) == [(0, 1024)]
 

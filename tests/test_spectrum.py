@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import xor
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -167,6 +170,40 @@ def test_orbit_representatives_of_c1(s, count):
     spectrum._require_orbit_sizes(spec, orbits)
 
 
+def _stabilizer_order(spec, la, lb):
+    """The (i, j) of Z_m x Z_n with 2^i L + j (e, e') = L at L = (la, lb),
+    counted one by one; a None log (a zero coefficient) is fixed by all."""
+    n, m = spec.n, spec.m
+    (e, _), (e2, _), _ = spec.terms
+    return sum(all(log is None or (((1 << i) - 1) * log + j * step) % n == 0
+                   for log, step in ((la, e), (lb, e2)))
+               for i in range(m) for j in range(n))
+
+
+@pytest.mark.parametrize("spec", [CodeSpec("c1", 2), CodeSpec("c1", 3), CodeSpec("c2", 3, 1)], ids=CodeSpec.label)
+def test_orbit_size_check_matches_a_pointwise_count(spec):
+    # the true orbits pass; with one representative's log b moved, the check
+    # fails exactly when some size times its stabilizer order, counted
+    # (i, j) by (i, j), is not nm, and names only such pairs
+    rng = Random(spec.m)
+    orbits = spectrum._orbits(spec)
+    trials = [orbits]
+    for _ in range(8):
+        moved = list(orbits)
+        k = rng.choice([k for k, (_, lb, _) in enumerate(orbits) if lb is not None])
+        moved[k] = (moved[k][0], rng.randrange(spec.n), moved[k][2])
+        trials.append(moved)
+    for reps in trials:
+        wrong = [(la, lb) for la, lb, size in reps if size * _stabilizer_order(spec, la, lb) != spec.n * spec.m]
+        if not wrong:
+            spectrum._require_orbit_sizes(spec, reps)
+            continue
+        with pytest.raises(CheckFailed, match="do not have nm / \\|stabilizer\\| pairs") as exc:
+            spectrum._require_orbit_sizes(spec, reps)
+        named = re.search(r"in (\[.*\]) do not", str(exc.value)).group(1)
+        assert set(ast.literal_eval(named)) <= set(wrong)
+
+
 def test_fold_refuses_a_wrong_slot_exponent_before_any_sweep(f6, monkeypatch):
     # a-slot words of x^3 where spec.terms names x^5: x -> alpha x multiplies
     # their coefficients by alpha^3, not by the alpha^5 the orbits read
@@ -191,13 +228,23 @@ MUTATIONS = {
                       "do not have nm / \\|stabilizer\\| pairs"),
     "wrong_orbit_size": (CodeSpec("c2", 3, 2), "spectrum.py", "a_size * (n // h) * size)",
                          "a_size * (n // h) * size + 1)", "the orbit sizes do not sum to 2\\^9"),
-    # bit 0 of the element, a linear functional other than the trace: the
-    # words stay shift-covariant but x -> x^2 no longer permutes them
+    # the evaluator's trace table replaced by bit 0 of the element, a linear
+    # functional other than the trace: the words stay shift-covariant but
+    # x -> x^2 no longer permutes them
     "broken_frobenius": (CodeSpec("c1", 3), "codebuild.py",
                          "trace = field.trace_np if d == field.m else field.sub_trace_np",
                          "trace = (np.arange(field.q) % 2).astype(np.uint8) if d == field.m"
                          " else field.sub_trace_np",
                          "x -> x\\^2 does not send the word at a = 0x1 "),
+    # the evaluator's coefficient log one step off, so the word built for
+    # coef is that of coef * alpha: the a-slot's coef * alpha leaves GF(2^3)
+    # and its words vanish; the b-slot's stay linear in coef and
+    # shift-covariant, but x -> x^2 sends the word built for coef to that of
+    # coef^2 * alpha^2, not coef^2 * alpha
+    "wrong_coefficient_log": (CodeSpec("c2", 3, 1), "codebuild.py",
+                              "logs = field.log_np[coefs][:, None]",
+                              "logs = (field.log_np[coefs] + 1)[:, None]",
+                              "x -> x\\^2 does not send the word at b = 0x1 "),
     # each bit moved from x to alpha x, the reverse of x -> alpha x: the
     # word at coef * alpha^-e
     "reversed_alpha_map": (CodeSpec("c1", 3), "spectrum.py",

@@ -18,6 +18,9 @@ designforge package).  The invocations are:
   m = 12;
 - `weights --cyclic` for c2(7,1) and c2(8,1), at m = 14 and 16: the
   orbit premises on the longest words a command builds;
+- `invariance` for c1(6), c2(6,1) and c2(8,1), at m = 12 and 16: the
+  longest slot words through h0_basis, generator_basis and move_words,
+  not only through the orbit route;
 - `reproduce --example m4` and `--example 3.6`, one code, c1(2) = c2(2,1),
   swept over the orbits of each;
 - the gated `designs --family c1 --s 4 --t 2` report, where classes are
@@ -79,6 +82,8 @@ def invocations() -> list[list[str]]:
             out.append(["weights", *workloads._code_args(*code), flag])
     for code in (("c2", 7, 1), ("c2", 8, 1)):
         out.append(["weights", *workloads._code_args(*code), "--cyclic"])
+    for code in (("c1", 6, None), ("c2", 6, 1), ("c2", 8, 1)):
+        out.append(["invariance", *workloads._code_args(*code)])
     for example in ("m4", "3.6"):
         out.append(["reproduce", "--example", example])
     out.append(["designs", "--family", "c1", "--s", "4", "--t", "2"])
