@@ -15,7 +15,6 @@ from .codebuild import (
     TooLarge,
     build_codeword,
     generator_basis,
-    membership_test,
 )
 from .designs import (
     DesignReport,
@@ -25,7 +24,6 @@ from .designs import (
     blocks_of_weight,
     full_design_report,
     lambda_from_identity,
-    theorem_lambda,
     verify_t_design,
 )
 from .gf2m import (
@@ -35,38 +33,26 @@ from .gf2m import (
     NotInSubfield,
     UnsupportedM,
 )
-from .invariance import affine_orbit_check, closure_check, preceq
+from .invariance import affine_orbit_check, closure_check
 from .polyops import (
     CyclotomicCoset,
-    EmptyInput,
-    InvalidDelta,
-    ZeroPolynomial,
-    bch_generator,
     cyclotomic_coset,
     defining_set_of_family,
-    minimal_polynomial,
-    poly_lcm,
 )
 from .spectrum import (
     InapplicableParameters,
     NonIntegerCount,
-    OddSum,
     PlessResult,
-    QuadFormProfile,
     WeightCollision,
     WeightDistribution,
-    ZeroForm,
     closed_form,
     closed_form_c1,
     closed_form_c2_cyclic,
     closed_form_c2_extended,
     cyclic_weight_distribution,
-    exp_sum,
     extend_distribution,
     pless_verify,
-    quadform_rank,
     weight_distribution,
-    weight_from_sum,
 )
 
 __version__ = "0.1.0"

@@ -140,8 +140,10 @@ def cmd_designs(args) -> Result | Iterator[str]:
 
 def cmd_invariance(args) -> Result:
     spec = _spec_from_args(args)
+    # the field is built first: it refuses an unsupported m before any check runs
+    f = Field(spec.m, args.poly)
     closed, witness = closure_check(set(defining_set_of_family(spec)), spec.m)
-    orbit_invariant = affine_orbit_check(spec, Field(spec.m, args.poly))
+    orbit_invariant = affine_orbit_check(spec, f)
     obj = {
         "closure": closed,
         "witness": list(witness) if witness else None,
@@ -168,11 +170,13 @@ def cmd_reproduce(args) -> Result:
                 f"unknown example {args.example!r}; choose from {', '.join(targets)}"
             )
         targets = [args.example]
-    # one distribution per code: an example extends the distribution its
-    # moment case checks
+    # one field per m, and one distribution per code: an example extends
+    # the distribution its moment case checks
+    field = cache(Field)
+
     @cache
     def cyclic(spec: CodeSpec) -> WeightDistribution:
-        return cyclic_weight_distribution(spec, Field(spec.m), args.threads)
+        return cyclic_weight_distribution(spec, field(spec.m), args.threads)
 
     results = []
     for ex_id in targets:

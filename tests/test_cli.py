@@ -323,6 +323,19 @@ def test_invariance_at_m14_uses_the_built_in_poly(capsys):
     assert obj["orbit_checked"] is True and obj["orbit_invariant"] is True
 
 
+def test_invariance_refuses_an_unsupported_m_before_any_check(capsys, monkeypatch):
+    # the closure check of c1(3000) runs over 6000-bit exponents for seconds
+    # before the field would refuse m = 6000
+    import designforge.cli as cli
+
+    def closure_check(*args):
+        raise AssertionError("closure_check ran before the field refused m")
+
+    monkeypatch.setattr(cli, "closure_check", closure_check)
+    code, out, err = run_cli(capsys, "invariance", "--family", "c1", "--s", "3000")
+    assert code == 2 and out == "" and "UnsupportedM" in err
+
+
 @pytest.mark.parametrize(("m", "poly"), [("14", "0x402b"), ("16", "0x1002d")])
 def test_field_command_built_in_poly(capsys, m, poly):
     code, out, _ = run_cli(capsys, "field", "--m", m)

@@ -27,7 +27,6 @@ from designforge import (
     cyclotomic_coset,
     defining_set_of_family,
     generator_basis,
-    membership_test,
     weight_distribution,
 )
 import designforge.codebuild as codebuild
@@ -39,7 +38,6 @@ from designforge.codebuild import (
     _TransformStep,
     bits_to_ints,
     cyclic_generator_basis,
-    enumerate_span,
     h0_basis,
     pack_words,
     packed_rows_to_ints,
@@ -51,6 +49,7 @@ from designforge.codebuild import (
     weight_histogram,
 )
 from one_layer import one_layer_basis
+from ref_codes import enumerate_span, membership_test
 from ref_gf2 import ref_mul, ref_pow, ref_reduce_rows, ref_trace
 
 

@@ -26,12 +26,12 @@ from designforge import (
     full_design_report,
     generator_basis,
     lambda_from_identity,
-    theorem_lambda,
     verify_t_design,
     weight_distribution,
 )
 from designforge.cli import main
-from designforge.codebuild import enumerate_span, pack_words, unpack_rows
+from designforge.codebuild import pack_words, unpack_rows
+from ref_codes import enumerate_span, theorem_lambda
 from ref_gf2 import naive_t_design_count
 
 C1_S3_ENUMERATOR = {16: 252, 24: 37632, 28: 107520, 32: 233478, 36: 107520, 40: 37632, 48: 252}

@@ -20,22 +20,18 @@ from designforge import (
     Field,
     InapplicableParameters,
     NonIntegerCount,
-    OddSum,
     WeightCollision,
     WeightDistribution,
-    ZeroForm,
+    build_codeword,
     closed_form,
     closed_form_c1,
     closed_form_c2_cyclic,
     closed_form_c2_extended,
     cyclic_weight_distribution,
-    exp_sum,
     extend_distribution,
     generator_basis,
     pless_verify,
-    quadform_rank,
     weight_distribution,
-    weight_from_sum,
 )
 from designforge import golden
 import designforge.spectrum as spectrum
@@ -43,6 +39,7 @@ from designforge.codebuild import cyclic_generator_basis, slot_words, weight_his
 from designforge.spectrum import _as_count, _build
 from one_layer import one_layer_basis
 from plain_sweep import span_distribution
+from ref_codes import ZeroForm, quadform_rank
 from ref_gf2 import ref_exp_sum
 
 M4_ENUMERATOR = {0: 1, 4: 140, 6: 448, 8: 870, 10: 448, 12: 140, 16: 1}
@@ -366,11 +363,17 @@ def test_extend_weight_collision():
         extend_distribution(WeightDistribution({0: 1, 3: 1}, 63, 1))
 
 
+def _exp_sum(field, a, b, c):
+    """S(a,b,c) = sum over all x of (-1)^tr(a*x^5 + b*x^3 + c*x): q minus
+    twice the weight of the c1 word at (a, b, c)."""
+    return field.q - 2 * build_codeword(CodeSpec("c1", field.s), field, a, b, c).bit_count()
+
+
 def test_exp_sum_trivial(f4, f6):
-    assert exp_sum(f4, 0, 0, 0) == 16
-    assert exp_sum(f6, 0, 0, 0) == 64
+    assert _exp_sum(f4, 0, 0, 0) == 16
+    assert _exp_sum(f6, 0, 0, 0) == 64
     for c in range(1, 16):
-        assert exp_sum(f4, 0, 0, c) == 0
+        assert _exp_sum(f4, 0, 0, c) == 0
 
 
 def test_exp_sum_against_reference(f4):
@@ -378,7 +381,7 @@ def test_exp_sum_against_reference(f4):
     for a in range(16):
         for b in range(0, 16, 3):
             for c in range(0, 16, 5):
-                assert exp_sum(f4, a, b, c) == ref_exp_sum(a, b, c, f4.poly, 4)
+                assert _exp_sum(f4, a, b, c) == ref_exp_sum(a, b, c, f4.poly, 4)
 
 
 def test_quadform_examples(f6, f8):
@@ -406,15 +409,7 @@ def test_exp_sum_value_set_m4(f4):
             if (a, b) == (0, 0):
                 continue
             mag = 1 << (4 - quadform_rank(f4, a, b).rank // 2)
-            assert {exp_sum(f4, a, b, c) for c in range(16)} <= {0, mag, -mag}
-
-
-def test_weight_from_sum(f4):
-    assert weight_from_sum(0, 3) == 32
-    assert weight_from_sum(16, 3) == 24  # S = 2^(s+1) row
-    assert weight_from_sum(16, 2) == 0  # the all-x-plus-one case S = q
-    with pytest.raises(OddSum):
-        weight_from_sum(3, 2)
+            assert {_exp_sum(f4, a, b, c) for c in range(16)} <= {0, mag, -mag}
 
 
 def test_pless_cyclic_c1_s3(f6):

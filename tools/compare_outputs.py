@@ -25,7 +25,8 @@ designforge package).  The invocations are:
   swept over the orbits of each;
 - the gated `designs --family c1 --s 4 --t 2` report, where classes are
   skipped and partner classes 96 and 160 share their H0 pair;
-- bad inputs: an odd --weight, --l equal to --s, and `field --m 5`.
+- bad inputs: an odd --weight, --l equal to --s, `field --m 5`, and
+  `invariance --family c1 --s 9`, whose m = 18 the field refuses.
 
 A second pass runs every invocation again, in the same order, through
 one interpreter's `designforge.cli.main` per tree, as perfbench/worker.py
@@ -90,6 +91,7 @@ def invocations() -> list[list[str]]:
     out.append(["designs", "--family", "c1", "--s", "2", "--weight", "5"])
     out.append(["weights", "--family", "c2", "--s", "3", "--l", "3"])
     out.append(["field", "--m", "5"])
+    out.append(["invariance", "--family", "c1", "--s", "9"])
     return out
 
 
